@@ -1,37 +1,23 @@
 #include "bus.h"
 
+#include <bit>
+
 #include "util/logging.h"
 
 namespace ct::sim {
 
-Bus::Bus(const BusConfig &config) : cfg(config) {}
-
-Cycles
-Bus::transact(BusMaster master, Bytes bytes, Cycles now)
+Bus::Bus(const BusConfig &config)
+    : cfg(config),
+      widthShift(static_cast<unsigned>(std::countr_zero(cfg.bytesPerCycle)))
 {
-    if (!modeled())
-        return 0;
-    if (bytes == 0)
-        util::fatal("Bus::transact: zero-byte transaction");
-    ++counters.transactions;
+    if (modeled() && !isPowerOfTwo(cfg.bytesPerCycle))
+        util::fatal("Bus: bytes per cycle must be a power of two");
+}
 
-    Cycles wait = busyUntil > now ? busyUntil - now : 0;
-    counters.waitCycles += wait;
-    Cycles start = now + wait;
-
-    Cycles arb = 0;
-    if (everOwned && master != lastOwner) {
-        arb = cfg.arbitrationCycles;
-        ++counters.ownerSwitches;
-    }
-    lastOwner = master;
-    everOwned = true;
-
-    Cycles transfer =
-        (bytes + cfg.bytesPerCycle - 1) / cfg.bytesPerCycle;
-    counters.busyCycles += arb + transfer;
-    busyUntil = start + arb + transfer;
-    return busyUntil - now;
+void
+Bus::zeroByteTransaction()
+{
+    util::fatal("Bus::transact: zero-byte transaction");
 }
 
 } // namespace ct::sim

@@ -45,7 +45,9 @@ struct BusStats
 /**
  * Occupancy-based bus model. A transaction waits for the bus to be
  * free, pays an arbitration penalty if the previous owner differs,
- * then occupies the bus for its transfer time.
+ * then occupies the bus for its transfer time. A modeled bus moves a
+ * power-of-two number of bytes per cycle, so transfer time is a
+ * shift; transact() runs per simulated word and is defined inline.
  */
 class Bus
 {
@@ -60,13 +62,41 @@ class Bus
      * @return total cycles until the transaction completes (wait +
      *         arbitration + transfer); 0 when the bus is unmodeled.
      */
-    Cycles transact(BusMaster master, Bytes bytes, Cycles now);
+    Cycles
+    transact(BusMaster master, Bytes bytes, Cycles now)
+    {
+        if (!modeled())
+            return 0;
+        if (bytes == 0)
+            zeroByteTransaction();
+        ++counters.transactions;
+
+        Cycles wait = busyUntil > now ? busyUntil - now : 0;
+        counters.waitCycles += wait;
+        Cycles start = now + wait;
+
+        Cycles arb = 0;
+        if (everOwned && master != lastOwner) {
+            arb = cfg.arbitrationCycles;
+            ++counters.ownerSwitches;
+        }
+        lastOwner = master;
+        everOwned = true;
+
+        Cycles transfer = (bytes + cfg.bytesPerCycle - 1) >> widthShift;
+        counters.busyCycles += arb + transfer;
+        busyUntil = start + arb + transfer;
+        return busyUntil - now;
+    }
 
     const BusStats &stats() const { return counters; }
 
   private:
+    [[noreturn]] static void zeroByteTransaction();
+
     BusConfig cfg;
     BusStats counters;
+    unsigned widthShift = 0; ///< log2(bytesPerCycle)
     Cycles busyUntil = 0;
     BusMaster lastOwner = BusMaster::Processor;
     bool everOwned = false;

@@ -71,7 +71,11 @@ struct CacheStoreResult
     Addr writeBackLine = 0;
 };
 
-/** LRU set-associative tag store. */
+/**
+ * LRU set-associative tag store. load() and store() run once per
+ * simulated word and are defined inline below; line and set lookups
+ * use shifts and masks fixed at construction.
+ */
 class Cache
 {
   public:
@@ -107,19 +111,129 @@ class Cache
         std::uint64_t lastUse = 0;
     };
 
-    Addr lineAddr(Addr addr) const;
-    std::size_t setIndex(Addr line_addr) const;
-    Line *findLine(Addr line_addr);
-    const Line *findLine(Addr line_addr) const;
+    Addr lineAddr(Addr addr) const { return addr & lineMask; }
+
+    std::size_t
+    setIndex(Addr line_addr) const
+    {
+        return static_cast<std::size_t>((line_addr >> lineShift) &
+                                        setMask);
+    }
+
+    Line *
+    findLine(Addr line_addr)
+    {
+        Line *set = &lines[setIndex(line_addr) * cfg.associativity];
+        for (unsigned way = 0; way < cfg.associativity; ++way) {
+            if (set[way].valid && set[way].tag == line_addr)
+                return &set[way];
+        }
+        return nullptr;
+    }
+
+    const Line *
+    findLine(Addr line_addr) const
+    {
+        return const_cast<Cache *>(this)->findLine(line_addr);
+    }
+
     /** Pick the LRU victim in the set of @p line_addr. */
     Line &victim(Addr line_addr);
 
+    /** Fill @p line_addr into its set's victim way; reports a dirty
+     *  eviction through @p write_back / @p write_back_line. */
+    void
+    allocate(Addr line_addr, bool dirty, bool &write_back,
+             Addr &write_back_line)
+    {
+        Line &slot = victim(line_addr);
+        if (slot.valid && slot.dirty) {
+            ++counters.writeBacks;
+            write_back = true;
+            write_back_line = slot.tag;
+        }
+        slot.tag = line_addr;
+        slot.valid = true;
+        slot.dirty = dirty;
+        slot.lastUse = useClock;
+    }
+
     CacheConfig cfg;
     CacheStats counters;
-    std::size_t numSets;
     std::vector<Line> lines; // numSets x associativity
+    unsigned lineShift = 0;  ///< log2(lineBytes)
+    Addr lineMask = 0;       ///< clears the offset within a line
+    Addr setMask = 0;        ///< numSets - 1
     std::uint64_t useClock = 0;
 };
+
+inline CacheLoadResult
+Cache::load(Addr addr)
+{
+    ++useClock;
+    Addr la = lineAddr(addr);
+    if (Line *line = findLine(la)) {
+        ++counters.loadHits;
+        line->lastUse = useClock;
+        return {true, false, false, 0};
+    }
+    ++counters.loadMisses;
+    CacheLoadResult result{false, true, false, 0};
+    allocate(la, false, result.writeBack, result.writeBackLine);
+    return result;
+}
+
+inline CacheStoreResult
+Cache::store(Addr addr)
+{
+    ++useClock;
+    Addr la = lineAddr(addr);
+    Line *line = findLine(la);
+    CacheStoreResult result;
+    switch (cfg.writePolicy) {
+      case WritePolicy::WriteAround:
+        // The store bypasses the cache; a resident copy goes stale
+        // and is invalidated to keep loads coherent.
+        result.hit = line != nullptr;
+        result.toMemory = true;
+        if (line) {
+            ++counters.storeHits;
+            line->valid = false;
+            ++counters.invalidations;
+        } else {
+            ++counters.storeMisses;
+        }
+        return result;
+      case WritePolicy::WriteThrough:
+        result.toMemory = true;
+        if (line) {
+            ++counters.storeHits;
+            result.hit = true;
+            line->lastUse = useClock;
+        } else {
+            ++counters.storeMisses;
+        }
+        return result;
+      case WritePolicy::WriteBack:
+        break;
+    }
+    // Write-back (the constructor admits no other policy).
+    if (line) {
+        ++counters.storeHits;
+        result.hit = true;
+        line->dirty = true;
+        line->lastUse = useClock;
+        return result;
+    }
+    ++counters.storeMisses;
+    if (!cfg.allocateOnWriteMiss) {
+        result.toMemory = true;
+        return result;
+    }
+    result.fill = true;
+    allocate(la, true, result.writeBack, result.writeBackLine);
+    return result;
+}
 
 } // namespace ct::sim
 

@@ -41,7 +41,9 @@ struct MemoryConfig
 /**
  * One node's memory system. All methods take the caller's current
  * time so that the background units (write queue, prefetcher) can be
- * modeled by occupancy without a global event loop.
+ * modeled by occupancy without a global event loop. The word path --
+ * load() and store() and the unit calls they make -- is defined
+ * inline, so a processor kernel compiles into one loop body.
  */
 class MemorySystem
 {
@@ -101,6 +103,71 @@ class MemorySystem
     LoadPipeline pipeline;
     Bus busModel;
 };
+
+inline Cycles
+MemorySystem::load(Addr addr, Cycles now, BusMaster master,
+                   bool streaming)
+{
+    // Pipelined loads bypass the cache entirely (i860 pfld).
+    if (cfg.loadPipeline.enabled && streaming) {
+        Cycles bus_extra =
+            busModel.transact(master, util::wordBytes, now);
+        Cycles completes =
+            dramModel
+                .access(addr, util::wordBytes, false, now + bus_extra)
+                .complete;
+        return bus_extra + pipeline.load(completes, now + bus_extra);
+    }
+
+    auto result = cacheModel.load(addr);
+    if (result.hit)
+        return cfg.cacheHitCycles;
+
+    Addr line = alignDown(addr, cfg.cache.lineBytes);
+    Cycles fill = rdal.fill(line, now);
+    Cycles bus_extra =
+        busModel.transact(master, cfg.cache.lineBytes, now + fill);
+    Cycles total = cfg.missOverheadCycles + fill + bus_extra;
+    if (result.writeBack) {
+        Cycles wb = dramModel
+                        .access(result.writeBackLine,
+                                cfg.cache.lineBytes, true, now + total)
+                        .complete -
+                    (now + total);
+        total += wb;
+    }
+    return total;
+}
+
+inline Cycles
+MemorySystem::store(Addr addr, Cycles now, BusMaster master)
+{
+    auto result = cacheModel.store(addr);
+    Cycles total = cfg.storeIssueCycles;
+    if (result.toMemory) {
+        total += wbq.store(addr, util::wordBytes, now);
+        total += busModel.transact(master, util::wordBytes, now);
+    }
+    if (result.fill) {
+        // Write-allocate: fetch the line before dirtying it.
+        Cycles fill =
+            dramModel
+                .access(alignDown(addr, cfg.cache.lineBytes),
+                        cfg.cache.lineBytes, false, now + total)
+                .complete -
+            (now + total);
+        total += fill;
+    }
+    if (result.writeBack) {
+        Cycles wb = dramModel
+                        .access(result.writeBackLine,
+                                cfg.cache.lineBytes, true, now + total)
+                        .complete -
+                    (now + total);
+        total += wb;
+    }
+    return total;
+}
 
 } // namespace ct::sim
 

@@ -13,6 +13,7 @@ NodeRam::NodeRam(Bytes size_bytes, Bytes alloc_skew_bytes)
     if (size_bytes == 0)
         util::fatal("NodeRam: zero size");
     capacity = size_bytes;
+    wordEnd = capacity >= 8 ? capacity - 7 : 0;
 }
 
 Addr
@@ -21,9 +22,9 @@ NodeRam::alloc(Bytes bytes, Bytes align)
     if (!isPowerOfTwo(align))
         util::fatal("NodeRam::alloc: alignment not a power of two");
     Addr base = (next + align - 1) & ~(static_cast<Addr>(align) - 1);
-    if (base + bytes > capacity)
+    if (bytes > capacity || base > capacity - bytes)
         util::fatal("NodeRam::alloc: out of memory (", capacity,
-                    " bytes total, need ", base + bytes, ")");
+                    " bytes total, need ", bytes, " at ", base, ")");
     next = base + bytes + allocSkew;
     return base;
 }

@@ -103,11 +103,21 @@ class NodeRam
         std::uint8_t *data = nullptr;
     };
 
+    /** Bounds check of [addr, addr + bytes) that stays exact when
+     *  addr + bytes would wrap past 2^64. */
     void
     checkRange(Addr addr, Bytes bytes) const
     {
-        if (addr + bytes > capacity)
+        if (bytes > capacity || addr > capacity - bytes)
             outOfRange(addr, bytes);
+    }
+
+    /** checkRange(addr, 8) as one compare, for the word accessors. */
+    void
+    checkWord(Addr addr) const
+    {
+        if (addr >= wordEnd)
+            outOfRange(addr, 8);
     }
 
     [[noreturn]] void outOfRange(Addr addr, Bytes bytes) const;
@@ -146,6 +156,8 @@ class NodeRam
     std::vector<std::pair<Addr, Addr>> pinnedRanges;
     mutable TransEntry translations[kTransEntries];
     Bytes capacity = 0;
+    /** First address at which a word no longer fits (0: none fits). */
+    Addr wordEnd = 0;
     Bytes allocSkew = 0;
     Addr next = 0;
     std::size_t residencyLimit = 0;
@@ -156,7 +168,7 @@ class NodeRam
 inline std::uint64_t
 NodeRam::readWord(Addr addr) const
 {
-    checkRange(addr, 8);
+    checkWord(addr);
     if (addr % kPageBytes <= kPageBytes - 8) {
         if (const std::uint8_t *page = cachedPage(addr / kPageBytes)) {
             std::uint64_t value;
@@ -170,7 +182,7 @@ NodeRam::readWord(Addr addr) const
 inline void
 NodeRam::writeWord(Addr addr, std::uint64_t value)
 {
-    checkRange(addr, 8);
+    checkWord(addr);
     if (addr % kPageBytes <= kPageBytes - 8) {
         // The cache only holds materialized pages, so a hit may be
         // written in place.

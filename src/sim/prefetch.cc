@@ -70,29 +70,10 @@ ReadAhead::reset()
 }
 
 LoadPipeline::LoadPipeline(const LoadPipelineConfig &config)
-    : cfg(config)
+    : cfg(config), outstanding(cfg.enabled ? cfg.depth : 0)
 {
     if (cfg.enabled && cfg.depth == 0)
         util::fatal("LoadPipeline: zero depth");
-}
-
-Cycles
-LoadPipeline::load(Cycles completes_at, Cycles now)
-{
-    completes_at += cfg.pipeLatency;
-    if (!cfg.enabled) {
-        return completes_at > now ? completes_at - now : 0;
-    }
-
-    Cycles stall = 0;
-    while (!outstanding.empty() && outstanding.front() <= now)
-        outstanding.pop_front();
-    if (outstanding.size() >= cfg.depth) {
-        stall = outstanding.front() - now;
-        outstanding.pop_front();
-    }
-    outstanding.push_back(completes_at);
-    return stall;
 }
 
 Cycles

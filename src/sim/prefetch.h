@@ -15,9 +15,8 @@
 #ifndef CT_SIM_PREFETCH_H
 #define CT_SIM_PREFETCH_H
 
-#include <deque>
-
 #include "sim/dram.h"
+#include "sim/ring.h"
 
 namespace ct::sim {
 
@@ -85,6 +84,9 @@ struct LoadPipelineConfig
  * Pipelined load issue. Memory devices serialize the loads; the
  * processor only stalls when `depth` loads are already outstanding.
  * Without the unit, every load stalls until its completion time.
+ * Outstanding completion times sit in a ring of `depth` slots
+ * allocated at construction; load() runs per simulated word and is
+ * defined inline.
  */
 class LoadPipeline
 {
@@ -95,7 +97,23 @@ class LoadPipeline
      * Track a load whose memory completion time is @p completes_at.
      * @return processor-visible stall cycles.
      */
-    Cycles load(Cycles completes_at, Cycles now);
+    Cycles
+    load(Cycles completes_at, Cycles now)
+    {
+        completes_at += cfg.pipeLatency;
+        if (!cfg.enabled)
+            return completes_at > now ? completes_at - now : 0;
+
+        Cycles stall = 0;
+        while (!outstanding.empty() && outstanding.front() <= now)
+            outstanding.pop_front();
+        if (outstanding.full()) {
+            stall = outstanding.front() - now;
+            outstanding.pop_front();
+        }
+        outstanding.push_back(completes_at);
+        return stall;
+    }
 
     /** Wait for all outstanding loads (fence). */
     Cycles drainTime(Cycles now) const;
@@ -104,7 +122,7 @@ class LoadPipeline
 
   private:
     LoadPipelineConfig cfg;
-    std::deque<Cycles> outstanding; // completion times
+    Ring<Cycles> outstanding; // completion times
 };
 
 } // namespace ct::sim

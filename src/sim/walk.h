@@ -28,7 +28,11 @@ struct PatternWalk
     Addr elementAddr(const NodeRam &ram, std::uint64_t i) const;
 
     /** Address of the i-th index entry (for timing the index load). */
-    Addr indexAddr(std::uint64_t i) const;
+    Addr
+    indexAddr(std::uint64_t i) const
+    {
+        return indexBase + i * util::wordBytes;
+    }
 
     /** True when each element requires an index-array load. */
     bool needsIndexLoad() const { return pattern.isIndexed(); }
@@ -50,6 +54,8 @@ PatternWalk indexedWalk(Addr base, Addr index_base);
  *
  * For indexed walks each elementAddr() call reads the index array,
  * mirroring the one architectural index load per element.
+ * elementAddr() and advance() run per simulated word and are defined
+ * inline below.
  */
 class WalkCursor
 {
@@ -76,6 +82,47 @@ class WalkCursor
     /** Elements left in the current strided block (incl. current). */
     std::uint64_t blockLeft = 0;
 };
+
+inline Addr
+WalkCursor::elementAddr(const NodeRam &ram) const
+{
+    if (walkRef->pattern.isIndexed())
+        return walkRef->base +
+               ram.readWord(walkRef->indexAddr(current)) *
+                   util::wordBytes;
+    return addr;
+}
+
+inline void
+WalkCursor::advance()
+{
+    using core::PatternKind;
+    ++current;
+    switch (walkRef->pattern.kind()) {
+      case PatternKind::Contiguous:
+        addr += util::wordBytes;
+        break;
+      case PatternKind::Strided:
+        if (--blockLeft == 0) {
+            // Jump from the last element of a block to the first of
+            // the next: stride words forward from the block start,
+            // i.e. back over the block-1 words already walked. Two
+            // 64-bit steps so an overlapping stride < block cannot
+            // underflow in 32 bits.
+            addr -= static_cast<Addr>(walkRef->pattern.block() - 1) *
+                    util::wordBytes;
+            addr += static_cast<Addr>(walkRef->pattern.stride()) *
+                    util::wordBytes;
+            blockLeft = walkRef->pattern.block();
+        } else {
+            addr += util::wordBytes;
+        }
+        break;
+      case PatternKind::Indexed:
+      case PatternKind::Fixed:
+        break;
+    }
+}
 
 } // namespace ct::sim
 

@@ -5,81 +5,10 @@
 namespace ct::sim {
 
 WriteBuffer::WriteBuffer(const WriteBufferConfig &config, Dram &dram)
-    : cfg(config), dram(dram)
+    : cfg(config), dram(dram), queue(cfg.entries)
 {
     if (!isPowerOfTwo(cfg.lineBytes))
         util::fatal("WriteBuffer: line size must be a power of two");
-}
-
-void
-WriteBuffer::retire(Cycles now)
-{
-    while (!queue.empty() && queue.front().issued &&
-           queue.front().completesAt <= now)
-        queue.pop_front();
-}
-
-void
-WriteBuffer::issueBatch(Cycles now)
-{
-    for (auto &entry : queue) {
-        if (entry.issued)
-            continue;
-        entry.completesAt =
-            dram.accessBackground(entry.addr, entry.bytes, true, now)
-                .complete;
-        entry.issued = true;
-    }
-}
-
-Cycles
-WriteBuffer::store(Addr addr, Bytes bytes, Cycles now)
-{
-    ++counters.stores;
-    retire(now);
-
-    Addr line = alignDown(addr, cfg.lineBytes);
-
-    if (cfg.entries == 0) {
-        // No queue: the store stalls for the full DRAM write.
-        Cycles complete =
-            dram.accessBackground(addr, bytes, true, now).complete;
-        Cycles cost = complete - now;
-        counters.stallCycles += cost;
-        return cost;
-    }
-
-    // Coalesce into the youngest entry when it targets the same line
-    // and it has not been sent to memory yet: the merged word rides
-    // along in the same burst.
-    if (cfg.coalesce && !queue.empty() && !queue.back().issued &&
-        queue.back().line == line) {
-        ++counters.coalesced;
-        queue.back().bytes += bytes;
-        return 0;
-    }
-
-    Cycles stall = 0;
-    if (queue.size() >= cfg.entries) {
-        ++counters.fullStalls;
-        issueBatch(now);
-        stall = queue.front().completesAt > now
-                    ? queue.front().completesAt - now
-                    : 0;
-        counters.stallCycles += stall;
-        now += stall;
-        queue.pop_front();
-        retire(now);
-    }
-
-    queue.push_back({line, addr, bytes, false, 0});
-
-    unsigned unissued = 0;
-    for (const auto &e : queue)
-        unissued += !e.issued;
-    if (unissued >= std::max(1u, cfg.drainBatch))
-        issueBatch(now);
-    return stall;
 }
 
 Cycles
@@ -94,9 +23,9 @@ WriteBuffer::drainTime(Cycles now)
 std::size_t
 WriteBuffer::occupancy(Cycles now) const
 {
-    std::size_t count = 0;
-    for (const auto &e : queue)
-        count += !e.issued || e.completesAt > now;
+    std::size_t count = unissued;
+    for (std::size_t i = 0; i < issued(); ++i)
+        count += queue[i].completesAt > now;
     return count;
 }
 

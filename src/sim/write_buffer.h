@@ -10,9 +10,8 @@
 #ifndef CT_SIM_WRITE_BUFFER_H
 #define CT_SIM_WRITE_BUFFER_H
 
-#include <deque>
-
 #include "sim/dram.h"
+#include "sim/ring.h"
 
 namespace ct::sim {
 
@@ -46,6 +45,11 @@ struct WriteBufferStats
  * Occupancy-based write queue. Entries carry a completion time
  * assigned on enqueue (drains are serialized on the DRAM write port);
  * store() returns the stall the issuing processor observes.
+ *
+ * The queue is a ring of `entries` slots allocated at construction.
+ * A batch issue sends every unissued entry, and new entries join at
+ * the back, so the unissued entries are always the youngest
+ * `unissued` ones.
  */
 class WriteBuffer
 {
@@ -70,22 +74,87 @@ class WriteBuffer
   private:
     struct Entry
     {
-        Addr line;
-        Addr addr;
-        Bytes bytes;
-        bool issued;
-        Cycles completesAt;
+        Addr line = 0;
+        Addr addr = 0;
+        Bytes bytes = 0;
+        Cycles completesAt = 0; ///< valid once issued
     };
 
-    void retire(Cycles now);
+    /** Entries sent to DRAM (the oldest ones). */
+    std::size_t issued() const { return queue.size() - unissued; }
+
+    /** Drop issued entries whose DRAM write finished by @p now. */
+    void
+    retire(Cycles now)
+    {
+        while (issued() > 0 && queue.front().completesAt <= now)
+            queue.pop_front();
+    }
+
     /** Send all unissued entries to DRAM back to back. */
-    void issueBatch(Cycles now);
+    void
+    issueBatch(Cycles now)
+    {
+        for (std::size_t i = issued(); i < queue.size(); ++i) {
+            Entry &entry = queue[i];
+            entry.completesAt =
+                dram.accessBackground(entry.addr, entry.bytes, true, now)
+                    .complete;
+        }
+        unissued = 0;
+    }
 
     WriteBufferConfig cfg;
     Dram &dram;
     WriteBufferStats counters;
-    std::deque<Entry> queue;
+    Ring<Entry> queue;
+    std::size_t unissued = 0;
 };
+
+inline Cycles
+WriteBuffer::store(Addr addr, Bytes bytes, Cycles now)
+{
+    ++counters.stores;
+    retire(now);
+
+    Addr line = alignDown(addr, cfg.lineBytes);
+
+    if (cfg.entries == 0) {
+        // No queue: the store stalls for the full DRAM write.
+        Cycles complete =
+            dram.accessBackground(addr, bytes, true, now).complete;
+        Cycles cost = complete - now;
+        counters.stallCycles += cost;
+        return cost;
+    }
+
+    // Coalesce into the youngest entry when it targets the same line
+    // and it has not been sent to memory yet: the merged word rides
+    // along in the same burst.
+    if (cfg.coalesce && unissued > 0 && queue.back().line == line) {
+        ++counters.coalesced;
+        queue.back().bytes += bytes;
+        return 0;
+    }
+
+    Cycles stall = 0;
+    if (queue.full()) {
+        ++counters.fullStalls;
+        issueBatch(now);
+        stall = queue.front().completesAt > now
+                    ? queue.front().completesAt - now
+                    : 0;
+        counters.stallCycles += stall;
+        now += stall;
+        queue.pop_front();
+        retire(now);
+    }
+
+    queue.push_back({line, addr, bytes, 0});
+    if (++unissued >= std::max(1u, cfg.drainBatch))
+        issueBatch(now);
+    return stall;
+}
 
 } // namespace ct::sim
 

@@ -7,7 +7,9 @@
  * allocator, so it is kept separate from the other test suites; the
  * budgets below are ~4x the measured allocation, far below what any
  * capacity-proportional (O(N²) channels, dense per-link) version
- * would need at 4096 nodes.
+ * would need at 4096 nodes. The same allocator witnesses the
+ * simulator's word path (DESIGN.md §11): once a node is warm, moving
+ * words through its memory system allocates nothing.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +24,7 @@
 #include "rt/reliable_layer.h"
 #include "rt/workload.h"
 #include "sim/machine.h"
+#include "sim/node.h"
 #include "util/rng.h"
 
 namespace {
@@ -59,6 +62,38 @@ void *
 operator new[](std::size_t size, std::align_val_t align)
 {
     return ::operator new(size, align);
+}
+
+// The nothrow forms (std::stable_sort's temporary buffer uses one)
+// must come from this allocator too, or the replaced deletes below
+// would free memory the runtime's own operator new handed out.
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    g_allocated.fetch_add(size, std::memory_order_relaxed);
+    return std::malloc(size ? size : 1);
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &) noexcept
+{
+    return ::operator new(size, std::nothrow);
+}
+
+void *
+operator new(std::size_t size, std::align_val_t align,
+             const std::nothrow_t &) noexcept
+{
+    g_allocated.fetch_add(size, std::memory_order_relaxed);
+    return std::aligned_alloc(static_cast<std::size_t>(align),
+                              size ? size : 1);
+}
+
+void *
+operator new[](std::size_t size, std::align_val_t align,
+               const std::nothrow_t &) noexcept
+{
+    return ::operator new(size, align, std::nothrow);
 }
 
 void
@@ -185,6 +220,84 @@ TEST(ScaleFootprint, ReliableChannelsScaleWithActiveFlows)
                  kNodes,
                  static_cast<unsigned long long>(used));
     EXPECT_LT(used, 1u * 1024 * 1024);
+}
+
+/**
+ * Bytes allocated by steady-state word traffic on a warm node of
+ * @p config: @p rounds passes of Processor::copy over contiguous,
+ * strided and indexed walks, then direct MemorySystem loads (data
+ * and index) and stores over the same ranges. Every page the walks
+ * touch is written first, so page materialization is not counted.
+ */
+std::uint64_t
+wordPathAllocations(const sim::NodeConfig &config, int rounds,
+                    std::uint64_t &words)
+{
+    const std::uint64_t kElems = 4096;
+    const std::uint32_t kStride = 4;
+    sim::Node node(config);
+    sim::NodeRam &ram = node.ram();
+    sim::Addr src = ram.alloc(kElems * 8);
+    sim::Addr dst = ram.alloc(kElems * kStride * 8);
+    sim::Addr idx = ram.alloc(kElems * 8);
+    util::Rng rng(11);
+    std::vector<std::uint64_t> perm = rng.permutation(kElems);
+    for (std::uint64_t i = 0; i < kElems; ++i) {
+        ram.writeWord(src + i * 8, i);
+        ram.writeWord(idx + i * 8, perm[i]);
+    }
+    for (std::uint64_t i = 0; i < kElems * kStride; ++i)
+        ram.writeWord(dst + i * 8, 0);
+
+    const sim::PatternWalk walks[][2] = {
+        {sim::contiguousWalk(src), sim::stridedWalk(dst, kStride)},
+        {sim::stridedWalk(dst, kStride), sim::indexedWalk(src, idx)},
+        {sim::indexedWalk(src, idx), sim::contiguousWalk(src)},
+    };
+    sim::Processor &proc = node.processor();
+    sim::MemorySystem &mem = node.memory();
+    util::Cycles now = 0;
+    auto pass = [&] {
+        std::uint64_t moved = 0;
+        for (const auto &walk : walks) {
+            now += proc.copy(walk[0], walk[1], 0, kElems, now);
+            moved += kElems;
+        }
+        for (std::uint64_t i = 0; i < kElems; ++i) {
+            now += mem.load(src + perm[i] * 8, now);
+            now += mem.load(idx + i * 8, now, sim::BusMaster::Processor,
+                            false);
+            now += mem.store(dst + i * kStride * 8, now);
+            moved += 3;
+        }
+        now += mem.fence(now);
+        return moved;
+    };
+    pass(); // warm-up: caches, queues and the RAM translation cache
+
+    words = 0;
+    AllocWindow window;
+    for (int r = 0; r < rounds; ++r)
+        words += pass();
+    return window.bytes();
+}
+
+TEST(ScaleFootprint, WordPathAllocatesNothingOnWarmNodes)
+{
+    // The memory system's queues are fixed-capacity rings sized at
+    // construction, so a warm node moves words without allocating.
+    struct Case
+    {
+        const char *name;
+        sim::NodeConfig config;
+    };
+    for (const Case &c : {Case{"t3d", sim::t3dNodeConfig()},
+                          Case{"paragon", sim::paragonNodeConfig()}}) {
+        std::uint64_t words = 0;
+        std::uint64_t used = wordPathAllocations(c.config, 5, words);
+        EXPECT_GE(words, 100000u) << c.name;
+        EXPECT_EQ(used, 0u) << c.name << ": " << words << " words";
+    }
 }
 
 TEST(ScaleFootprint, DimsForNodesSplitsNearEvenly)

@@ -69,6 +69,12 @@ TEST(Bus, InterleavingTwoMastersIsExpensive)
     EXPECT_GT(interleaved, batched + 10);
 }
 
+TEST(BusDeath, WidthNotPowerOfTwo)
+{
+    EXPECT_EXIT(Bus({12, 0}), testing::ExitedWithCode(1),
+                "power of two");
+}
+
 TEST(BusDeath, ZeroBytes)
 {
     Bus bus({8, 0});

@@ -117,6 +117,29 @@ TEST(NodeRamDeath, OutOfRangeAccess)
                 "beyond size");
 }
 
+TEST(NodeRamDeath, AccessWrappingPastAddressSpaceEnd)
+{
+    // addr + 8 wraps to a small number here; the bound must still
+    // reject the access instead of materializing pages for it.
+    NodeRam ram(1 << 20);
+    const Addr top = ~Addr{0} - 3; // 2^64 - 4
+    EXPECT_EXIT(ram.writeWord(top, 42), testing::ExitedWithCode(1),
+                "beyond size");
+    EXPECT_EXIT((void)ram.readWord(top), testing::ExitedWithCode(1),
+                "beyond size");
+    EXPECT_EXIT(ram.pinRange(top, 8), testing::ExitedWithCode(1),
+                "beyond size");
+}
+
+TEST(NodeRamDeath, AllocWrappingPastAddressSpaceEnd)
+{
+    NodeRam ram(1 << 20);
+    ram.alloc(64);
+    // base (64) + bytes wraps to 32, which is within capacity.
+    EXPECT_EXIT(ram.alloc(~Bytes{0} - 31), testing::ExitedWithCode(1),
+                "out of memory");
+}
+
 TEST(NodeRamDeath, BadAlignment)
 {
     NodeRam ram(1024);
