@@ -111,6 +111,10 @@ inline constexpr std::uint64_t layerChunkWords = 64;
 /** In-flight chunks allowed per flow before the sender throttles. */
 inline constexpr int layerCredits = 4;
 
+/** Bytes of one staging ring: layerCredits chunks of layerChunkWords. */
+inline constexpr sim::Bytes layerRingBytes =
+    layerCredits * layerChunkWords * 8;
+
 } // namespace ct::rt
 
 #endif // CT_RT_LAYER_H

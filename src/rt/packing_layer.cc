@@ -70,7 +70,7 @@ struct Ctx
           procBusy(active.count(), 0), fetchFreeAt(active.count(), 0),
           lastDoneByNode(active.count(), 0), tracer(machine.tracer())
     {
-        Bytes ring = static_cast<Bytes>(layerCredits) * chunkBytes;
+        const Bytes ring = layerRingBytes;
         for (std::size_t g = 0; g < groups.size(); ++g) {
             const FlowGroup &group = groups[g];
             GroupRun &run = runs[g];

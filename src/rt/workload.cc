@@ -1,6 +1,10 @@
 #include "workload.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "core/distribution.h"
+#include "rt/layer.h"
 
 #include "util/logging.h"
 
@@ -8,21 +12,81 @@ namespace ct::rt {
 
 using core::AccessPattern;
 using core::PatternKind;
+using sim::Bytes;
+
+namespace {
+
+constexpr Bytes kBytesMax = std::numeric_limits<Bytes>::max();
+
+Bytes
+saturatingAdd(Bytes a, Bytes b)
+{
+    Bytes sum;
+    return __builtin_add_overflow(a, b, &sum) ? kBytesMax : sum;
+}
+
+Bytes
+saturatingMul(Bytes a, Bytes b)
+{
+    Bytes product;
+    return __builtin_mul_overflow(a, b, &product) ? kBytesMax
+                                                  : product;
+}
+
+/** NodeRam::alloc()'s bump pointer (64-byte alignment, skew after
+ *  each allocation) without the memory; saturates at kBytesMax. */
+struct AllocReplay
+{
+    Bytes skew;
+    Bytes next = 0;
+    /** End of the last allocation: the highest byte reached. */
+    Bytes end = 0;
+
+    void
+    alloc(Bytes bytes)
+    {
+        Bytes base = saturatingAdd(next, 63) & ~Bytes{63};
+        end = saturatingAdd(base, bytes);
+        next = saturatingAdd(end, skew);
+    }
+
+    void
+    walk(AccessPattern p, const WalkBytes &bytes)
+    {
+        alloc(bytes.elements);
+        if (p.isIndexed())
+            alloc(bytes.index);
+    }
+};
+
+} // namespace
+
+WalkBytes
+walkBytes(AccessPattern p, std::uint64_t words)
+{
+    WalkBytes bytes;
+    Bytes array = saturatingMul(words, 8);
+    bytes.elements = p.isStrided() ? saturatingMul(array, p.stride())
+                                   : array;
+    if (p.isIndexed())
+        bytes.index = array;
+    return bytes;
+}
 
 sim::PatternWalk
 allocWalk(sim::Node &node, AccessPattern p, std::uint64_t words,
           util::Rng &rng)
 {
     sim::NodeRam &ram = node.ram();
+    const WalkBytes bytes = walkBytes(p, words);
     switch (p.kind()) {
       case PatternKind::Contiguous:
-        return sim::contiguousWalk(ram.alloc(words * 8));
+        return sim::contiguousWalk(ram.alloc(bytes.elements));
       case PatternKind::Strided:
-        return sim::stridedWalk(ram.alloc(words * p.stride() * 8),
-                                p.stride());
+        return sim::stridedWalk(ram.alloc(bytes.elements), p.stride());
       case PatternKind::Indexed: {
-        Addr base = ram.alloc(words * 8);
-        Addr idx = ram.alloc(words * 8);
+        Addr base = ram.alloc(bytes.elements);
+        Addr idx = ram.alloc(bytes.index);
         auto perm = rng.permutation(words);
         for (std::uint64_t i = 0; i < words; ++i)
             ram.writeWord(idx + i * 8, perm[i]);
@@ -40,7 +104,7 @@ replicateIndexArray(const sim::PatternWalk &walk, std::uint64_t words,
 {
     if (!walk.pattern.isIndexed())
         return walk;
-    Addr copy = node.ram().alloc(words * 8);
+    Addr copy = node.ram().alloc(walkBytes(walk.pattern, words).index);
     for (std::uint64_t i = 0; i < words; ++i)
         node.ram().writeWord(copy + i * 8,
                              owner_ram.readWord(walk.indexAddr(i)));
@@ -65,6 +129,51 @@ makeFlow(sim::Machine &machine, NodeId src, NodeId dst,
                             machine.node(dst).ram(),
                             machine.node(src));
     return flow;
+}
+
+Bytes
+pairExchangeNodeBytes(AccessPattern x, AccessPattern y,
+                      std::uint64_t words, Bytes alloc_skew,
+                      int staging_buffers)
+{
+    // pairExchange() runs makeFlow() for a -> b, then b -> a, so node
+    // a allocates its send walk, the replica of b's index array and
+    // its receive walk, while b allocates its receive walk, its send
+    // walk and the replica of a's index array.
+    const WalkBytes send = walkBytes(x, words);
+    const WalkBytes recv = walkBytes(y, words);
+    AllocReplay a{alloc_skew}, b{alloc_skew};
+    a.walk(x, send);
+    if (y.isIndexed())
+        a.alloc(recv.index);
+    a.walk(y, recv);
+    b.walk(y, recv);
+    b.walk(x, send);
+    if (y.isIndexed())
+        b.alloc(recv.index);
+    // The packing layer gives each node one ring per direction, and
+    // PVM a second one for its system-buffer copy.
+    int rings = 2 * std::clamp(staging_buffers, 0, 2);
+    for (int i = 0; i < rings; ++i) {
+        a.alloc(layerRingBytes);
+        b.alloc(layerRingBytes);
+    }
+    return std::max(a.end, b.end);
+}
+
+std::string
+exchangeFitError(const sim::NodeConfig &node, AccessPattern x,
+                 AccessPattern y, std::uint64_t words,
+                 int staging_buffers)
+{
+    Bytes need = pairExchangeNodeBytes(x, y, words, node.ramAllocSkew,
+                                       staging_buffers);
+    if (need <= node.ramBytes)
+        return {};
+    return std::to_string(words) + " words of " + x.label() + "Q" +
+           y.label() + " need " + std::to_string(need) +
+           " bytes per node, more than the " +
+           std::to_string(node.ramBytes) + "-byte node RAM";
 }
 
 sim::PatternWalk

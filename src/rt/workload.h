@@ -16,11 +16,51 @@
 namespace ct::rt {
 
 /**
+ * The node-memory allocations of one walk of @p words elements with
+ * pattern @p p: the element array and, for an indexed walk, the index
+ * array. Sizes saturate at the largest Bytes value instead of
+ * wrapping, so a huge word count never looks small.
+ */
+struct WalkBytes
+{
+    sim::Bytes elements = 0;
+    sim::Bytes index = 0; ///< 0 unless the pattern is indexed
+};
+
+WalkBytes walkBytes(core::AccessPattern p, std::uint64_t words);
+
+/**
  * Allocate a walk of @p words elements with pattern @p p in @p node's
- * memory. Indexed walks get a fresh random permutation index array.
+ * memory, sized by walkBytes(). Indexed walks get a fresh random
+ * permutation index array.
  */
 sim::PatternWalk allocWalk(sim::Node &node, core::AccessPattern p,
                            std::uint64_t words, util::Rng &rng);
+
+/**
+ * Bytes of node memory a pairExchange() of @p words elements x -> y
+ * reaches on its busiest node: the walks it allocates plus, for a
+ * program with @p staging_buffers >= 1, the packing layer's staging
+ * rings (PVM's system copies at >= 2), replayed through
+ * NodeRam::alloc()'s alignment and @p alloc_skew padding. Saturates
+ * instead of wrapping. Rings that a run allocates later (a reliable
+ * transport's degradation fallback, adaptive rounds) are not counted.
+ */
+sim::Bytes pairExchangeNodeBytes(core::AccessPattern x,
+                                 core::AccessPattern y,
+                                 std::uint64_t words,
+                                 sim::Bytes alloc_skew,
+                                 int staging_buffers);
+
+/**
+ * Empty if pairExchangeNodeBytes() fits @p node's RAM; otherwise a
+ * one-line reason naming the word count and the node RAM, for
+ * callers that refuse such a run before building a machine.
+ */
+std::string exchangeFitError(const sim::NodeConfig &node,
+                             core::AccessPattern x,
+                             core::AccessPattern y, std::uint64_t words,
+                             int staging_buffers);
 
 /**
  * Replicate the index array of @p walk into @p node's memory (the

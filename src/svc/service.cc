@@ -12,6 +12,7 @@
 #include "rt/reliable_layer.h"
 #include "rt/sim_backend.h"
 #include "rt/validation.h"
+#include "rt/workload.h"
 #include "sim/machine.h"
 #include "svc/json.h"
 #include "util/logging.h"
@@ -508,10 +509,22 @@ PlanService::handleSim(const Request &request)
                       w.fragment(), key);
     }
 
-    rt::SimBackend backend(cfg);
-    backend.setEventBudget(budget);
     core::TransferProgram program =
         core::withReliability(base);
+    std::string unfit =
+        rt::exchangeFitError(cfg.node, program.x, program.y,
+                             request.words, program.stagingBuffers);
+    if (!unfit.empty()) {
+        // Refused before a machine is built: the service keeps
+        // answering instead of dying in the node allocator.
+        w.field("node_ram_bytes", cfg.node.ramBytes)
+            .field("error", unfit);
+        return finish(request, Status::Error, Fidelity::None,
+                      w.fragment(), "");
+    }
+
+    rt::SimBackend backend(cfg);
+    backend.setEventBudget(budget);
     rt::SimRun run = backend.exchange(program, request.words);
 
     w.field("layer", run.layerName)

@@ -199,6 +199,32 @@ splitList(const std::string &text, char sep)
     return out;
 }
 
+/** The machine a cell runs on (runCell builds exactly this). */
+sim::MachineConfig
+cellConfig(const CellSpec &spec)
+{
+    sim::MachineConfig cfg =
+        spec.nodes != 0 ? sim::configFor(spec.machine, spec.nodes)
+                        : sim::configFor(spec.machine);
+    cfg.faults = spec.faults;
+    return cfg;
+}
+
+/** Why a cell's simulated exchange cannot fit a node's RAM; empty
+ *  when it fits or the cell runs no exchange sim. */
+std::string
+cellFitError(const CellSpec &spec)
+{
+    if (spec.kind != CellKind::Exchange || spec.nodes > kScaleSimNodes)
+        return {};
+    auto program =
+        core::buildProgram(spec.machine, spec.style, spec.x, spec.y);
+    if (!program)
+        return {};
+    return rt::exchangeFitError(cellConfig(spec).node, spec.x, spec.y,
+                                spec.words, program->stagingBuffers);
+}
+
 std::optional<Grid>
 presetGrid(const std::string &name, std::string *error)
 {
@@ -429,6 +455,9 @@ Grid::parse(const std::string &spec, std::string *error)
     if (seen[kNodes] && grid.kindValue == CellKind::Copy)
         return fail("grid key 'nodes' applies to exchange cells "
                     "only (copies have no network)");
+    for (const CellSpec &cell : grid.cells())
+        if (std::string unfit = cellFitError(cell); !unfit.empty())
+            return fail("cell " + cell.id + ": " + unfit);
     return grid;
 }
 
@@ -438,10 +467,7 @@ runCell(const CellSpec &spec)
     CellResult result;
     result.id = spec.id;
 
-    sim::MachineConfig cfg =
-        spec.nodes != 0 ? sim::configFor(spec.machine, spec.nodes)
-                        : sim::configFor(spec.machine);
-    cfg.faults = spec.faults;
+    sim::MachineConfig cfg = cellConfig(spec);
 
     if (spec.kind == CellKind::Copy) {
         result.simMBps =

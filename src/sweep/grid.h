@@ -129,7 +129,9 @@ class Grid
      *    exchange cells only) and faults (FaultSpec strings
      *    separated by '|'; "none" = fault-free).
      * Unknown keys, duplicate keys, empty or malformed values are an
-     * error with the offending token named in @p error.
+     * error with the offending token named in @p error, and so is an
+     * exchange cell whose simulated buffers cannot fit a node's RAM
+     * (rt::exchangeFitError).
      */
     static std::optional<Grid> parse(const std::string &spec,
                                      std::string *error);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "core/style_registry.h"
+#include "rt/sim_backend.h"
 #include "rt/workload.h"
 
 namespace {
@@ -103,6 +105,103 @@ TEST(Workload, PairExchangeDeterministicPerSeed)
         EXPECT_EQ(op1.flows[0].srcWalk.elementAddr(m1.node(0).ram(), i),
                   op2.flows[0].srcWalk.elementAddr(m2.node(0).ram(),
                                                    i));
+}
+
+// pairExchangeNodeBytes() must be the allocator's footprint exactly:
+// a node RAM of that size holds the exchange, one byte less does not.
+
+void
+expectExactFootprint(sim::MachineConfig cfg, P x, P y,
+                     std::uint64_t words)
+{
+    sim::Bytes need = pairExchangeNodeBytes(
+        x, y, words, cfg.node.ramAllocSkew, 0);
+    cfg.node.ramBytes = need;
+    {
+        sim::Machine m(cfg);
+        auto op = pairExchange(m, x, y, words);
+        EXPECT_EQ(op.flows.size(), 2u);
+    }
+    EXPECT_TRUE(exchangeFitError(cfg.node, x, y, words, 0).empty());
+    cfg.node.ramBytes = need - 1;
+    EXPECT_FALSE(exchangeFitError(cfg.node, x, y, words, 0).empty());
+    EXPECT_EXIT(
+        {
+            sim::Machine m(cfg);
+            pairExchange(m, x, y, words);
+        },
+        testing::ExitedWithCode(1), "out of memory");
+}
+
+TEST(ExchangeFit, NodeBytesMatchTheAllocatorForEveryPatternPair)
+{
+    const std::vector<P> patterns = {P::contiguous(), P::strided(16),
+                                     P::indexed()};
+    for (const P &x : patterns) {
+        for (const P &y : patterns) {
+            SCOPED_TRACE(x.label() + "Q" + y.label());
+            expectExactFootprint(sim::t3dConfig({2, 1, 1}), x, y, 100);
+            expectExactFootprint(sim::paragonConfig({2, 1}), x, y, 37);
+        }
+    }
+}
+
+TEST(ExchangeFit, NodeBytesCountThePackingLayersStagingRings)
+{
+    // Packing gives each node a ring per direction, PVM a second one;
+    // the reliable transport wraps them without allocating more.
+    for (const char *style : {"buffer-packing", "pvm"}) {
+        for (bool reliable : {false, true}) {
+            SCOPED_TRACE(std::string(style) +
+                         (reliable ? " reliable" : ""));
+            auto program = core::buildProgram(
+                core::MachineId::Paragon, style, P::strided(4),
+                P::contiguous());
+            ASSERT_TRUE(program);
+            ASSERT_GE(program->stagingBuffers, 1);
+            if (reliable)
+                program = core::withReliability(*program);
+            sim::MachineConfig cfg = sim::paragonConfig({2, 1});
+            cfg.node.ramBytes = pairExchangeNodeBytes(
+                program->x, program->y, 256, cfg.node.ramAllocSkew,
+                program->stagingBuffers);
+            SimBackend fits(cfg);
+            EXPECT_EQ(fits.exchange(*program, 256).corruptWords, 0u);
+            cfg.node.ramBytes -= 1;
+            EXPECT_EXIT(SimBackend(cfg).exchange(*program, 256),
+                        testing::ExitedWithCode(1), "out of memory");
+        }
+    }
+}
+
+TEST(ExchangeFit, RefusesTheOversizedT3dExchangeNamingWordsAndRam)
+{
+    // Two 32 MiB buffers plus padding on a 64 MiB T3D node.
+    std::string why = exchangeFitError(
+        sim::t3dNodeConfig(), P::contiguous(), P::contiguous(),
+        4194304, 0);
+    EXPECT_NE(why.find("4194304 words"), std::string::npos) << why;
+    EXPECT_NE(why.find("67108864"), std::string::npos) << why;
+    // A little less fits.
+    EXPECT_TRUE(exchangeFitError(sim::t3dNodeConfig(), P::contiguous(),
+                                 P::contiguous(), 4194304 - 1024, 0)
+                    .empty());
+}
+
+TEST(ExchangeFit, ByteSizesSaturateInsteadOfWrapping)
+{
+    // 2^61 words are 2^64 bytes: wrapped, that is a zero-byte array.
+    const std::uint64_t words = 1ull << 61;
+    EXPECT_EQ(walkBytes(P::contiguous(), words).elements,
+              ~sim::Bytes{0});
+    EXPECT_EQ(walkBytes(P::strided(64), 1ull << 58).elements,
+              ~sim::Bytes{0});
+    EXPECT_EQ(pairExchangeNodeBytes(P::contiguous(), P::contiguous(),
+                                    words, 1056, 0),
+              ~sim::Bytes{0});
+    EXPECT_FALSE(exchangeFitError(sim::t3dNodeConfig(), P::contiguous(),
+                                  P::contiguous(), words, 0)
+                     .empty());
 }
 
 } // namespace

@@ -166,6 +166,30 @@ TEST(FaultInjector, CorruptionOfEmptyPacketIsNoop)
     EXPECT_TRUE(sim::checksumOk(p));
 }
 
+// The sealed checksum is part of every simulated run: pin its values
+// so a faster CRC cannot change what the transport computes.
+
+TEST(PacketChecksum, DataOnlyPayloadSumIsPinned)
+{
+    Packet p;
+    p.framing = sim::Framing::DataOnly;
+    p.destBase = 0x4000;
+    for (std::uint64_t i = 0; i < 64; ++i)
+        p.words.push_back(0x0123456789abcdefULL * (i + 1));
+    EXPECT_EQ(sim::payloadSum(p), 0x5344E909u);
+}
+
+TEST(PacketChecksum, AddrDataPairPayloadSumIsPinned)
+{
+    Packet p;
+    p.framing = sim::Framing::AddrDataPair;
+    for (std::uint64_t i = 0; i < 13; ++i) {
+        p.words.push_back(~i * 0x9E3779B97F4A7C15ULL);
+        p.addrs.push_back(0x10000 + i * 136);
+    }
+    EXPECT_EQ(sim::payloadSum(p), 0xA058BA29u);
+}
+
 // Network integration: the injector hooks into the wire path.
 
 Packet

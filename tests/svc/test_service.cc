@@ -118,6 +118,37 @@ TEST(PlanService, DegradationLadderReportsFidelityHonestly)
     EXPECT_EQ(m.counterValue("svc.deadline.truncated"), 1u);
 }
 
+TEST(PlanService, OversizedSimIsRefusedInBandAndServiceKeepsAnswering)
+{
+    // 16M words of 1Q1 are two 128 MiB arrays per 64 MiB T3D node.
+    Collector out;
+    svc::PlanService service(syncOptions(), out.sink());
+    service.submit(
+        R"({"id":1,"op":"plan","machine":"t3d","xqy":"1Q64"})");
+    service.submit(
+        R"({"id":2,"op":"sim","machine":"t3d","xqy":"1Q1","words":16777216})");
+    service.submit(R"({"id":3,"op":"health"})");
+    service.submit(
+        R"({"id":4,"op":"sim","machine":"t3d","xqy":"1Q1","words":1024})");
+    service.stop();
+
+    ASSERT_EQ(out.responses.size(), 4u);
+    EXPECT_EQ(out.responses[0].status, svc::Status::Ok);
+    const svc::ServiceResponse &refused = out.responses[1];
+    EXPECT_EQ(refused.id, 2u);
+    EXPECT_EQ(refused.status, svc::Status::Error);
+    EXPECT_EQ(refused.fidelity, svc::Fidelity::None);
+    EXPECT_NE(refused.line.find("16777216 words"), std::string::npos)
+        << refused.line;
+    EXPECT_NE(refused.line.find("\"node_ram_bytes\":67108864"),
+              std::string::npos)
+        << refused.line;
+    EXPECT_EQ(out.responses[2].id, 3u);
+    EXPECT_EQ(out.responses[2].status, svc::Status::Ok);
+    EXPECT_EQ(out.responses[3].status, svc::Status::Ok);
+    EXPECT_EQ(out.responses[3].fidelity, svc::Fidelity::Exact);
+}
+
 TEST(PlanService, CacheHitsProduceIdenticalBytes)
 {
     Collector out;

@@ -66,6 +66,28 @@ TEST(GridParse, RejectsUnknownAndDuplicateKeys)
     EXPECT_FALSE(Grid::parse("bogus", &error));
 }
 
+TEST(GridParse, RejectsExchangeCellsThatCannotFitNodeRam)
+{
+    std::string error;
+    EXPECT_FALSE(Grid::parse("kind=exchange;machine=t3d;style=chained;"
+                             "x=1;y=1;words=16777216",
+                             &error));
+    EXPECT_NE(error.find("t3d/chained/1Q1/w16777216"),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find("67108864"), std::string::npos) << error;
+    // Analytic-only scale cells build no machine, and copies size
+    // their own arena, so neither is refused.
+    EXPECT_TRUE(Grid::parse("kind=exchange;machine=t3d;style=chained;"
+                            "x=1;y=1;words=16777216;nodes=512",
+                            &error))
+        << error;
+    EXPECT_TRUE(Grid::parse("kind=copy;machine=t3d;x=1;y=1;"
+                            "words=16777216",
+                            &error))
+        << error;
+}
+
 TEST(GridParse, CellOrderIsMachineMajor)
 {
     std::string error;

@@ -39,7 +39,8 @@
  * Exit codes (uniform across subcommands, see README):
  *   0  success
  *   2  usage or parse error (unknown flag, malformed operation,
- *      bad word count, formula parse error, ...)
+ *      bad word count, a sim or sweep cell too large for node RAM,
+ *      formula parse error, ...)
  *   3  runtime failure (cannot write an output file, corrupted
  *      delivery, abandoned packets, validation tolerance miss)
  *
@@ -285,6 +286,13 @@ runSim(core::MachineId machine, const std::string &xqy,
     }
 
     auto cfg = sim::configFor(machine);
+    std::string unfit = rt::exchangeFitError(
+        cfg.node, *x, *y, words,
+        transport == SimTransport::Packing ? 1 : 0);
+    if (!unfit.empty()) {
+        std::fprintf(stderr, "%s\n", unfit.c_str());
+        return kExitUsage;
+    }
     cfg.faults = faults;
     cfg.chaos = chaos;
     // 1 = serial: run the plain event loop, no engine constructed.
