@@ -58,11 +58,11 @@ registerAll()
                           static_cast<double>(words * 8) / 1024.0}};
                      // The latency-extended model's prediction of
                      // the same curve.
-                     if (auto m = core::makeMessageCostModel(
-                             entry.machine, entry.style,
-                             P::contiguous(), P::contiguous()))
-                         out.emplace_back("latency_model_MBps",
-                                          m->throughputAt(words * 8));
+                     out.emplace_back(
+                         "latency_model_MBps",
+                         modelCost(entry.machine, entry.style,
+                                   P::contiguous(), P::contiguous())
+                             .throughputAt(words * 8));
                      return out;
                  }});
         }

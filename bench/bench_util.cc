@@ -6,6 +6,7 @@
 #include <map>
 #include <mutex>
 
+#include "core/style_registry.h"
 #include "sweep/farm.h"
 #include "util/logging.h"
 
@@ -238,19 +239,21 @@ runBenchmarks(int argc, char **argv, const char *bench_name)
     return 0;
 }
 
+core::MessageCostModel
+modelCost(MachineId machine, core::Style style, AccessPattern x,
+          AccessPattern y)
+{
+    for (const core::SizedPlan &p : core::planForSize(machine, x, y, 0))
+        if (p.style == style)
+            return p.model;
+    util::fatal("modelCost: style not available on this machine");
+}
+
 double
 modelMBps(MachineId machine, core::Style style, AccessPattern x,
           AccessPattern y)
 {
-    auto strategy = core::makeStrategy(machine, style, x, y);
-    if (!strategy)
-        util::fatal("modelMBps: style not available on this machine");
-    auto table = core::paperTable(machine);
-    auto rate = core::rateStrategy(
-        *strategy, table, core::paperCaps(machine).defaultCongestion);
-    if (!rate)
-        util::fatal("modelMBps: strategy not rateable");
-    return *rate;
+    return modelCost(machine, style, x, y).asymptotic();
 }
 
 } // namespace ct::bench

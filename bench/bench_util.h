@@ -25,7 +25,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "core/strategies.h"
+#include "core/planner.h"
 #include "rt/chained_layer.h"
 #include "rt/packing_layer.h"
 #include "rt/sim_backend.h"
@@ -61,7 +61,15 @@ std::string benchLabel(Style style);
 double exchangeMBps(MachineId machine, Style style, AccessPattern x,
                     AccessPattern y, std::uint64_t words = 1 << 14);
 
-/** Copy-transfer model estimate from the paper's parameter tables. */
+/**
+ * Latency-extended model of xQy with @p style, the one
+ * core::planForSize() ranks the style by; fatal when the machine
+ * lacks the style.
+ */
+core::MessageCostModel modelCost(MachineId machine, core::Style style,
+                                 AccessPattern x, AccessPattern y);
+
+/** Copy-transfer model estimate: modelCost()'s asymptotic rate. */
 double modelMBps(MachineId machine, core::Style style,
                  AccessPattern x, AccessPattern y);
 

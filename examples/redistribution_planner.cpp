@@ -61,7 +61,7 @@ analyze(core::MachineId machine_id, const D &from, const D &to)
     std::printf("  simulated: chained %.1f MB/s, buffer-packing %.1f "
                 "MB/s -> %s wins (model agrees: %s)\n\n",
                 c, p, c > p ? "chained" : "packing",
-                (plans.front().strategy.style ==
+                (plans.front().program.style ==
                  core::Style::Chained) == (c > p)
                     ? "yes"
                     : "no");

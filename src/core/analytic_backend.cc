@@ -58,6 +58,14 @@ AnalyticBackend::AnalyticBackend(ThroughputTable table,
         util::fatal("AnalyticBackend: profile needs a clock");
 }
 
+AnalyticBackend
+paperBackend(MachineId id)
+{
+    ExecutionProfile profile;
+    profile.clockHz = paperCaps(id).clockHz;
+    return AnalyticBackend(paperTable(id), profile);
+}
+
 std::optional<util::MBps>
 AnalyticBackend::rate(const TransferProgram &program,
                       double congestion) const

@@ -144,6 +144,14 @@ class AnalyticBackend
     ExecutionProfile profile_;
 };
 
+/**
+ * The backend the §5 planner ranks styles with: the paper's throughput
+ * table and the machine's clock. It carries no execution profile, so
+ * it serves rate() and costModel(); the execution-aware predictors
+ * need a profile from rt::executionProfileFor().
+ */
+AnalyticBackend paperBackend(MachineId id);
+
 } // namespace ct::core
 
 #endif // CT_CORE_ANALYTIC_BACKEND_H

@@ -42,28 +42,4 @@ MessageCostModel::halfPowerPoint() const
     return static_cast<util::Bytes>(n);
 }
 
-std::optional<MessageCostModel>
-makeMessageCostModel(MachineId id, Style style, AccessPattern x,
-                     AccessPattern y)
-{
-    auto strategy = makeStrategy(id, style, x, y);
-    if (!strategy)
-        return std::nullopt;
-    auto caps = paperCaps(id);
-    auto table = paperTable(id);
-    auto rate =
-        rateStrategy(*strategy, table, caps.defaultCongestion);
-    if (!rate)
-        return std::nullopt;
-
-    // The software costs come from the program itself (set by the
-    // style's registry entry, matching the runtime layers' defaults):
-    // the chained path pays an annex partner switch per message and a
-    // cache-invalidating synchronization per step; the packing path a
-    // cheaper library call and barrier; PVM adds protocol work.
-    const SoftwareCosts &costs = strategy->program.costs;
-    return MessageCostModel(*rate, costs.startup(), costs.stepSync,
-                            caps.clockHz);
-}
-
 } // namespace ct::core

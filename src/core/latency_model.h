@@ -19,11 +19,15 @@
 #ifndef CT_CORE_LATENCY_MODEL_H
 #define CT_CORE_LATENCY_MODEL_H
 
-#include "core/strategies.h"
+#include "util/units.h"
 
 namespace ct::core {
 
-/** Throughput as a function of message size for one strategy. */
+/**
+ * Throughput as a function of message size for one program;
+ * AnalyticBackend::costModel() builds it from the program's rate and
+ * software costs.
+ */
 class MessageCostModel
 {
   public:
@@ -57,19 +61,6 @@ class MessageCostModel
     double startupSeconds;
     double syncSeconds;
 };
-
-/**
- * Build the cost model for implementing xQy with @p style on machine
- * @p id, combining the copy-transfer throughput estimate with the
- * per-message and per-step software costs of that style (annex
- * partner switch and cache-invalidating synchronization for chained
- * transfers; library call overhead and a barrier for packing; both
- * plus system-buffer copies for PVM). Returns nullopt when the
- * machine cannot execute the style.
- */
-std::optional<MessageCostModel>
-makeMessageCostModel(MachineId id, Style style, AccessPattern x,
-                     AccessPattern y);
 
 } // namespace ct::core
 

@@ -4,6 +4,8 @@
 #include <iomanip>
 #include <sstream>
 
+#include "core/analytic_backend.h"
+#include "core/style_registry.h"
 #include "util/logging.h"
 
 namespace ct::core {
@@ -11,7 +13,7 @@ namespace ct::core {
 std::vector<PlannedStrategy>
 plan(const PlanQuery &query)
 {
-    ThroughputTable table = paperTable(query.machine);
+    AnalyticBackend backend = paperBackend(query.machine);
     MachineCaps caps = paperCaps(query.machine);
     double congestion = query.congestion > 0.0 ? query.congestion
                                                : caps.defaultCongestion;
@@ -22,11 +24,10 @@ plan(const PlanQuery &query)
                                     query.read, query.write);
         if (!program)
             continue;
-        Strategy strategy = toStrategy(std::move(*program));
-        auto rate = rateStrategy(strategy, table, congestion);
+        auto rate = backend.rate(*program, congestion);
         if (!rate)
             continue;
-        result.push_back({std::move(strategy), *rate});
+        result.push_back({std::move(*program), *rate});
     }
     if (result.empty())
         util::panic("plan: no legal strategy for ",
@@ -51,28 +52,18 @@ std::vector<SizedPlan>
 planForSize(MachineId machine, AccessPattern x, AccessPattern y,
             util::Bytes message_bytes)
 {
-    ThroughputTable table = paperTable(machine);
-    MachineCaps caps = paperCaps(machine);
+    AnalyticBackend backend = paperBackend(machine);
+    double congestion = paperCaps(machine).defaultCongestion;
     std::vector<SizedPlan> result;
     for (const StyleInfo &info : styleRegistry()) {
         auto program = buildProgram(machine, info.key, x, y);
         if (!program)
             continue;
-        Strategy strategy = toStrategy(std::move(*program));
-        auto rate =
-            rateStrategy(strategy, table, caps.defaultCongestion);
-        if (!rate)
+        auto model = backend.costModel(*program, congestion);
+        if (!model)
             continue;
-        MessageCostModel model(*rate, strategy.program.costs.startup(),
-                               strategy.program.costs.stepSync,
-                               caps.clockHz);
-        SizedPlan plan;
-        plan.style = strategy.style;
-        plan.key = info.key;
-        plan.effective = model.throughputAt(message_bytes);
-        plan.asymptotic = model.asymptotic();
-        plan.halfPower = model.halfPowerPoint();
-        result.push_back(plan);
+        result.push_back({program->style, info.key,
+                          model->throughputAt(message_bytes), *model});
     }
     std::stable_sort(result.begin(), result.end(),
                      [](const SizedPlan &a, const SizedPlan &b) {
@@ -85,15 +76,21 @@ util::Bytes
 styleCrossoverBytes(MachineId machine, AccessPattern x,
                     AccessPattern y, Style a, Style b)
 {
-    auto ma = makeMessageCostModel(machine, a, x, y);
-    auto mb = makeMessageCostModel(machine, b, x, y);
-    if (!ma || !mb)
+    // The models do not depend on the message size.
+    std::vector<SizedPlan> plans = planForSize(machine, x, y, 0);
+    auto model = [&](Style style) -> const MessageCostModel & {
+        for (const SizedPlan &p : plans)
+            if (p.style == style)
+                return p.model;
         util::fatal("styleCrossoverBytes: style unavailable");
+    };
+    const MessageCostModel &ma = model(a);
+    const MessageCostModel &mb = model(b);
     // Effective rates are monotone; they cross at most once. Solve
     // secondsFor equality by bisection over a generous range.
     auto diff = [&](double n) {
-        return ma->throughputAt(static_cast<util::Bytes>(n)) -
-               mb->throughputAt(static_cast<util::Bytes>(n));
+        return ma.throughputAt(static_cast<util::Bytes>(n)) -
+               mb.throughputAt(static_cast<util::Bytes>(n));
     };
     double lo = 8.0, hi = 1e9;
     if (diff(lo) * diff(hi) > 0.0)
@@ -135,10 +132,10 @@ formatPlan(const PlanQuery &query,
     os << query.read.label() << "Q" << query.write.label() << " on "
        << caps.name << ":\n";
     for (const auto &p : plans) {
-        os << "  " << std::left << std::setw(15)
-           << p.strategy.program.styleKey << std::right << std::fixed
-           << std::setprecision(1) << std::setw(6) << p.estimate
-           << " MB/s   " << p.strategy.expr->format() << "\n";
+        os << "  " << std::left << std::setw(15) << p.program.styleKey
+           << std::right << std::fixed << std::setprecision(1)
+           << std::setw(6) << p.estimate << " MB/s   "
+           << p.program.format() << "\n";
     }
     return os.str();
 }

@@ -2,7 +2,7 @@
  * @file
  * The compiler-facing planner (paper §5): enumerate every legal way to
  * implement a remote memory copy xQy on a machine, rate each with the
- * copy-transfer model, and rank them.
+ * copy-transfer model (core::paperBackend()), and rank them.
  */
 
 #ifndef CT_CORE_PLANNER_H
@@ -12,14 +12,14 @@
 #include <vector>
 
 #include "core/latency_model.h"
-#include "core/strategies.h"
+#include "core/transfer_program.h"
 
 namespace ct::core {
 
 /** One rated candidate implementation. */
 struct PlannedStrategy
 {
-    Strategy strategy;
+    TransferProgram program;
     util::MBps estimate = 0.0;
 };
 
@@ -56,10 +56,10 @@ struct SizedPlan
     std::string key;
     /** Effective throughput at the queried message size. */
     util::MBps effective = 0.0;
-    /** Steady-state rate the style approaches for large messages. */
-    util::MBps asymptotic = 0.0;
-    /** Message size reaching half the asymptotic rate. */
-    util::Bytes halfPower = 0;
+    /** The style's latency-extended model (paperBackend() at the
+     *  machine's default congestion): its asymptotic() rate and
+     *  halfPowerPoint(). */
+    MessageCostModel model;
 };
 
 /**
@@ -68,7 +68,9 @@ struct SizedPlan
  * @p message_bytes. For small messages the ranking can differ from
  * plan(): chained transfers pay a heavier synchronization charge, so
  * below a crossover size buffer packing wins even where the
- * steady-state model says otherwise (the §6.2 SOR situation).
+ * steady-state model says otherwise (the §6.2 SOR situation). With
+ * @p message_bytes 0 every effective rate is 0 and the styles keep
+ * registry order.
  */
 std::vector<SizedPlan> planForSize(MachineId machine, AccessPattern x,
                                    AccessPattern y,

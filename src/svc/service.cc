@@ -437,14 +437,14 @@ PlanService::handlePlan(const Request &request)
     w.field("machine", wireMachineName(request.machine))
         .field("xqy",
                request.x.label() + "Q" + request.y.label())
-        .field("best", plans.front().strategy.program.styleKey);
+        .field("best", plans.front().program.styleKey);
     w.fixed("best_mbps", plans.front().estimate);
     std::ostringstream styles;
     for (std::size_t i = 0; i < plans.size(); ++i) {
         char buf[32];
         std::snprintf(buf, sizeof buf, "%.3f", plans[i].estimate);
         styles << (i ? "," : "")
-               << plans[i].strategy.program.styleKey << '=' << buf;
+               << plans[i].program.styleKey << '=' << buf;
     }
     w.field("styles", styles.str());
     if (request.bytes > 0) {
@@ -456,7 +456,7 @@ PlanService::handlePlan(const Request &request)
             w.fixed("effective_mbps", sized.front().effective);
             w.field("half_power_bytes",
                     static_cast<std::uint64_t>(
-                        sized.front().halfPower));
+                        sized.front().model.halfPowerPoint()));
         }
     }
     return finish(request, Status::Ok, Fidelity::Analytic,
@@ -490,7 +490,7 @@ PlanService::handleSim(const Request &request)
 
     core::PlanQuery query{request.machine, request.x, request.y, 0.0};
     core::PlannedStrategy best = core::bestPlan(query);
-    const core::TransferProgram &base = best.strategy.program;
+    const core::TransferProgram &base = best.program;
 
     JsonWriter w;
     w.field("machine", wireMachineName(request.machine))

@@ -1,7 +1,8 @@
 #include "sweep/farm.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
+#include <cstring>
 
 #include "util/logging.h"
 
@@ -225,17 +226,18 @@ Farm::stats() const
 bool
 parseThreadCount(const char *text, int &threads, std::string &error)
 {
-    char *end = nullptr;
-    long v = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0') {
+    const char *end = text + std::strlen(text);
+    unsigned long v = 0;
+    auto [ptr, ec] = std::from_chars(text, end, v);
+    if (ptr == text || ptr != end) {
         error = "thread count must be a decimal integer";
         return false;
     }
-    if (v < 1) {
+    if (ec == std::errc() && v < 1) {
         error = "thread count must be >= 1 (1 = serial)";
         return false;
     }
-    if (v > kMaxThreads) {
+    if (ec != std::errc() || v > kMaxThreads) {
         error = "thread count exceeds the oversubscription cap of " +
                 std::to_string(kMaxThreads);
         return false;

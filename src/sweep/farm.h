@@ -180,8 +180,9 @@ class Farm
 
 /**
  * The farm's thread-count policy for tools: parse a --threads value
- * in [1, kMaxThreads], rejecting zero, non-numeric text and
- * oversubscribed counts. Returns false with a diagnostic in @p error.
+ * in [1, kMaxThreads], digits only, rejecting zero, any other text
+ * (a sign, a space, a suffix) and oversubscribed counts. Returns
+ * false with a diagnostic in @p error.
  */
 inline constexpr int kMaxThreads = 256;
 bool parseThreadCount(const char *text, int &threads,

@@ -1,11 +1,21 @@
 #include <gtest/gtest.h>
 
-#include "core/latency_model.h"
+#include "core/planner.h"
 
 namespace {
 
 using namespace ct::core;
 using P = AccessPattern;
+
+/** The cost model planForSize() ranks @p style by for xQy. */
+std::optional<MessageCostModel>
+costModel(MachineId id, Style style, P x, P y)
+{
+    for (const SizedPlan &p : planForSize(id, x, y, 0))
+        if (p.style == style)
+            return p.model;
+    return std::nullopt;
+}
 
 TEST(MessageCostModel, ApproachesAsymptoteForLargeMessages)
 {
@@ -53,8 +63,8 @@ TEST(LatencyModel, ExplainsTheSorAnomaly)
     // SOR exchange but 27.9 is measured, because each node moves only
     // two 2 KB rows. The latency-extended model must predict a value
     // far closer to the measurement than the asymptotic one.
-    auto m = makeMessageCostModel(MachineId::T3d, Style::Chained,
-                                  P::contiguous(), P::contiguous());
+    auto m = costModel(MachineId::T3d, Style::Chained, P::contiguous(),
+                       P::contiguous());
     ASSERT_TRUE(m);
     EXPECT_NEAR(m->asymptotic(), 69.0, 1.0); // the paper's 68-70
 
@@ -68,19 +78,18 @@ TEST(LatencyModel, ExplainsTheSorAnomaly)
 
 TEST(LatencyModel, LargeTransfersRecoverTheThroughputModel)
 {
-    auto m = makeMessageCostModel(MachineId::T3d, Style::Chained,
-                                  P::contiguous(), P::strided(64));
+    auto m = costModel(MachineId::T3d, Style::Chained, P::contiguous(),
+                       P::strided(64));
     ASSERT_TRUE(m);
     EXPECT_NEAR(m->throughputAt(8 << 20), 38.0, 1.0);
 }
 
 TEST(LatencyModel, PvmHalfPowerPointIsLargest)
 {
-    auto chained = makeMessageCostModel(
-        MachineId::T3d, Style::Chained, P::contiguous(),
-        P::contiguous());
-    auto pvm = makeMessageCostModel(MachineId::T3d, Style::Pvm,
-                                    P::contiguous(), P::contiguous());
+    auto chained = costModel(MachineId::T3d, Style::Chained,
+                             P::contiguous(), P::contiguous());
+    auto pvm = costModel(MachineId::T3d, Style::Pvm, P::contiguous(),
+                         P::contiguous());
     ASSERT_TRUE(chained && pvm);
     // PVM needs far larger messages to reach half of its (already
     // lower) asymptotic rate -- Figure 1's separation.
@@ -93,9 +102,8 @@ TEST(LatencyModel, PvmHalfPowerPointIsLargest)
 
 TEST(LatencyModel, UnsupportedStyleIsNullopt)
 {
-    EXPECT_FALSE(makeMessageCostModel(MachineId::T3d,
-                                      Style::DmaDirect,
-                                      P::contiguous(), P::strided(4))
+    EXPECT_FALSE(costModel(MachineId::T3d, Style::DmaDirect,
+                           P::contiguous(), P::strided(4))
                      .has_value());
 }
 

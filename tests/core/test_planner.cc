@@ -15,7 +15,7 @@ TEST(Planner, AlwaysReturnsAtLeastPacking)
         EXPECT_FALSE(plans.empty());
         bool has_packing = false;
         for (const auto &p : plans)
-            has_packing |= p.strategy.style == Style::BufferPacking;
+            has_packing |= p.program.style == Style::BufferPacking;
         EXPECT_TRUE(has_packing) << machineName(id);
     }
 }
@@ -32,7 +32,7 @@ TEST(Planner, ChainedWinsForStridedOnT3d)
 {
     PlanQuery q{MachineId::T3d, P::contiguous(), P::strided(64), 0.0};
     auto best = bestPlan(q);
-    EXPECT_EQ(best.strategy.style, Style::Chained);
+    EXPECT_EQ(best.program.style, Style::Chained);
     EXPECT_NEAR(best.estimate, 38.0, 0.5);
 }
 
@@ -40,7 +40,7 @@ TEST(Planner, ChainedWinsForIndexedOnParagon)
 {
     PlanQuery q{MachineId::Paragon, P::indexed(), P::indexed(), 0.0};
     auto best = bestPlan(q);
-    EXPECT_EQ(best.strategy.style, Style::Chained);
+    EXPECT_EQ(best.program.style, Style::Chained);
     EXPECT_NEAR(best.estimate, 36.0, 0.5);
 }
 
@@ -51,7 +51,7 @@ TEST(Planner, DmaDirectWinsForContiguousOnParagon)
     PlanQuery q{MachineId::Paragon, P::contiguous(), P::contiguous(),
                 0.0};
     auto best = bestPlan(q);
-    EXPECT_EQ(best.strategy.style, Style::DmaDirect);
+    EXPECT_EQ(best.program.style, Style::DmaDirect);
 }
 
 TEST(Planner, CongestionDefaultsToMachineValue)
@@ -78,7 +78,7 @@ TEST(Planner, PvmNeverWins)
     for (auto id : {MachineId::T3d, MachineId::Paragon}) {
         for (auto y : {P::contiguous(), P::strided(64), P::indexed()}) {
             PlanQuery q{id, P::contiguous(), y, 0.0};
-            EXPECT_NE(bestPlan(q).strategy.style, Style::Pvm);
+            EXPECT_NE(bestPlan(q).program.style, Style::Pvm);
         }
     }
 }

@@ -14,7 +14,7 @@ TEST(SizedPlanner, LargeMessagesAgreeWithSteadyStatePlanner)
     PlanQuery q{MachineId::T3d, P::contiguous(), P::strided(64), 0.0};
     auto steady = bestPlan(q);
     ASSERT_FALSE(sized.empty());
-    EXPECT_EQ(sized.front().style, steady.strategy.style);
+    EXPECT_EQ(sized.front().style, steady.program.style);
     EXPECT_NEAR(sized.front().effective, steady.estimate, 1.5);
 }
 
@@ -89,8 +89,8 @@ TEST(SizedPlanner, HalfPowerPointsReported)
     auto plans = planForSize(MachineId::T3d, P::contiguous(),
                              P::contiguous(), 4096);
     for (const auto &p : plans) {
-        EXPECT_GT(p.halfPower, 0u);
-        EXPECT_GT(p.asymptotic, p.effective * 0.99);
+        EXPECT_GT(p.model.halfPowerPoint(), 0u);
+        EXPECT_GT(p.model.asymptotic(), p.effective * 0.99);
     }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "core/strategies.h"
+#include "core/analytic_backend.h"
+#include "core/style_registry.h"
 
 namespace {
 
@@ -10,10 +11,9 @@ using P = AccessPattern;
 double
 rate(MachineId id, Style style, P x, P y)
 {
-    auto s = makeStrategy(id, style, x, y);
+    auto s = buildProgram(id, style, x, y);
     EXPECT_TRUE(s.has_value());
-    auto table = paperTable(id);
-    auto v = rateStrategy(*s, table, paperCaps(id).defaultCongestion);
+    auto v = paperBackend(id).rate(*s, paperCaps(id).defaultCongestion);
     EXPECT_TRUE(v.has_value());
     return v ? *v : 0.0;
 }
@@ -59,7 +59,7 @@ TEST(StrategiesT3d, ChainedMatchesPaperPredictions)
 
 TEST(StrategiesT3d, ChainedUsesDepositEngine)
 {
-    auto s = makeStrategy(MachineId::T3d, Style::Chained, P::indexed(),
+    auto s = buildProgram(MachineId::T3d, Style::Chained, P::indexed(),
                           P::indexed());
     ASSERT_TRUE(s);
     EXPECT_EQ(s->expr->format(), "wS0 || Nadp || 0Dw");
@@ -88,7 +88,7 @@ TEST(StrategiesParagon, PackingConstraintBinds)
 {
     // Without the constraint the contiguous case would reach ~24.6;
     // the cap at storeOnly/2 = 20.7 must be what limits it.
-    auto s = makeStrategy(MachineId::Paragon, Style::BufferPacking,
+    auto s = buildProgram(MachineId::Paragon, Style::BufferPacking,
                           P::contiguous(), P::contiguous());
     ASSERT_TRUE(s);
     ASSERT_EQ(s->constraints.size(), 1u);
@@ -117,7 +117,7 @@ TEST(StrategiesParagon, ChainedMatchesPaperPredictions)
 
 TEST(StrategiesParagon, ChainedUsesCoProcessorReceive)
 {
-    auto s = makeStrategy(MachineId::Paragon, Style::Chained,
+    auto s = buildProgram(MachineId::Paragon, Style::Chained,
                           P::strided(16), P::contiguous());
     ASSERT_TRUE(s);
     EXPECT_EQ(s->expr->format(), "16S0 || Nadp || 0R1");
@@ -218,13 +218,13 @@ TEST(Strategies, PvmSlowerThanPacking)
 
 TEST(Strategies, DmaDirectOnlyOnParagonContiguous)
 {
-    EXPECT_FALSE(makeStrategy(MachineId::T3d, Style::DmaDirect,
+    EXPECT_FALSE(buildProgram(MachineId::T3d, Style::DmaDirect,
                               P::contiguous(), P::contiguous())
                      .has_value());
-    EXPECT_FALSE(makeStrategy(MachineId::Paragon, Style::DmaDirect,
+    EXPECT_FALSE(buildProgram(MachineId::Paragon, Style::DmaDirect,
                               P::contiguous(), P::strided(4))
                      .has_value());
-    auto s = makeStrategy(MachineId::Paragon, Style::DmaDirect,
+    auto s = buildProgram(MachineId::Paragon, Style::DmaDirect,
                           P::contiguous(), P::contiguous());
     ASSERT_TRUE(s);
     EXPECT_EQ(s->expr->format(), "1F0 || Nd || 0D1");

@@ -11,7 +11,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/strategies.h"
+#include "core/analytic_backend.h"
+#include "core/style_registry.h"
 #include "rt/chained_layer.h"
 #include "rt/packing_layer.h"
 #include "rt/workload.h"
@@ -35,13 +36,23 @@ class ClosedLoop : public testing::Test
         return table;
     }
 
+    /** The paper backend with the measured table swapped in. */
+    static const core::AnalyticBackend &
+    backend()
+    {
+        static core::AnalyticBackend measured(
+            t3dTable(),
+            core::paperBackend(core::MachineId::T3d).profile());
+        return measured;
+    }
+
     static double
     predict(core::Style style, P x, P y)
     {
-        auto strategy =
-            core::makeStrategy(core::MachineId::T3d, style, x, y);
-        EXPECT_TRUE(strategy.has_value());
-        auto rate = core::rateStrategy(*strategy, t3dTable(), 2.0);
+        auto program =
+            core::buildProgram(core::MachineId::T3d, style, x, y);
+        EXPECT_TRUE(program.has_value());
+        auto rate = backend().rate(*program, 2.0);
         EXPECT_TRUE(rate.has_value());
         return rate.value_or(0.0);
     }

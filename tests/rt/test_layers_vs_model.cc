@@ -8,7 +8,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/strategies.h"
+#include "core/analytic_backend.h"
+#include "core/style_registry.h"
 #include "rt/chained_layer.h"
 #include "rt/packing_layer.h"
 #include "rt/workload.h"
@@ -38,11 +39,10 @@ measured(core::MachineId id, P x, P y, std::uint64_t words = 16384)
 double
 modelEstimate(core::MachineId id, core::Style style, P x, P y)
 {
-    auto strategy = core::makeStrategy(id, style, x, y);
-    EXPECT_TRUE(strategy.has_value());
-    auto table = core::paperTable(id);
-    auto rate = core::rateStrategy(*strategy, table,
-                                   core::paperCaps(id).defaultCongestion);
+    auto program = core::buildProgram(id, style, x, y);
+    EXPECT_TRUE(program.has_value());
+    auto rate = core::paperBackend(id).rate(
+        *program, core::paperCaps(id).defaultCongestion);
     EXPECT_TRUE(rate.has_value());
     return rate.value_or(0.0);
 }

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/style_registry.h"
 #include "rt/resilience.h"
 #include "rt/sim_backend.h"
 #include "rt/workload.h"

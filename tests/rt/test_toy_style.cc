@@ -68,14 +68,14 @@ TEST_F(ToyStyle, AppearsInRegistryAndPlanner)
     auto plans = core::plan(q);
     bool found = false;
     for (const auto &p : plans)
-        found |= p.strategy.program.styleKey == "toy-wire";
+        found |= p.program.styleKey == "toy-wire";
     EXPECT_TRUE(found) << "planner did not enumerate the toy style";
 
     // Patterns the builder rejects must simply not show up.
     core::PlanQuery strided{core::MachineId::T3d, P::strided(16),
                             P::contiguous(), 0.0};
     for (const auto &p : core::plan(strided))
-        EXPECT_NE(p.strategy.program.styleKey, "toy-wire");
+        EXPECT_NE(p.program.styleKey, "toy-wire");
 }
 
 TEST_F(ToyStyle, RatesThroughAnalyticBackend)

@@ -109,7 +109,7 @@ TEST(TrafficPlanner, ChainedRecommendedForIrregularGather)
     cfg.locality = 0.3;
     auto w = apps::IrregularGatherWorkload::create(m, cfg);
     auto plan = planForTraffic(m, w.op());
-    EXPECT_EQ(plan.strategies.front().strategy.style,
+    EXPECT_EQ(plan.strategies.front().program.style,
               core::Style::Chained);
 }
 

@@ -140,6 +140,14 @@ TEST(ParseThreadCount, RejectsNonNumericText)
     EXPECT_FALSE(sweep::parseThreadCount("2x", threads, error));
     EXPECT_FALSE(sweep::parseThreadCount("", threads, error));
     EXPECT_FALSE(sweep::parseThreadCount("-3", threads, error));
+    // Digits only: ctplan --threads and BENCH_THREADS share this
+    // parser, so neither may accept a sign or surrounding space.
+    for (const char *text : {"+4", " 4", "4 "}) {
+        EXPECT_FALSE(sweep::parseThreadCount(text, threads, error))
+            << text;
+        EXPECT_NE(error.find("decimal integer"), std::string::npos)
+            << text << ": " << error;
+    }
 }
 
 TEST(ParseThreadCount, RejectsOversubscription)
@@ -150,6 +158,10 @@ TEST(ParseThreadCount, RejectsOversubscription)
     EXPECT_NE(error.find("oversubscription"), std::string::npos)
         << error;
     EXPECT_FALSE(sweep::parseThreadCount("1000", threads, error));
+    EXPECT_FALSE(sweep::parseThreadCount("99999999999999999999999",
+                                         threads, error));
+    EXPECT_NE(error.find("oversubscription"), std::string::npos)
+        << error;
 }
 
 // The worker-loan API behind sim::ParallelEngine: run n bodies at

@@ -2,7 +2,7 @@
  * @file
  * ctplan -- command-line front end to the copy-transfer model.
  *
- * Usage:
+ * Subcommands (kCommands below):
  *   ctplan <machine> <xQy> [bytes]    plan an operation (optionally
  *                                     for a given message size;
  *                                     --nodes=N plans at a scaled
@@ -19,7 +19,7 @@
  *                                     run a pairwise exchange on the
  *                                     simulator behind the reliable
  *                                     transport
- *   ctplan validate [--out=FILE]      cross-validate the analytic
+ *   ctplan validate                   cross-validate the analytic
  *                                     and simulation backends over
  *                                     every machine x style x legal
  *                                     pattern-pair cell; non-zero
@@ -36,68 +36,43 @@
  *                                     stdin on stdout until EOF
  *                                     (docs/SERVICE.md)
  *
+ * Flags are --name or --name=VALUE and may appear anywhere on the
+ * line. kFlags below lists each one with the subcommands that take
+ * it, and the synopsis printed on a usage error is generated from the
+ * two tables. Counts, flag values and positionals alike, are strict
+ * decimals. Three rules span flags: sweep needs --grid, --rounds
+ * (default 4) needs --adaptive, and --transport=raw|packing, which
+ * runs without the reliable transport, cannot absorb --faults,
+ * --chaos or --adaptive.
+ *
+ * --threads=N ([1, 256], 1 = serial) fans validate and sweep cells
+ * across the work-stealing sweep farm (DESIGN.md §14) and runs one
+ * sim on the conservative parallel engine (DESIGN.md §15); the
+ * output, including sim's --metrics-out JSON, is byte-identical for
+ * every N. The --faults and --chaos specs are described in
+ * docs/FAULTS.md, --svc-chaos in docs/SERVICE.md, --trace and
+ * --metrics-out in docs/OBSERVABILITY.md.
+ *
  * Exit codes (uniform across subcommands, see README):
  *   0  success
- *   2  usage or parse error (unknown flag, malformed operation,
- *      bad word count, a sim or sweep cell too large for node RAM,
- *      formula parse error, ...)
+ *   2  usage or parse error (an unknown, repeated or misplaced flag,
+ *      a missing or extra positional, a malformed count, operation,
+ *      spec or formula, a sim or sweep cell too large for node RAM)
  *   3  runtime failure (cannot write an output file, corrupted
  *      delivery, abandoned packets, validation tolerance miss)
- *
- * validate and sweep accept --threads=N ([1, 256], 1 = serial) to
- * fan their cells across the work-stealing sweep farm; the output is
- * byte-identical for every thread count (DESIGN.md §14). Zero,
- * non-numeric and oversubscribed counts are a usage error (exit 2).
- * sim accepts the same --threads=N to run the single simulation on
- * the conservative parallel engine (DESIGN.md §15); the stdout
- * report and --metrics-out JSON are byte-identical for every thread
- * count. --transport=raw (bare chained layer) and
- * --transport=packing (bare buffer-packing layer) swap out the
- * reliable transport for the parallel-safe paths; both are
- * incompatible with --faults/--chaos/--adaptive, which need
- * retransmission.
- *
- * The sim subcommand accepts --faults=SPEC to degrade the machine,
- * e.g. --faults=drop=1e-3,corrupt=1e-4,dup=1e-5,delay=200 (see
- * docs/FAULTS.md for the full key list), --chaos=SPEC to overlay a
- * deterministic chaos campaign (seed-derived fault timelines, see
- * docs/FAULTS.md), --adaptive to run the exchange under the
- * closed-loop resilience controller (with --rounds=N round
- * boundaries, default 8), plus the observability flags --trace=FILE
- * (with --trace-format=chrome|jsonl, default chrome) and
- * --metrics-out=FILE (see docs/OBSERVABILITY.md). Plan and validate
- * accept --json for machine-readable output. Unknown flags and
- * malformed --faults/--chaos values are an error (usage + exit 2),
- * never silently ignored.
- *
- * The serve subcommand takes --workers=N (0 = synchronous),
- * --queue=N (admission bound), --cache=N (memo entries),
- * --default-budget=N (event budget of sim requests that carry
- * none), --svc-chaos=SPEC (deterministic service-level chaos, see
- * docs/SERVICE.md) and --metrics-out=FILE (svc.* counters dumped at
- * shutdown).
- *
- * Examples:
- *   ctplan t3d 1Q64
- *   ctplan t3d 1Q64 --json
- *   ctplan t3d 1Q1 2048               the SOR message size
- *   ctplan paragon wQw
- *   ctplan t3d eval "1C1 o (1S0 || Nd || 0D1) o 1C64"
- *   ctplan t3d sim 1Q4 8192 --faults=drop=0.01,seed=7
- *   ctplan t3d sim 1Q4 4096 --trace=out.json --trace-format=chrome
- *   ctplan t3d sim 1Q1 8192 --faults=drop=0.02 --adaptive --rounds=4
- *   ctplan t3d sim 1Q1 8192 --chaos='ramp:drop:0:0.03:0:400000;seed:7'
- *   ctplan validate --out=BENCH_model_vs_sim.json
- *   ctplan serve --workers=4 --svc-chaos='seed:7;stall:0.1:5'
  */
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <set>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "core/parser.h"
 #include "core/planner.h"
@@ -127,43 +102,6 @@ constexpr int kExitOk = 0;
 constexpr int kExitUsage = 2;
 constexpr int kExitRuntime = 3;
 
-int
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: ctplan <t3d|paragon> "
-        "<xQy | eval <formula> | table | sim <xQy> [words]>\n"
-        "       [--faults=SPEC] [--json] [--nodes=N]\n"
-        "       sim also takes [--chaos=SPEC] [--adaptive] "
-        "[--rounds=N] [--trace=FILE]\n"
-        "       [--trace-format=chrome|jsonl] [--metrics-out=FILE]\n"
-        "       [--threads=N] [--transport=reliable|raw|packing]\n"
-        "       ctplan validate [--json] [--out=FILE] "
-        "[--threads=N]\n"
-        "       ctplan sweep --grid=SPEC [--json] [--out=FILE] "
-        "[--threads=N]\n"
-        "       ctplan serve [--workers=N] [--queue=N] [--cache=N]\n"
-        "       [--default-budget=N] [--svc-chaos=SPEC] "
-        "[--metrics-out=FILE]\n"
-        "  ctplan t3d 1Q64\n"
-        "  ctplan t3d 1Q64 --nodes=4096\n"
-        "  ctplan paragon wQw\n"
-        "  ctplan sweep --grid=nodes:64..8192\n"
-        "  ctplan t3d eval '1C1 o (1S0 || Nd || 0D1) o 1C64'\n"
-        "  ctplan t3d sim 1Q4 8192 --faults=drop=0.01,seed=7\n"
-        "  ctplan t3d sim 1Q4 4096 --trace=out.json "
-        "--trace-format=chrome\n"
-        "  ctplan t3d sim 1Q1 8192 --faults=drop=0.02 --adaptive\n"
-        "  ctplan t3d sim 1Q1 8192 "
-        "--chaos='ramp:drop:0:0.03:0:400000;seed:7'\n"
-        "  ctplan validate --out=BENCH_model_vs_sim.json\n"
-        "  ctplan sweep --grid=fig4 --threads=8\n"
-        "  ctplan serve --workers=4 "
-        "--svc-chaos='seed:7;stall:0.1:5'\n");
-    return kExitUsage;
-}
-
 /** Wire layer of the sim subcommand. Reliable is the default and
  *  the only one that can absorb faults; raw and packing run the bare
  *  parallel-safe layers (the paths the parallel engine exercises). */
@@ -174,18 +112,117 @@ enum class SimTransport
     Packing,
 };
 
-/** Observability flags of the sim subcommand. */
-struct ObsOptions
+/** Subcommand bits; a flag's scope is the union of its subcommands. */
+enum : unsigned
 {
+    kPlan = 1u << 0,
+    kEval = 1u << 1,
+    kTable = 1u << 2,
+    kSimTable = 1u << 3,
+    kSim = 1u << 4,
+    kValidate = 1u << 5,
+    kSweep = 1u << 6,
+    kServe = 1u << 7,
+};
+
+/** A parsed command line: the machine, the subcommand's positionals
+ *  and every flag's value (its default when not given). */
+struct Invocation
+{
+    core::MachineId machine = core::MachineId::T3d;
+    /** Positionals after the subcommand name (plan: the xQy first). */
+    std::vector<std::string> args;
+    /** Names of the flags given. */
+    std::set<std::string> given;
+
+    sim::FaultSpec faults;
+    sim::ChaosSchedule chaos;
+    bool adaptive = false;
+    int rounds = 4;
     std::string traceFile;
     obs::TraceFormat traceFormat = obs::TraceFormat::Chrome;
     std::string metricsFile;
-
-    bool any() const
-    {
-        return !traceFile.empty() || !metricsFile.empty();
-    }
+    int threads = 1;
+    SimTransport transport = SimTransport::Reliable;
+    bool json = false;
+    std::string outFile;
+    std::string grid;
+    int nodes = 0;
+    svc::ServiceOptions serve;
 };
+
+int usage(const std::string &error = "");
+
+/**
+ * Strict decimal count in [min, max]: digits only, no sign, space or
+ * suffix. Returns a diagnostic, empty on success.
+ */
+template <typename T>
+std::string
+parseCount(const std::string &text, std::uint64_t min,
+           std::uint64_t max, T &out)
+{
+    std::uint64_t v = 0;
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec == std::errc() && ptr == end && v >= min && v <= max) {
+        out = static_cast<T>(v);
+        return "";
+    }
+    if (max == std::numeric_limits<std::uint64_t>::max())
+        return "expected an integer >= " + std::to_string(min);
+    return "expected an integer in [" + std::to_string(min) + ", " +
+           std::to_string(max) + "]";
+}
+
+/** Parse the optional second positional, if given, as a count >= 1
+ *  into @p out; false after a diagnostic. */
+template <typename T>
+bool
+countArg(const Invocation &inv, const char *what, T &out)
+{
+    if (inv.args.size() < 2)
+        return true;
+    const std::string &text = inv.args[1];
+    std::string error = parseCount(
+        text, 1, std::numeric_limits<std::uint64_t>::max(), out);
+    if (!error.empty())
+        usage(std::string("bad ") + what + " '" + text + "': " + error);
+    return error.empty();
+}
+
+/** Split an xQy operation at 'Q'; nullopt after a diagnostic when
+ *  it is malformed or a side does not touch memory. */
+std::optional<std::pair<P, P>>
+parseOperation(const std::string &xqy)
+{
+    auto q = xqy.find('Q');
+    std::optional<P> x, y;
+    if (q != std::string::npos) {
+        x = P::parse(xqy.substr(0, q));
+        y = P::parse(xqy.substr(q + 1));
+    }
+    if (!x || !y || x->isFixed() || y->isFixed()) {
+        std::fprintf(stderr, "bad operation '%s'\n", xqy.c_str());
+        return std::nullopt;
+    }
+    return std::make_pair(*x, *y);
+}
+
+/** Open @p path and hand the stream to @p write; false after a
+ *  diagnostic when the file cannot be opened. */
+template <typename Write>
+bool
+writeFile(const std::string &path, Write write)
+{
+    std::ofstream out(path);
+    if (!out) {
+        std::fprintf(stderr, "cannot write '%s'\n", path.c_str());
+        return false;
+    }
+    write(out);
+    return true;
+}
 
 void
 printTable(core::MachineId id, bool simulated)
@@ -227,85 +264,84 @@ printTable(core::MachineId id, bool simulated)
  *  code of the IO failure). */
 int
 writeObsOutputs(sim::Machine &m, obs::Tracer *tracer,
-                const ObsOptions &obs_opts, double clock_hz)
+                const Invocation &inv, double clock_hz)
 {
-    if (!obs_opts.metricsFile.empty()) {
+    if (!inv.metricsFile.empty()) {
         sim::collectReport(m); // publish machine.* gauges
-        std::ofstream out(obs_opts.metricsFile);
-        if (!out) {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         obs_opts.metricsFile.c_str());
+        if (!writeFile(inv.metricsFile, [&](std::ostream &out) {
+                m.metrics().writeJson(out);
+            }))
             return kExitRuntime;
-        }
-        m.metrics().writeJson(out);
         std::printf("  metrics         wrote %s\n",
-                    obs_opts.metricsFile.c_str());
+                    inv.metricsFile.c_str());
     }
     if (tracer) {
-        std::ofstream out(obs_opts.traceFile);
-        if (!out) {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         obs_opts.traceFile.c_str());
+        if (!writeFile(inv.traceFile, [&](std::ostream &out) {
+                tracer->write(out, inv.traceFormat, clock_hz / 1e6);
+            }))
             return kExitRuntime;
-        }
-        tracer->write(out, obs_opts.traceFormat, clock_hz / 1e6);
         std::printf(
             "  trace           wrote %s (%llu events, %llu "
             "dropped)\n",
-            obs_opts.traceFile.c_str(),
+            inv.traceFile.c_str(),
             static_cast<unsigned long long>(tracer->size()),
             static_cast<unsigned long long>(tracer->dropped()));
     }
     return 0;
 }
 
+/** The outage line of a sim report. */
+void
+printOutages(const sim::Topology &topo, sim::Cycles end,
+             const sim::NetworkStats &n)
+{
+    std::printf("  outages         %d links / %d nodes down, "
+                "%llu packets rerouted (%llu links detoured), "
+                "%llu unroutable\n",
+                topo.downedLinks(end), topo.downedNodes(end),
+                static_cast<unsigned long long>(n.reroutedPackets),
+                static_cast<unsigned long long>(n.reroutedLinks),
+                static_cast<unsigned long long>(n.unroutablePackets));
+}
+
 /**
- * Run a pairwise exchange of @p words elements on the simulator
+ * Run a pairwise exchange of [words] elements on the simulator
  * behind the reliable transport, optionally under an injected fault
  * load and a chaos campaign. Static mode runs the chained layer in
  * one shot; --adaptive slices the exchange into rounds under the
  * closed-loop resilience controller.
  */
 int
-runSim(core::MachineId machine, const std::string &xqy,
-       std::uint64_t words, const sim::FaultSpec &faults,
-       const sim::ChaosSchedule &chaos, bool adaptive, int rounds,
-       const ObsOptions &obs_opts, int threads,
-       SimTransport transport)
+runSim(const Invocation &inv)
 {
-    auto q = xqy.find('Q');
-    if (q == std::string::npos) {
-        std::fprintf(stderr, "bad operation '%s'\n", xqy.c_str());
+    auto xy = parseOperation(inv.args[0]);
+    std::uint64_t words = 1024;
+    if (!xy || !countArg(inv, "word count", words))
         return kExitUsage;
-    }
-    auto x = P::parse(xqy.substr(0, q));
-    auto y = P::parse(xqy.substr(q + 1));
-    if (!x || !y || x->isFixed() || y->isFixed()) {
-        std::fprintf(stderr, "bad operation '%s'\n", xqy.c_str());
-        return kExitUsage;
-    }
+    const std::string &xqy = inv.args[0];
+    P x = xy->first, y = xy->second;
 
-    auto cfg = sim::configFor(machine);
+    auto cfg = sim::configFor(inv.machine);
     std::string unfit = rt::exchangeFitError(
-        cfg.node, *x, *y, words,
-        transport == SimTransport::Packing ? 1 : 0);
+        cfg.node, x, y, words,
+        inv.transport == SimTransport::Packing ? 1 : 0);
     if (!unfit.empty()) {
         std::fprintf(stderr, "%s\n", unfit.c_str());
         return kExitUsage;
     }
-    cfg.faults = faults;
-    cfg.chaos = chaos;
+    cfg.faults = inv.faults;
+    cfg.chaos = inv.chaos;
     // 1 = serial: run the plain event loop, no engine constructed.
-    cfg.threads = threads == 1 ? 0 : threads;
+    cfg.threads = inv.threads == 1 ? 0 : inv.threads;
     sim::Machine m(cfg);
 
     std::unique_ptr<obs::Tracer> tracer;
-    if (!obs_opts.traceFile.empty()) {
+    if (!inv.traceFile.empty()) {
         tracer = std::make_unique<obs::Tracer>(1 << 20);
         m.setTracer(tracer.get());
     }
 
-    auto op = rt::pairExchange(m, *x, *y, words);
+    auto op = rt::pairExchange(m, x, y, words);
 
     // Flows touching nodes that are down before the run starts can
     // never deliver; plan around them instead of timing them out.
@@ -323,21 +359,21 @@ runSim(core::MachineId machine, const std::string &xqy,
         op.flows = std::move(live);
     }
 
-    if (adaptive) {
+    if (inv.adaptive) {
         // The resilience controller drives the reliable transport,
         // whose cancellable retransmit timers are not window-safe.
         m.setParallelEnabled(false);
-        rt::ResilienceController controller(cfg, *x, *y);
+        rt::ResilienceController controller(cfg, x, y);
         rt::AdaptiveResult ar =
-            rt::runAdaptiveExchange(m, op, controller, rounds);
+            rt::runAdaptiveExchange(m, op, controller, inv.rounds);
 
         sim::Cycles end = m.events().now();
         const auto &n = m.network().stats();
         std::printf("%s %s, %llu words/node, faults: %s, chaos: %s\n",
                     cfg.name.c_str(), xqy.c_str(),
                     static_cast<unsigned long long>(words),
-                    faults.summary().c_str(),
-                    chaos.summary().c_str());
+                    inv.faults.summary().c_str(),
+                    inv.chaos.summary().c_str());
         std::printf("  layer           adaptive (%s -> %s), "
                     "%d rounds%s\n",
                     controller.options().initialStyle.c_str(),
@@ -375,15 +411,7 @@ runSim(core::MachineId machine, const std::string &xqy,
         std::printf("  fingerprint     %016llx\n",
                     static_cast<unsigned long long>(ar.fingerprint));
         if (topo.anyOutages())
-            std::printf(
-                "  outages         %d links / %d nodes down, "
-                "%llu packets rerouted (%llu links detoured), "
-                "%llu unroutable\n",
-                topo.downedLinks(end), topo.downedNodes(end),
-                static_cast<unsigned long long>(n.reroutedPackets),
-                static_cast<unsigned long long>(n.reroutedLinks),
-                static_cast<unsigned long long>(
-                    n.unroutablePackets));
+            printOutages(topo, end, n);
         if (planned_out > 0 || ar.skippedFlows > 0)
             std::printf("  lost to outages %llu words planned out, "
                         "%d flow(s) unverifiable (dead endpoint)\n",
@@ -392,8 +420,7 @@ runSim(core::MachineId machine, const std::string &xqy,
         std::printf("  delivery        %s\n",
                     ar.corruptWords == 0 ? "bit-exact" : "CORRUPTED");
         if (int rc =
-                writeObsOutputs(m, tracer.get(), obs_opts,
-                                cfg.clockHz))
+                writeObsOutputs(m, tracer.get(), inv, cfg.clockHz))
             return rc;
         return ar.corruptWords == 0 ? kExitOk : kExitRuntime;
     }
@@ -401,9 +428,9 @@ runSim(core::MachineId machine, const std::string &xqy,
     rt::seedSources(m, op);
     std::unique_ptr<rt::MessageLayer> layer;
     rt::ReliableLayer *reliable = nullptr;
-    if (transport == SimTransport::Raw) {
+    if (inv.transport == SimTransport::Raw) {
         layer = std::make_unique<rt::ChainedLayer>();
-    } else if (transport == SimTransport::Packing) {
+    } else if (inv.transport == SimTransport::Packing) {
         layer = std::make_unique<rt::PackingLayer>();
     } else {
         auto rl = rt::makeReliableChained();
@@ -433,9 +460,9 @@ runSim(core::MachineId machine, const std::string &xqy,
     std::printf("%s %s, %llu words/node, faults: %s",
                 cfg.name.c_str(), xqy.c_str(),
                 static_cast<unsigned long long>(words),
-                faults.summary().c_str());
-    if (chaos.any())
-        std::printf(", chaos: %s", chaos.summary().c_str());
+                inv.faults.summary().c_str());
+    if (inv.chaos.any())
+        std::printf(", chaos: %s", inv.chaos.summary().c_str());
     std::printf("\n");
     std::printf("  layer           %s%s\n", layer->name().c_str(),
                 result.degraded ? "  [DEGRADED to packing]" : "");
@@ -467,14 +494,7 @@ runSim(core::MachineId machine, const std::string &xqy,
                 static_cast<unsigned long long>(n.droppedPackets),
                 static_cast<unsigned long long>(n.corruptedPackets));
     if (topo.anyOutages()) {
-        std::printf(
-            "  outages         %d links / %d nodes down, "
-            "%llu packets rerouted (%llu links detoured), "
-            "%llu unroutable\n",
-            topo.downedLinks(end), topo.downedNodes(end),
-            static_cast<unsigned long long>(n.reroutedPackets),
-            static_cast<unsigned long long>(n.reroutedLinks),
-            static_cast<unsigned long long>(n.unroutablePackets));
+        printOutages(topo, end, n);
         if (lost_words > 0)
             std::printf("  lost to outages %llu words "
                         "(dead endpoints)\n",
@@ -483,8 +503,7 @@ runSim(core::MachineId machine, const std::string &xqy,
     std::printf("  delivery        %s\n",
                 bad == 0 ? "bit-exact" : "CORRUPTED");
 
-    if (int rc =
-            writeObsOutputs(m, tracer.get(), obs_opts, cfg.clockHz))
+    if (int rc = writeObsOutputs(m, tracer.get(), inv, cfg.clockHz))
         return rc;
 
     // Abandoned delivery that was not absorbed by a degradation path
@@ -504,32 +523,37 @@ runSim(core::MachineId machine, const std::string &xqy,
     return bad == 0 ? kExitOk : kExitRuntime;
 }
 
+/** Print a validate or sweep report, as text or --json, and write
+ *  its JSON to the --out file (0 = ok, else the IO exit code). */
+int
+printReport(const Invocation &inv, const std::string &text,
+            const std::string &json)
+{
+    std::printf("%s", inv.json ? json.c_str() : text.c_str());
+    if (inv.outFile.empty())
+        return kExitOk;
+    if (!writeFile(inv.outFile,
+                   [&](std::ostream &out) { out << json; }))
+        return kExitRuntime;
+    std::printf("wrote %s\n", inv.outFile.c_str());
+    return kExitOk;
+}
+
 /**
  * Cross-validate the two backends over every machine x style x legal
  * pattern-pair cell. Returns non-zero when any cell misses the
  * tolerance, so CI can gate on it.
  */
 int
-runValidate(bool json, const std::string &out_file, int threads)
+runValidate(const Invocation &inv)
 {
     rt::ValidationOptions options;
     // 1 = serial: run inline, no workers spawned.
-    options.threads = threads == 1 ? 0 : threads;
+    options.threads = inv.threads == 1 ? 0 : inv.threads;
     rt::ValidationReport report = rt::crossValidate(options);
-    if (json)
-        std::printf("%s", rt::validationJson(report).c_str());
-    else
-        std::printf("%s", rt::formatValidation(report).c_str());
-    if (!out_file.empty()) {
-        std::ofstream out(out_file);
-        if (!out) {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         out_file.c_str());
-            return kExitRuntime;
-        }
-        out << rt::validationJson(report);
-        std::printf("wrote %s\n", out_file.c_str());
-    }
+    if (int rc = printReport(inv, rt::formatValidation(report),
+                             rt::validationJson(report)))
+        return rc;
     return report.allPass ? kExitOk : kExitRuntime;
 }
 
@@ -539,33 +563,19 @@ runValidate(bool json, const std::string &out_file, int threads)
  * for every --threads value.
  */
 int
-runSweepGrid(const std::string &spec, int threads, bool json,
-             const std::string &out_file)
+runSweep(const Invocation &inv)
 {
     std::string error;
-    auto grid = sweep::Grid::parse(spec, &error);
+    auto grid = sweep::Grid::parse(inv.grid, &error);
     if (!grid) {
         std::fprintf(stderr, "bad --grid: %s\n", error.c_str());
         return kExitUsage;
     }
-    sweep::Farm farm({threads == 1 ? 0 : threads, 0});
+    sweep::Farm farm({inv.threads == 1 ? 0 : inv.threads, 0});
     std::vector<sweep::CellResult> results =
         sweep::runGrid(*grid, farm);
-    if (json)
-        std::printf("%s", sweep::resultsJson(results).c_str());
-    else
-        std::printf("%s", sweep::formatResults(results).c_str());
-    if (!out_file.empty()) {
-        std::ofstream out(out_file);
-        if (!out) {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         out_file.c_str());
-            return kExitRuntime;
-        }
-        out << sweep::resultsJson(results);
-        std::printf("wrote %s\n", out_file.c_str());
-    }
-    return kExitOk;
+    return printReport(inv, sweep::formatResults(results),
+                       sweep::resultsJson(results));
 }
 
 /**
@@ -576,11 +586,10 @@ runSweepGrid(const std::string &spec, int threads, bool json,
  * "rejected"/"error" responses, never as a dropped line.
  */
 int
-runServe(const svc::ServiceOptions &opts,
-         const std::string &metrics_file)
+runServe(const Invocation &inv)
 {
     svc::PlanService service(
-        opts, [](const svc::ServiceResponse &resp) {
+        inv.serve, [](const svc::ServiceResponse &resp) {
             std::fputs(resp.line.c_str(), stdout);
             std::fputc('\n', stdout);
         });
@@ -593,15 +602,31 @@ runServe(const svc::ServiceOptions &opts,
     }
     service.stop();
     std::fflush(stdout);
-    if (!metrics_file.empty()) {
-        std::ofstream out(metrics_file);
-        if (!out) {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         metrics_file.c_str());
-            return kExitRuntime;
-        }
-        service.metrics().writeJson(out);
+    if (!inv.metricsFile.empty() &&
+        !writeFile(inv.metricsFile, [&](std::ostream &out) {
+            service.metrics().writeJson(out);
+        }))
+        return kExitRuntime;
+    return kExitOk;
+}
+
+int
+runEval(const Invocation &inv)
+{
+    auto parsed = core::parse(inv.args[0]);
+    if (auto *err = std::get_if<core::ParseError>(&parsed)) {
+        std::fprintf(stderr, "parse error at %zu: %s\n",
+                     err->position, err->message.c_str());
+        return kExitUsage;
     }
+    // A free formula, not a program: rate it on the paper's table.
+    auto table = core::paperTable(inv.machine);
+    core::EvalContext ctx;
+    ctx.table = &table;
+    ctx.congestion = core::paperCaps(inv.machine).defaultCongestion;
+    std::printf("%s", core::explain(std::get<core::ExprPtr>(parsed),
+                                    ctx)
+                          .c_str());
     return kExitOk;
 }
 
@@ -660,8 +685,8 @@ printPlanJson(const core::PlanQuery &query,
         const auto &p = plans[i];
         std::printf("    {\"style\": \"%s\", \"estimate_mbps\": "
                     "%.3f, \"formula\": \"%s\"}%s\n",
-                    p.strategy.program.styleKey.c_str(), p.estimate,
-                    p.strategy.expr->format().c_str(),
+                    p.program.styleKey.c_str(), p.estimate,
+                    p.program.format().c_str(),
                     i + 1 < plans.size() ? "," : "");
     }
     std::printf("  ]%s\n", sized.empty() ? "" : ",");
@@ -675,8 +700,9 @@ printPlanJson(const core::PlanQuery &query,
                 "    {\"style\": \"%s\", \"effective_mbps\": %.3f, "
                 "\"asymptotic_mbps\": %.3f, "
                 "\"half_power_bytes\": %llu}%s\n",
-                p.key.c_str(), p.effective, p.asymptotic,
-                static_cast<unsigned long long>(p.halfPower),
+                p.key.c_str(), p.effective, p.model.asymptotic(),
+                static_cast<unsigned long long>(
+                    p.model.halfPowerPoint()),
                 i + 1 < sized.size() ? "," : "");
         }
         std::printf("  ]\n");
@@ -684,451 +710,41 @@ printPlanJson(const core::PlanQuery &query,
     std::printf("}\n");
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runPlan(const Invocation &inv)
 {
-    // Peel off flags wherever they appear. Anything starting with
-    // "--" that is not recognized is an error, not a positional
-    // argument: silently ignoring a mistyped flag would run a
-    // different experiment than the user asked for.
-    sim::FaultSpec faults;
-    bool faults_set = false;
-    sim::ChaosSchedule chaos;
-    bool chaos_set = false;
-    bool adaptive = false;
-    int rounds = 4;
-    bool rounds_set = false;
-    bool json = false;
-    std::string out_file;
-    bool out_set = false;
-    ObsOptions obs_opts;
-    svc::ServiceOptions serve_opts;
-    bool serve_flags_set = false;
-    int threads = 1;
-    bool threads_set = false;
-    SimTransport transport = SimTransport::Reliable;
-    bool transport_set = false;
-    std::string grid_spec;
-    bool grid_set = false;
-    int scale_nodes = 0;
-    bool nodes_set = false;
-    // Flags that take a =VALUE; a bare occurrence (or an empty
-    // value) gets a dedicated diagnostic instead of the generic
-    // unknown-flag one.
-    const char *valued_flags[] = {
-        "--faults",         "--chaos",     "--rounds",
-        "--out",            "--trace",     "--trace-format",
-        "--metrics-out",    "--workers",   "--queue",
-        "--cache",          "--default-budget", "--svc-chaos",
-        "--threads",        "--grid",      "--transport",
-        "--nodes"};
-    // Shared helper for the serve subcommand's integer flags.
-    auto parse_count = [](const char *text, const char *flag,
-                          long min, long max, long &value) {
-        char *end = nullptr;
-        long v = std::strtol(text, &end, 10);
-        if (*end != '\0' || v < min || v > max) {
-            std::fprintf(stderr, "bad %s '%s'\n", flag, text);
-            return false;
-        }
-        value = v;
-        return true;
-    };
-    int nargs = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--faults=", 9) == 0 &&
-            argv[i][9]) {
-            std::string error;
-            auto parsed = sim::FaultSpec::tryParse(argv[i] + 9,
-                                                   &error);
-            if (!parsed) {
-                std::fprintf(stderr, "bad --faults: %s\n",
-                             error.c_str());
-                return usage();
-            }
-            faults = *parsed;
-            faults_set = true;
-        } else if (std::strncmp(argv[i], "--chaos=", 8) == 0 &&
-                   argv[i][8]) {
-            std::string error;
-            auto parsed = sim::ChaosSchedule::tryParse(argv[i] + 8,
-                                                       &error);
-            if (!parsed) {
-                std::fprintf(stderr, "bad --chaos: %s\n",
-                             error.c_str());
-                return usage();
-            }
-            chaos = *parsed;
-            chaos_set = true;
-        } else if (std::strcmp(argv[i], "--adaptive") == 0)
-            adaptive = true;
-        else if (std::strncmp(argv[i], "--rounds=", 9) == 0 &&
-                 argv[i][9]) {
-            char *end = nullptr;
-            long v = std::strtol(argv[i] + 9, &end, 10);
-            if (*end != '\0' || v < 1 || v > 1 << 20) {
-                std::fprintf(stderr, "bad --rounds '%s'\n",
-                             argv[i] + 9);
-                return usage();
-            }
-            rounds = static_cast<int>(v);
-            rounds_set = true;
-        } else if (std::strcmp(argv[i], "--json") == 0)
-            json = true;
-        else if (std::strncmp(argv[i], "--out=", 6) == 0 &&
-                 argv[i][6]) {
-            out_file = argv[i] + 6;
-            out_set = true;
-        } else if (std::strncmp(argv[i], "--trace=", 8) == 0 &&
-                   argv[i][8])
-            obs_opts.traceFile = argv[i] + 8;
-        else if (std::strncmp(argv[i], "--trace-format=", 15) == 0 &&
-                 argv[i][15]) {
-            if (!obs::parseTraceFormat(argv[i] + 15,
-                                       obs_opts.traceFormat)) {
-                std::fprintf(stderr,
-                             "bad trace format '%s' (expected "
-                             "chrome or jsonl)\n",
-                             argv[i] + 15);
-                return usage();
-            }
-        } else if (std::strncmp(argv[i], "--metrics-out=", 14) == 0 &&
-                   argv[i][14])
-            obs_opts.metricsFile = argv[i] + 14;
-        else if (std::strncmp(argv[i], "--workers=", 10) == 0 &&
-                 argv[i][10]) {
-            long v;
-            if (!parse_count(argv[i] + 10, "--workers", 0, 256, v))
-                return usage();
-            serve_opts.workers = static_cast<int>(v);
-            serve_flags_set = true;
-        } else if (std::strncmp(argv[i], "--queue=", 8) == 0 &&
-                   argv[i][8]) {
-            long v;
-            if (!parse_count(argv[i] + 8, "--queue", 1, 1 << 20, v))
-                return usage();
-            serve_opts.queueCapacity = static_cast<std::size_t>(v);
-            serve_flags_set = true;
-        } else if (std::strncmp(argv[i], "--cache=", 8) == 0 &&
-                   argv[i][8]) {
-            long v;
-            if (!parse_count(argv[i] + 8, "--cache", 1, 1 << 20, v))
-                return usage();
-            serve_opts.cacheCapacity = static_cast<std::size_t>(v);
-            serve_flags_set = true;
-        } else if (std::strncmp(argv[i], "--default-budget=", 17) ==
-                       0 &&
-                   argv[i][17]) {
-            char *end = nullptr;
-            unsigned long long v =
-                std::strtoull(argv[i] + 17, &end, 10);
-            if (*end != '\0') {
-                std::fprintf(stderr, "bad --default-budget '%s'\n",
-                             argv[i] + 17);
-                return usage();
-            }
-            serve_opts.defaultBudget = v;
-            serve_flags_set = true;
-        } else if (std::strncmp(argv[i], "--threads=", 10) == 0 &&
-                   argv[i][10]) {
-            std::string error;
-            if (!sweep::parseThreadCount(argv[i] + 10, threads,
-                                         error)) {
-                std::fprintf(stderr, "bad --threads '%s': %s\n",
-                             argv[i] + 10, error.c_str());
-                return usage();
-            }
-            threads_set = true;
-        } else if (std::strncmp(argv[i], "--transport=", 12) == 0 &&
-                   argv[i][12]) {
-            const char *value = argv[i] + 12;
-            if (std::strcmp(value, "reliable") == 0)
-                transport = SimTransport::Reliable;
-            else if (std::strcmp(value, "raw") == 0)
-                transport = SimTransport::Raw;
-            else if (std::strcmp(value, "packing") == 0)
-                transport = SimTransport::Packing;
-            else {
-                std::fprintf(stderr,
-                             "bad --transport '%s' (expected "
-                             "reliable, raw or packing)\n",
-                             value);
-                return usage();
-            }
-            transport_set = true;
-        } else if (std::strncmp(argv[i], "--grid=", 7) == 0 &&
-                   argv[i][7]) {
-            grid_spec = argv[i] + 7;
-            grid_set = true;
-        } else if (std::strncmp(argv[i], "--nodes=", 8) == 0 &&
-                   argv[i][8]) {
-            long v;
-            if (!parse_count(argv[i] + 8, "--nodes", 8, 8192, v))
-                return usage();
-            if (!sim::validScaleNodes(static_cast<int>(v))) {
-                std::fprintf(stderr,
-                             "bad --nodes '%s' (expected a power of "
-                             "two in [8, 8192])\n",
-                             argv[i] + 8);
-                return usage();
-            }
-            scale_nodes = static_cast<int>(v);
-            nodes_set = true;
-        } else if (std::strncmp(argv[i], "--svc-chaos=", 12) == 0 &&
-                   argv[i][12]) {
-            std::string error;
-            auto parsed =
-                svc::SvcChaos::tryParse(argv[i] + 12, &error);
-            if (!parsed) {
-                std::fprintf(stderr, "bad --svc-chaos: %s\n",
-                             error.c_str());
-                return usage();
-            }
-            serve_opts.chaos = *parsed;
-            serve_flags_set = true;
-        } else if (std::strncmp(argv[i], "--", 2) == 0) {
-            for (const char *flag : valued_flags) {
-                std::size_t len = std::strlen(flag);
-                bool bare = std::strcmp(argv[i], flag) == 0;
-                bool empty = std::strncmp(argv[i], flag, len) == 0 &&
-                             argv[i][len] == '=' &&
-                             argv[i][len + 1] == '\0';
-                if (bare || empty) {
-                    std::fprintf(stderr,
-                                 "flag '%s' requires a value "
-                                 "(%s=...)\n",
-                                 argv[i], flag);
-                    return usage();
-                }
-            }
-            std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
-            return usage();
-        } else
-            argv[nargs++] = argv[i];
-    }
-    argc = nargs;
-
-    if (argc >= 2 && std::strcmp(argv[1], "serve") == 0) {
-        if (argc > 2) {
-            std::fprintf(stderr,
-                         "serve takes no positional arguments\n");
-            return usage();
-        }
-        if (faults_set || chaos_set || adaptive || rounds_set ||
-            json || out_set || threads_set || transport_set ||
-            grid_set || nodes_set || !obs_opts.traceFile.empty()) {
-            std::fprintf(
-                stderr,
-                "serve takes only --workers/--queue/--cache/"
-                "--default-budget/--svc-chaos/--metrics-out\n");
-            return usage();
-        }
-        return runServe(serve_opts, obs_opts.metricsFile);
-    }
-    if (serve_flags_set) {
-        std::fprintf(stderr,
-                     "--workers/--queue/--cache/--default-budget/"
-                     "--svc-chaos apply to the serve subcommand "
-                     "only\n");
-        return usage();
-    }
-
-    if (argc >= 2 && (std::strcmp(argv[1], "validate") == 0 ||
-                      std::strcmp(argv[1], "sweep") == 0)) {
-        bool is_sweep = std::strcmp(argv[1], "sweep") == 0;
-        if (argc > 2) {
-            std::fprintf(stderr, "%s takes no positional arguments\n",
-                         argv[1]);
-            return usage();
-        }
-        if (obs_opts.any()) {
-            std::fprintf(stderr, "--trace/--metrics-out apply to "
-                                 "the sim subcommand only\n");
-            return usage();
-        }
-        if (faults_set || chaos_set || adaptive || rounds_set ||
-            transport_set) {
-            std::fprintf(stderr,
-                         "--faults/--chaos/--adaptive/--rounds/"
-                         "--transport apply to the sim subcommand "
-                         "only\n");
-            return usage();
-        }
-        if (nodes_set) {
-            std::fprintf(stderr, "--nodes applies to the plan (xQy) "
-                                 "subcommand only\n");
-            return usage();
-        }
-        if (is_sweep) {
-            if (!grid_set) {
-                std::fprintf(stderr,
-                             "sweep requires --grid=SPEC\n");
-                return usage();
-            }
-            return runSweepGrid(grid_spec, threads, json, out_file);
-        }
-        if (grid_set) {
-            std::fprintf(stderr, "--grid applies to the sweep "
-                                 "subcommand only\n");
-            return usage();
-        }
-        return runValidate(json, out_file, threads);
-    }
-    if (grid_set) {
-        std::fprintf(stderr,
-                     "--grid applies to the sweep subcommand only\n");
-        return usage();
-    }
-    if (argc < 3)
-        return usage();
-
-    core::MachineId machine;
-    if (std::strcmp(argv[1], "t3d") == 0)
-        machine = core::MachineId::T3d;
-    else if (std::strcmp(argv[1], "paragon") == 0)
-        machine = core::MachineId::Paragon;
-    else
-        return usage();
-
-    std::string cmd = argv[2];
-    bool is_plan = cmd != "table" && cmd != "sim-table" &&
-                   cmd != "sim" && cmd != "eval";
-    if (nodes_set && !is_plan) {
-        std::fprintf(stderr, "--nodes applies to the plan (xQy) "
-                             "subcommand only\n");
-        return usage();
-    }
-    if (obs_opts.any() && cmd != "sim") {
-        std::fprintf(stderr, "--trace/--metrics-out apply to the "
-                             "sim subcommand only\n");
-        return usage();
-    }
-    if ((faults_set || chaos_set || adaptive || rounds_set) &&
-        cmd != "sim") {
-        std::fprintf(stderr,
-                     "--faults/--chaos/--adaptive/--rounds apply to "
-                     "the sim subcommand only\n");
-        return usage();
-    }
-    if ((threads_set || transport_set) && cmd != "sim") {
-        std::fprintf(stderr,
-                     "--threads applies to the validate, sweep and "
-                     "sim subcommands only (--transport to sim)\n");
-        return usage();
-    }
-    if (rounds_set && !adaptive) {
-        std::fprintf(stderr, "--rounds requires --adaptive\n");
-        return usage();
-    }
-    if (transport != SimTransport::Reliable &&
-        (faults_set || chaos_set || adaptive)) {
-        std::fprintf(stderr,
-                     "--transport=raw/packing runs without the "
-                     "reliable transport and cannot absorb "
-                     "--faults/--chaos/--adaptive\n");
-        return usage();
-    }
-    if (json && !is_plan) {
-        std::fprintf(stderr, "--json applies to the plan (xQy) and "
-                             "validate subcommands only\n");
-        return usage();
-    }
-    if (out_set) {
-        std::fprintf(stderr,
-                     "--out applies to the validate subcommand "
-                     "only\n");
-        return usage();
-    }
-    if (cmd == "table") {
-        printTable(machine, false);
-        return 0;
-    }
-    if (cmd == "sim-table") {
-        printTable(machine, true);
-        return 0;
-    }
-    if (cmd == "sim") {
-        if (argc < 4)
-            return usage();
-        std::uint64_t words = 1024;
-        if (argc >= 5) {
-            words = std::strtoull(argv[4], nullptr, 10);
-            if (words == 0) {
-                std::fprintf(stderr, "bad word count '%s'\n",
-                             argv[4]);
-                return kExitUsage;
-            }
-        }
-        return runSim(machine, argv[3], words, faults, chaos,
-                      adaptive, rounds, obs_opts, threads,
-                      transport);
-    }
-
-    if (cmd == "eval") {
-        if (argc < 4)
-            return usage();
-        auto parsed = core::parse(argv[3]);
-        if (auto *err = std::get_if<core::ParseError>(&parsed)) {
-            std::fprintf(stderr, "parse error at %zu: %s\n",
-                         err->position, err->message.c_str());
-            return kExitUsage;
-        }
-        auto expr = std::get<core::ExprPtr>(parsed);
-        auto table = core::paperTable(machine);
-        core::EvalContext ctx;
-        ctx.table = &table;
-        ctx.congestion = core::paperCaps(machine).defaultCongestion;
-        std::printf("%s", core::explain(expr, ctx).c_str());
-        return 0;
-    }
-
-    // xQy form: split at 'Q'.
-    auto q = cmd.find('Q');
-    if (q == std::string::npos)
-        return usage();
-    auto x = P::parse(cmd.substr(0, q));
-    auto y = P::parse(cmd.substr(q + 1));
-    if (!x || !y || x->isFixed() || y->isFixed()) {
-        std::fprintf(stderr, "bad operation '%s'\n", cmd.c_str());
+    auto xy = parseOperation(inv.args[0]);
+    util::Bytes bytes = 0;
+    if (!xy || !countArg(inv, "message size", bytes))
         return kExitUsage;
-    }
-    core::PlanQuery query{machine, *x, *y, 0.0};
+    core::PlanQuery query{inv.machine, xy->first, xy->second, 0.0};
     std::unique_ptr<ScaleInfo> scale;
-    if (nodes_set) {
+    if (inv.nodes) {
         // Large-N planning: rebuild the topology -- just the
         // topology, never a machine -- at the requested node count
         // and derive the congestion of the pair-exchange pattern
         // from static link-load analysis. The demand bytes cancel in
         // the factor, so one word per demand is enough.
         scale = std::make_unique<ScaleInfo>();
-        scale->nodes = scale_nodes;
+        scale->nodes = inv.nodes;
         scale->topology =
-            sim::configFor(machine, scale_nodes).topology;
+            sim::configFor(inv.machine, inv.nodes).topology;
         sim::Topology topo(scale->topology);
         scale->report = topo.analyzeCongestion(
-            rt::pairExchangeDemands(scale_nodes, 8));
+            rt::pairExchangeDemands(inv.nodes, 8));
         query.congestion = scale->report.factor;
     }
     auto plans = core::plan(query);
 
-    util::Bytes bytes = 0;
+    // Size-aware ranking via the latency-extended model.
     std::vector<core::SizedPlan> sized;
-    if (argc >= 4) {
-        // Size-aware ranking via the latency-extended model.
-        bytes = static_cast<ct::util::Bytes>(
-            std::strtoull(argv[3], nullptr, 10));
-        if (bytes == 0) {
-            std::fprintf(stderr, "bad message size '%s'\n", argv[3]);
-            return kExitUsage;
-        }
-        sized = core::planForSize(machine, *x, *y, bytes);
-    }
+    if (bytes > 0)
+        sized = core::planForSize(inv.machine, xy->first, xy->second,
+                                  bytes);
 
-    if (json) {
+    if (inv.json) {
         printPlanJson(query, plans, bytes, sized, scale.get());
-        return 0;
+        return kExitOk;
     }
 
     if (scale) {
@@ -1148,9 +764,305 @@ main(int argc, char **argv)
         for (const auto &p : sized) {
             std::printf("  %-15s %6.1f MB/s effective "
                         "(asymptotic %.1f, n1/2 = %llu B)\n",
-                        p.key.c_str(), p.effective, p.asymptotic,
-                        static_cast<unsigned long long>(p.halfPower));
+                        p.key.c_str(), p.effective,
+                        p.model.asymptotic(),
+                        static_cast<unsigned long long>(
+                            p.model.halfPowerPoint()));
         }
     }
-    return 0;
+    return kExitOk;
+}
+
+/** A fault, chaos or service-chaos spec, through its tryParse. */
+template <typename Spec>
+std::string
+parseSpec(const std::string &text, Spec &out)
+{
+    std::string error;
+    std::optional<Spec> parsed = Spec::tryParse(text, &error);
+    if (!parsed)
+        return error.empty() ? "malformed spec" : error;
+    out = std::move(*parsed);
+    return "";
+}
+
+/** Parser of a flag that just records itself in @p Field: a switch
+ *  sets its bool, any other flag stores its text. */
+template <auto Field>
+std::string
+store(const std::string &text, Invocation &inv)
+{
+    if constexpr (std::is_same_v<decltype(inv.*Field), bool &>)
+        inv.*Field = true;
+    else
+        inv.*Field = text;
+    return "";
+}
+
+/**
+ * One flag: its name, the subcommands that take it, the placeholder
+ * of its value (nullptr for a switch) and its parser. The parser gets
+ * the text after '=' (empty for a switch) and returns a diagnostic,
+ * empty on success.
+ */
+struct Flag
+{
+    const char *name;
+    unsigned scope;
+    const char *value;
+    std::string (*parse)(const std::string &text, Invocation &inv);
+};
+
+const Flag kFlags[] = {
+    {"--faults", kSim, "SPEC",
+     [](const std::string &t, Invocation &inv) {
+         return parseSpec(t, inv.faults);
+     }},
+    {"--chaos", kSim, "SPEC",
+     [](const std::string &t, Invocation &inv) {
+         return parseSpec(t, inv.chaos);
+     }},
+    {"--adaptive", kSim, nullptr, store<&Invocation::adaptive>},
+    {"--rounds", kSim, "N",
+     [](const std::string &t, Invocation &inv) {
+         return parseCount(t, 1, 1 << 20, inv.rounds);
+     }},
+    {"--trace", kSim, "FILE", store<&Invocation::traceFile>},
+    {"--trace-format", kSim, "chrome|jsonl",
+     [](const std::string &t, Invocation &inv) {
+         return obs::parseTraceFormat(t, inv.traceFormat)
+                    ? std::string()
+                    : std::string("expected chrome or jsonl");
+     }},
+    {"--metrics-out", kSim | kServe, "FILE",
+     store<&Invocation::metricsFile>},
+    {"--threads", kSim | kValidate | kSweep, "N",
+     [](const std::string &t, Invocation &inv) {
+         std::string error;
+         sweep::parseThreadCount(t.c_str(), inv.threads, error);
+         return error;
+     }},
+    {"--transport", kSim, "reliable|raw|packing",
+     [](const std::string &t, Invocation &inv) {
+         if (t == "reliable")
+             inv.transport = SimTransport::Reliable;
+         else if (t == "raw")
+             inv.transport = SimTransport::Raw;
+         else if (t == "packing")
+             inv.transport = SimTransport::Packing;
+         else
+             return std::string("expected reliable, raw or packing");
+         return std::string();
+     }},
+    {"--json", kPlan | kValidate | kSweep, nullptr,
+     store<&Invocation::json>},
+    {"--out", kValidate | kSweep, "FILE", store<&Invocation::outFile>},
+    {"--grid", kSweep, "SPEC", store<&Invocation::grid>},
+    {"--nodes", kPlan, "N",
+     [](const std::string &t, Invocation &inv) {
+         if (!parseCount(t, 8, 8192, inv.nodes).empty() ||
+             !sim::validScaleNodes(inv.nodes))
+             return std::string("expected a power of two in [8, 8192]");
+         return std::string();
+     }},
+    {"--workers", kServe, "N",
+     [](const std::string &t, Invocation &inv) {
+         return parseCount(t, 0, 256, inv.serve.workers);
+     }},
+    {"--queue", kServe, "N",
+     [](const std::string &t, Invocation &inv) {
+         return parseCount(t, 1, 1 << 20, inv.serve.queueCapacity);
+     }},
+    {"--cache", kServe, "N",
+     [](const std::string &t, Invocation &inv) {
+         return parseCount(t, 1, 1 << 20, inv.serve.cacheCapacity);
+     }},
+    {"--default-budget", kServe, "N",
+     [](const std::string &t, Invocation &inv) {
+         return parseCount(t, 0,
+                           std::numeric_limits<std::uint64_t>::max(),
+                           inv.serve.defaultBudget);
+     }},
+    {"--svc-chaos", kServe, "SPEC",
+     [](const std::string &t, Invocation &inv) {
+         return parseSpec(t, inv.serve.chaos);
+     }},
+};
+
+/**
+ * One subcommand: its name (empty for plan, whose xQy stands where
+ * the name would), its scope bit, whether a machine comes first, how
+ * many positionals follow the name, its synopsis and its runner.
+ */
+struct Command
+{
+    const char *name;
+    unsigned bit;
+    bool machineFirst;
+    std::size_t minArgs, maxArgs;
+    const char *synopsis;
+    int (*run)(const Invocation &inv);
+};
+
+const Command kCommands[] = {
+    {"", kPlan, true, 1, 2, "<xQy> [bytes]", runPlan},
+    {"eval", kEval, true, 1, 1, "eval <formula>", runEval},
+    {"table", kTable, true, 0, 0, "table",
+     [](const Invocation &inv) {
+         printTable(inv.machine, false);
+         return kExitOk;
+     }},
+    {"sim-table", kSimTable, true, 0, 0, "sim-table",
+     [](const Invocation &inv) {
+         printTable(inv.machine, true);
+         return kExitOk;
+     }},
+    {"sim", kSim, true, 1, 2, "sim <xQy> [words]", runSim},
+    {"validate", kValidate, false, 0, 0, "validate", runValidate},
+    {"sweep", kSweep, false, 0, 0, "sweep --grid=SPEC", runSweep},
+    {"serve", kServe, false, 0, 0, "serve", runServe},
+};
+
+/** Print @p error, then the synopsis of every subcommand with the
+ *  flags it takes; returns the usage exit code. */
+int
+usage(const std::string &error)
+{
+    if (!error.empty())
+        std::fprintf(stderr, "%s\n", error.c_str());
+    const char *lead = "usage: ";
+    for (const Command &cmd : kCommands) {
+        std::string line = std::string(lead) + "ctplan " +
+                           (cmd.machineFirst ? "<t3d|paragon> " : "") +
+                           cmd.synopsis;
+        lead = "       ";
+        for (const Flag &flag : kFlags) {
+            // A required flag is already spelled out in the synopsis.
+            if (!(flag.scope & cmd.bit) ||
+                std::strstr(cmd.synopsis, flag.name))
+                continue;
+            std::string token = std::string(" [") + flag.name +
+                                (flag.value ? "=" : "") +
+                                (flag.value ? flag.value : "") + "]";
+            if (line.size() + token.size() > 76) {
+                std::fprintf(stderr, "%s\n", line.c_str());
+                line = "          ";
+            }
+            line += token;
+        }
+        std::fprintf(stderr, "%s\n", line.c_str());
+    }
+    std::fputs("  ctplan t3d 1Q64\n"
+               "  ctplan t3d 1Q1 2048\n"
+               "  ctplan t3d 1Q64 --nodes=4096\n"
+               "  ctplan paragon wQw\n"
+               "  ctplan sweep --grid=nodes:64..8192\n"
+               "  ctplan t3d eval '1C1 o (1S0 || Nd || 0D1) o 1C64'\n"
+               "  ctplan t3d sim 1Q4 8192 --faults=drop=0.01,seed=7\n"
+               "  ctplan t3d sim 1Q4 4096 --trace=out.json "
+               "--trace-format=chrome\n"
+               "  ctplan t3d sim 1Q1 8192 --faults=drop=0.02 "
+               "--adaptive\n"
+               "  ctplan t3d sim 1Q1 8192 "
+               "--chaos='ramp:drop:0:0.03:0:400000;seed:7'\n"
+               "  ctplan validate --out=BENCH_model_vs_sim.json\n"
+               "  ctplan sweep --grid=fig4 --threads=8\n"
+               "  ctplan serve --workers=4 "
+               "--svc-chaos='seed:7;stall:0.1:5'\n",
+               stderr);
+    return kExitUsage;
+}
+
+/**
+ * The subcommand the leading positionals name, dropping them (the
+ * machine and the name) from inv.args; nullptr when the first
+ * positional is neither a machine nor a machine-less subcommand.
+ */
+const Command *
+findCommand(Invocation &inv)
+{
+    std::vector<std::string> &args = inv.args;
+    for (const Command &cmd : kCommands)
+        if (!cmd.machineFirst && args[0] == cmd.name) {
+            args.erase(args.begin());
+            return &cmd;
+        }
+    if (args[0] == "t3d")
+        inv.machine = core::MachineId::T3d;
+    else if (args[0] == "paragon")
+        inv.machine = core::MachineId::Paragon;
+    else
+        return nullptr;
+    args.erase(args.begin());
+    for (const Command &cmd : kCommands)
+        if (cmd.machineFirst && *cmd.name && !args.empty() &&
+            args[0] == cmd.name) {
+            args.erase(args.begin());
+            return &cmd;
+        }
+    return &kCommands[0]; // plan: the xQy is the first positional
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // Flags may appear anywhere; everything else is a positional.
+    Invocation inv;
+    std::vector<std::string> flags;
+    for (int i = 1; i < argc; ++i)
+        (std::strncmp(argv[i], "--", 2) == 0 ? flags : inv.args)
+            .emplace_back(argv[i]);
+    if (inv.args.empty())
+        return usage();
+    const Command *cmd = findCommand(inv);
+    if (!cmd)
+        return usage("unknown machine or subcommand '" + inv.args[0] +
+                     "'");
+    if (inv.args.size() < cmd->minArgs)
+        return usage(std::string("missing argument: ") + cmd->synopsis);
+    if (inv.args.size() > cmd->maxArgs)
+        return usage("unexpected argument '" +
+                     inv.args[cmd->maxArgs] + "'");
+
+    // Silently ignoring a mistyped, repeated or misplaced flag would
+    // run a different experiment than the user asked for.
+    for (const std::string &arg : flags) {
+        std::size_t eq = arg.find('=');
+        std::string name = arg.substr(0, eq);
+        std::string value =
+            eq == std::string::npos ? "" : arg.substr(eq + 1);
+        const Flag *flag = nullptr;
+        for (const Flag &f : kFlags)
+            if (name == f.name)
+                flag = &f;
+        if (!flag)
+            return usage("unknown flag '" + arg + "'");
+        if (!inv.given.insert(name).second)
+            return usage("flag '" + name + "' given twice");
+        if (flag->value && value.empty())
+            return usage("flag '" + name + "' requires a value (" +
+                         name + "=" + flag->value + ")");
+        if (!flag->value && eq != std::string::npos)
+            return usage("flag '" + name + "' takes no value");
+        if (!(flag->scope & cmd->bit))
+            return usage("flag '" + name + "' does not apply to " +
+                         (*cmd->name ? cmd->name : "plan"));
+        std::string error = flag->parse(value, inv);
+        if (!error.empty())
+            return usage("bad " + name + " '" + value + "': " + error);
+    }
+
+    if (cmd->bit == kSweep && inv.grid.empty())
+        return usage("sweep requires --grid=SPEC");
+    if (inv.given.contains("--rounds") && !inv.adaptive)
+        return usage("--rounds requires --adaptive");
+    if (inv.transport != SimTransport::Reliable &&
+        (inv.given.contains("--faults") ||
+         inv.given.contains("--chaos") || inv.adaptive))
+        return usage("--transport=raw/packing runs without the "
+                     "reliable transport and cannot absorb "
+                     "--faults/--chaos/--adaptive");
+    return cmd->run(inv);
 }
