@@ -1,11 +1,12 @@
 #include "parser.h"
 
 #include <cctype>
-#include <charconv>
+#include <cfloat>
 #include <optional>
 #include <vector>
 
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace ct::core {
 
@@ -91,10 +92,8 @@ makeLeaf(const std::string &word, std::size_t pos, ParseError &err)
             return std::nullopt;
         rest.remove_prefix(1);
         double congestion = 0.0;
-        auto [ptr, ec] = std::from_chars(
-            rest.data(), rest.data() + rest.size(), congestion);
-        if (ec != std::errc() || ptr != rest.data() + rest.size() ||
-            congestion < 1.0) {
+        if (!util::parseDecimal(rest, 1.0, DBL_MAX, congestion)
+                 .empty()) {
             err = {"bad congestion annotation in '" + word + "'", pos};
             return std::nullopt;
         }

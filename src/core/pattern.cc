@@ -1,6 +1,5 @@
 #include "pattern.h"
 
-#include <charconv>
 #include <tuple>
 
 #include "util/logging.h"
@@ -40,23 +39,6 @@ AccessPattern::indexed()
     return {PatternKind::Indexed, 0, 0};
 }
 
-namespace {
-
-std::optional<std::uint32_t>
-parseNumber(std::string_view s)
-{
-    if (!util::isAllDigits(s))
-        return std::nullopt;
-    std::uint32_t value = 0;
-    auto [ptr, ec] =
-        std::from_chars(s.data(), s.data() + s.size(), value);
-    if (ec != std::errc() || ptr != s.data() + s.size())
-        return std::nullopt;
-    return value;
-}
-
-} // namespace
-
 std::optional<AccessPattern>
 AccessPattern::parse(std::string_view text)
 {
@@ -65,21 +47,21 @@ AccessPattern::parse(std::string_view text)
         return indexed();
 
     // "stride.block" for block-strided patterns.
+    std::uint32_t stride = 0, block = 0;
     if (auto dot = s.find('.'); dot != std::string_view::npos) {
-        auto stride = parseNumber(s.substr(0, dot));
-        auto block = parseNumber(s.substr(dot + 1));
-        if (!stride || !block || *stride == 0 || *block == 0 ||
-            *block > *stride)
+        if (!util::parseCount(s.substr(0, dot), 1, UINT32_MAX, stride)
+                 .empty() ||
+            !util::parseCount(s.substr(dot + 1), 1, stride, block)
+                 .empty())
             return std::nullopt;
-        return strided(*stride, *block);
+        return strided(stride, block);
     }
 
-    auto value = parseNumber(s);
-    if (!value)
+    if (!util::parseCount(s, 0, UINT32_MAX, stride).empty())
         return std::nullopt;
-    if (*value == 0)
+    if (stride == 0)
         return fixed();
-    return strided(*value);
+    return strided(stride);
 }
 
 std::string

@@ -1,13 +1,14 @@
 #include "resilience.h"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
 #include <numeric>
 
 #include "core/machine_params.h"
 #include "core/style_registry.h"
 #include "obs/trace.h"
 #include "rt/sim_backend.h"
+#include "util/hash.h"
 #include "util/logging.h"
 
 namespace ct::rt {
@@ -267,60 +268,30 @@ ResilienceController::makeLayer() const
                                            transportOpts);
 }
 
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void
-fnvBytes(std::uint64_t &h, const void *data, std::size_t n)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= kFnvPrime;
-    }
-}
-
-void
-fnvU64(std::uint64_t &h, std::uint64_t v)
-{
-    fnvBytes(h, &v, sizeof v);
-}
-
-void
-fnvDouble(std::uint64_t &h, double v)
-{
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    fnvU64(h, bits);
-}
-
-void
-fnvString(std::uint64_t &h, const std::string &s)
-{
-    fnvU64(h, s.size());
-    fnvBytes(h, s.data(), s.size());
-}
-
-} // namespace
-
 std::uint64_t
 ResilienceController::fingerprint() const
 {
-    std::uint64_t h = kFnvOffset;
+    // The basis is one digit short of FNV's 14695981039346656037;
+    // ext_adaptive's baseline pins the fingerprints it yields.
+    std::uint64_t h = 1469598103934665603ull;
+    auto u64 = [&h](std::uint64_t v) { h = util::fnv1a(v, h); };
+    auto real = [&](double v) { u64(std::bit_cast<std::uint64_t>(v)); };
+    auto text = [&](const std::string &s) {
+        u64(s.size());
+        h = util::fnv1a(s, h);
+    };
     for (const PolicyDecision &d : log) {
-        fnvU64(h, static_cast<std::uint64_t>(d.round));
-        fnvU64(h, static_cast<std::uint64_t>(d.action));
-        fnvString(h, d.fromStyle);
-        fnvString(h, d.toStyle);
-        fnvDouble(h, d.observedLoss);
-        fnvDouble(h, d.observedCongestion);
-        fnvDouble(h, d.rateCurrent);
-        fnvDouble(h, d.rateAlternate);
-        fnvU64(h, d.retransmitTimeout);
-        fnvU64(h, static_cast<std::uint64_t>(d.maxRetries));
-        fnvString(h, d.reason);
+        u64(static_cast<std::uint64_t>(d.round));
+        u64(static_cast<std::uint64_t>(d.action));
+        text(d.fromStyle);
+        text(d.toStyle);
+        real(d.observedLoss);
+        real(d.observedCongestion);
+        real(d.rateCurrent);
+        real(d.rateAlternate);
+        u64(d.retransmitTimeout);
+        u64(static_cast<std::uint64_t>(d.maxRetries));
+        text(d.reason);
     }
     return h;
 }

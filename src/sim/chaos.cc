@@ -1,9 +1,9 @@
 #include "chaos.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -11,59 +11,6 @@
 namespace ct::sim {
 
 namespace {
-
-/**
- * Victim-selection stream seed. Same splitmix64-style mixing as the
- * injector's per-class streams (fault.cc), on a stream id far above
- * the injector's 1..6 so the two families never collide.
- */
-std::uint64_t
-victimStreamSeed(std::uint64_t seed)
-{
-    std::uint64_t z = seed + 101 * 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-bool
-parseRateField(const std::string &token, double &out,
-               std::string *error)
-{
-    char *end = nullptr;
-    out = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0') {
-        if (error)
-            *error = "bad rate '" + token + "'";
-        return false;
-    }
-    if (out < 0.0 || out > 1.0) {
-        if (error)
-            *error = "rate '" + token + "' outside [0, 1]";
-        return false;
-    }
-    return true;
-}
-
-bool
-parseCountField(const std::string &token, std::uint64_t &out,
-                std::string *error)
-{
-    // strtoull silently wraps negatives; reject anything that is not
-    // a plain digit string up front.
-    bool digits = !token.empty() &&
-                  std::all_of(token.begin(), token.end(), [](char c) {
-                      return c >= '0' && c <= '9';
-                  });
-    char *end = nullptr;
-    out = digits ? std::strtoull(token.c_str(), &end, 10) : 0;
-    if (!digits || *end != '\0') {
-        if (error)
-            *error = "bad count '" + token + "'";
-        return false;
-    }
-    return true;
-}
 
 std::optional<ChaosSchedule::RateClass>
 parseClass(const std::string &token)
@@ -111,11 +58,34 @@ parseItem(const std::string &item, ChaosSchedule &out,
         f.emplace_back(util::trim(field));
     const std::string &verb = f[0];
 
+    // Field parsers: false with a diagnostic naming the token.
+    // Rates are decimals in [0, 1], cycles and seeds take the full
+    // uint64 range, victim counts fit Cascade::count / Flap::count.
+    auto check = [&](const char *what, const std::string &token,
+                     const std::string &why) {
+        return why.empty() ||
+               fail(error, std::string("bad ") + what + " '" + token +
+                               "' in '" + item + "': " + why);
+    };
+    auto rate = [&](const std::string &token, double &v) {
+        return check("rate", token,
+                     util::parseDecimal(token, 0.0, 1.0, v));
+    };
+    auto cycles = [&](const std::string &token, Cycles &v) {
+        return check("count", token,
+                     util::parseCount(token, 0, UINT64_MAX, v));
+    };
+    auto victims = [&](const std::string &token, int &v) {
+        return check("victim count", token,
+                     util::parseCount(token, 1, INT32_MAX, v));
+    };
+
     if (verb == "seed") {
         if (f.size() != 2)
             return fail(error, "seed takes one field, got '" + item +
                                    "'");
-        return parseCountField(f[1], out.seed, error);
+        return check("seed", f[1],
+                     util::parseCount(f[1], 0, UINT64_MAX, out.seed));
     }
 
     if (verb == "step" || verb == "ramp") {
@@ -133,24 +103,18 @@ parseItem(const std::string &item, ChaosSchedule &out,
                                    "' (expected drop, corrupt, dup)");
         ChaosSchedule::RatePhase phase;
         phase.cls = *cls;
-        std::uint64_t t0 = 0, t1 = 0;
         if (step) {
-            if (!parseRateField(f[2], phase.r1, error) ||
-                !parseCountField(f[3], t0, error))
+            if (!rate(f[2], phase.r1) || !cycles(f[3], phase.t0))
                 return false;
             phase.r0 = phase.r1;
-            phase.t0 = phase.t1 = t0;
+            phase.t1 = phase.t0;
         } else {
-            if (!parseRateField(f[2], phase.r0, error) ||
-                !parseRateField(f[3], phase.r1, error) ||
-                !parseCountField(f[4], t0, error) ||
-                !parseCountField(f[5], t1, error))
+            if (!rate(f[2], phase.r0) || !rate(f[3], phase.r1) ||
+                !cycles(f[4], phase.t0) || !cycles(f[5], phase.t1))
                 return false;
-            if (t1 <= t0)
+            if (phase.t1 <= phase.t0)
                 return fail(error, "ramp needs T1 > T0 in '" + item +
                                        "'");
-            phase.t0 = t0;
-            phase.t1 = t1;
         }
         out.phases.push_back(phase);
         return true;
@@ -175,38 +139,25 @@ parseItem(const std::string &item, ChaosSchedule &out,
         else
             return fail(error, "unknown target '" + f[1] +
                                    "' (expected link or node)");
-        std::uint64_t count = 0;
-        if (!parseCountField(f[2], count, error))
-            return false;
-        if (count == 0)
-            return fail(error, verb + " needs at least one victim "
-                                      "in '" +
-                                   item + "'");
         if (cascade) {
             ChaosSchedule::Cascade c;
             c.nodes = nodes;
-            c.count = static_cast<int>(count);
-            std::uint64_t at = 0, gap = 0;
-            if (!parseCountField(f[3], at, error) ||
-                !parseCountField(f[4], gap, error))
+            if (!victims(f[2], c.count) || !cycles(f[3], c.at) ||
+                !cycles(f[4], c.gap))
                 return false;
-            c.at = at;
-            c.gap = gap;
             out.cascades.push_back(c);
         } else {
             ChaosSchedule::Flap fl;
             fl.nodes = nodes;
-            fl.count = static_cast<int>(count);
-            std::uint64_t at = 0, period = 0, down = 0;
-            if (!parseCountField(f[3], at, error) ||
-                !parseCountField(f[4], period, error) ||
-                !parseCountField(f[5], down, error))
+            if (!victims(f[2], fl.count) || !cycles(f[3], fl.spec.at) ||
+                !cycles(f[4], fl.spec.period) ||
+                !cycles(f[5], fl.spec.down))
                 return false;
-            if (period == 0 || down == 0 || down >= period)
+            if (fl.spec.period == 0 || fl.spec.down == 0 ||
+                fl.spec.down >= fl.spec.period)
                 return fail(error,
                             "flap needs 0 < DOWN < PERIOD in '" +
                                 item + "'");
-            fl.spec = {at, period, down};
             out.flaps.push_back(fl);
         }
         return true;
@@ -286,11 +237,12 @@ ChaosSchedule::summary() const
     for (const RatePhase &phase : phases) {
         os << sep;
         if (phase.t0 == phase.t1)
-            os << "step:" << className(phase.cls) << ':' << phase.r1
-               << ':' << phase.t0;
+            os << "step:" << className(phase.cls) << ':'
+               << util::formatRate(phase.r1) << ':' << phase.t0;
         else
-            os << "ramp:" << className(phase.cls) << ':' << phase.r0
-               << ':' << phase.r1 << ':' << phase.t0 << ':'
+            os << "ramp:" << className(phase.cls) << ':'
+               << util::formatRate(phase.r0) << ':'
+               << util::formatRate(phase.r1) << ':' << phase.t0 << ':'
                << phase.t1;
         sep = ";";
     }
@@ -314,7 +266,9 @@ ChaosSchedule::applyOutages(Topology &topo) const
 {
     if (cascades.empty() && flaps.empty())
         return;
-    util::Rng rng(victimStreamSeed(seed));
+    // The victim stream sits far above the injector's per-class
+    // streams 1-6, so the two families never collide.
+    util::Rng rng(util::mixSeed(seed, 101));
 
     // Draw @p count distinct victims from [0, space).
     auto draw = [&rng](int count, int space, const char *what) {

@@ -1,91 +1,15 @@
 #include "fault.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
 #include "sim/chaos.h"
 #include "sim/event.h"
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
 namespace ct::sim {
-
-namespace {
-
-/** Derive an independent stream seed for one fault class. */
-std::uint64_t
-streamSeed(std::uint64_t seed, std::uint64_t stream)
-{
-    // splitmix64-style mixing keeps the per-class streams decorrelated
-    // even for small consecutive seeds.
-    std::uint64_t z = seed + stream * 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-/** Non-fatal field parsers: false with a diagnostic in @p error. */
-
-bool
-parseRate(const std::string &key, const std::string &value,
-          double &out, std::string *error)
-{
-    char *end = nullptr;
-    out = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0') {
-        if (error)
-            *error = "bad value '" + value + "' for " + key;
-        return false;
-    }
-    if (out < 0.0 || out > 1.0) {
-        if (error)
-            *error = key + "=" + value + " outside [0, 1]";
-        return false;
-    }
-    return true;
-}
-
-bool
-parseCount(const std::string &key, const std::string &value,
-           std::uint64_t &out, std::string *error)
-{
-    // strtoull silently wraps negatives ("-1" becomes a huge count);
-    // accept plain digit strings only.
-    bool digits = !value.empty() &&
-                  std::all_of(value.begin(), value.end(), [](char c) {
-                      return c >= '0' && c <= '9';
-                  });
-    char *end = nullptr;
-    out = digits ? std::strtoull(value.c_str(), &end, 10) : 0;
-    if (!digits || *end != '\0') {
-        if (error)
-            *error = "bad value '" + value + "' for " + key;
-        return false;
-    }
-    return true;
-}
-
-/** Parse "ID@CYCLE" (the "@CYCLE" part optional, default 0). */
-bool
-parseOutage(const std::string &key, const std::string &value,
-            FaultSpec::Outage &out, std::string *error)
-{
-    auto at = value.find('@');
-    std::uint64_t id = 0;
-    if (!parseCount(key, value.substr(0, at), id, error))
-        return false;
-    out.id = static_cast<std::int32_t>(id);
-    std::uint64_t cycle = 0;
-    if (at != std::string::npos) {
-        if (!parseCount(key, value.substr(at + 1), cycle, error))
-            return false;
-    }
-    out.at = cycle;
-    return true;
-}
-
-} // namespace
 
 bool
 FaultSpec::any() const
@@ -126,39 +50,51 @@ FaultSpec::tryParse(const std::string &spec, std::string *error)
             }
             seen.push_back(key);
         }
-        bool ok;
-        std::uint64_t count = 0;
+        // Rates are decimals in [0, 1], outage ids fit Outage::id,
+        // counts take the uint64 range (a stall lasts >= 1 cycle).
+        std::string why;
+        auto rate = [&](double &v) {
+            why = util::parseDecimal(value, 0.0, 1.0, v);
+        };
+        auto count = [&](std::uint64_t min, auto &v) {
+            why = util::parseCount(value, min, UINT64_MAX, v);
+        };
+        auto outage = [&](std::vector<Outage> &list) {
+            // "ID@CYCLE", the "@CYCLE" part optional (default 0).
+            Outage o;
+            auto at = value.find('@');
+            std::string_view v = value;
+            why = util::parseCount(v.substr(0, at), 0, INT32_MAX, o.id);
+            if (why.empty() && at != std::string::npos)
+                why = util::parseCount(v.substr(at + 1), 0, UINT64_MAX,
+                                       o.at);
+            list.push_back(o);
+        };
         if (key == "drop")
-            ok = parseRate(key, value, out.drop, error);
+            rate(out.drop);
         else if (key == "corrupt")
-            ok = parseRate(key, value, out.corrupt, error);
+            rate(out.corrupt);
         else if (key == "dup")
-            ok = parseRate(key, value, out.dup, error);
-        else if (key == "delay") {
-            if ((ok = parseCount(key, value, count, error)))
-                out.delayMax = count;
-        } else if (key == "delay_rate") {
-            ok = parseRate(key, value, out.delayRate, error);
+            rate(out.dup);
+        else if (key == "delay")
+            count(0, out.delayMax);
+        else if (key == "delay_rate") {
+            rate(out.delayRate);
             delay_rate_given = true;
         } else if (key == "engine_stall")
-            ok = parseRate(key, value, out.engineStall, error);
-        else if (key == "engine_stall_cycles") {
-            if ((ok = parseCount(key, value, count, error)))
-                out.engineStallCycles = count;
-        } else if (key == "engine_fail")
-            ok = parseRate(key, value, out.engineFail, error);
-        else if (key == "link_down") {
-            Outage outage;
-            if ((ok = parseOutage(key, value, outage, error)))
-                out.linkDown.push_back(outage);
-        } else if (key == "node_down") {
-            Outage outage;
-            if ((ok = parseOutage(key, value, outage, error)))
-                out.nodeDown.push_back(outage);
-        } else if (key == "link_fail_rate")
-            ok = parseRate(key, value, out.linkFailRate, error);
+            rate(out.engineStall);
+        else if (key == "engine_stall_cycles")
+            count(1, out.engineStallCycles);
+        else if (key == "engine_fail")
+            rate(out.engineFail);
+        else if (key == "link_down")
+            outage(out.linkDown);
+        else if (key == "node_down")
+            outage(out.nodeDown);
+        else if (key == "link_fail_rate")
+            rate(out.linkFailRate);
         else if (key == "seed")
-            ok = parseCount(key, value, out.seed, error);
+            count(0, out.seed);
         else {
             if (error)
                 *error = "unknown key '" + key +
@@ -169,8 +105,12 @@ FaultSpec::tryParse(const std::string &spec, std::string *error)
                          "seed)";
             return std::nullopt;
         }
-        if (!ok)
+        if (!why.empty()) {
+            if (error)
+                *error = "bad value '" + value + "' for " + key +
+                         ": " + why;
             return std::nullopt;
+        }
     }
     if (out.delayMax > 0 && !delay_rate_given)
         out.delayRate = 0.01;
@@ -194,7 +134,7 @@ FaultSpec::summary() const
     const char *sep = "";
     auto field = [&](const char *name, double v) {
         if (v > 0.0) {
-            os << sep << name << '=' << v;
+            os << sep << name << '=' << util::formatRate(v);
             sep = ",";
         }
     };
@@ -203,10 +143,13 @@ FaultSpec::summary() const
     field("dup", dup);
     if (delayMax > 0 && delayRate > 0.0) {
         os << sep << "delay=" << delayMax
-           << ",delay_rate=" << delayRate;
+           << ",delay_rate=" << util::formatRate(delayRate);
         sep = ",";
     }
     field("engine_stall", engineStall);
+    if (engineStall > 0.0 &&
+        engineStallCycles != FaultSpec{}.engineStallCycles)
+        os << ",engine_stall_cycles=" << engineStallCycles;
     field("engine_fail", engineFail);
     for (const Outage &o : linkDown) {
         os << sep << "link_down=" << o.id << '@' << o.at;
@@ -225,12 +168,12 @@ FaultSpec::summary() const
 
 FaultInjector::FaultInjector(const FaultSpec &spec,
                              obs::MetricsRegistry *registry)
-    : cfg(spec), dropRng(streamSeed(spec.seed, 1)),
-      corruptRng(streamSeed(spec.seed, 2)),
-      dupRng(streamSeed(spec.seed, 3)),
-      delayRng(streamSeed(spec.seed, 4)),
-      engineRng(streamSeed(spec.seed, 5)),
-      linkRng(streamSeed(spec.seed, 6))
+    : cfg(spec), dropRng(util::mixSeed(spec.seed, 1)),
+      corruptRng(util::mixSeed(spec.seed, 2)),
+      dupRng(util::mixSeed(spec.seed, 3)),
+      delayRng(util::mixSeed(spec.seed, 4)),
+      engineRng(util::mixSeed(spec.seed, 5)),
+      linkRng(util::mixSeed(spec.seed, 6))
 {
     if (!registry) {
         ownedRegistry = std::make_unique<obs::MetricsRegistry>();

@@ -7,54 +7,90 @@
 
 namespace ct::sim {
 
-void
-validateMachineConfig(const MachineConfig &config)
+std::string
+machineConfigError(const MachineConfig &config)
 {
+    auto bad = [&](const auto &...what) {
+        return util::detail::concat("MachineConfig '", config.name,
+                                    "': ", what...);
+    };
     if (config.clockHz <= 0.0 || !std::isfinite(config.clockHz))
-        util::fatal("MachineConfig '", config.name,
-                    "': clockHz must be a positive finite number, "
-                    "got ",
-                    config.clockHz);
+        return bad("clockHz must be a positive finite number, got ",
+                   config.clockHz);
     if (config.topology.dims.empty())
-        util::fatal("MachineConfig '", config.name,
-                    "': topology needs at least one dimension");
+        return bad("topology needs at least one dimension");
     for (int d : config.topology.dims)
         if (d < 1)
-            util::fatal("MachineConfig '", config.name,
-                        "': topology dimension must be >= 1, got ",
-                        d);
+            return bad("topology dimension must be >= 1, got ", d);
     if (config.topology.nodesPerPort < 1)
-        util::fatal("MachineConfig '", config.name,
-                    "': nodesPerPort must be >= 1, got ",
-                    config.topology.nodesPerPort);
+        return bad("nodesPerPort must be >= 1, got ",
+                   config.topology.nodesPerPort);
     if (config.network.wireBytesPerCycle <= 0.0 ||
         !std::isfinite(config.network.wireBytesPerCycle))
-        util::fatal("MachineConfig '", config.name,
-                    "': network wireBytesPerCycle must be a positive "
-                    "finite number, got ",
-                    config.network.wireBytesPerCycle);
+        return bad("network wireBytesPerCycle must be a positive "
+                   "finite number, got ",
+                   config.network.wireBytesPerCycle);
     if (config.network.adpBytesPerWord < 8)
-        util::fatal("MachineConfig '", config.name,
-                    "': network adpBytesPerWord must cover the 8 "
-                    "data bytes of a word, got ",
-                    config.network.adpBytesPerWord);
+        return bad("network adpBytesPerWord must cover the 8 data "
+                   "bytes of a word, got ",
+                   config.network.adpBytesPerWord);
     if (config.node.ramBytes == 0)
-        util::fatal("MachineConfig '", config.name,
-                    "': node ramBytes must be positive");
+        return bad("node ramBytes must be positive");
     if (config.node.processor.loopCyclesPerElem < 0.0 ||
         !std::isfinite(config.node.processor.loopCyclesPerElem))
-        util::fatal("MachineConfig '", config.name,
-                    "': processor loopCyclesPerElem must be "
-                    "non-negative and finite, got ",
-                    config.node.processor.loopCyclesPerElem);
+        return bad("processor loopCyclesPerElem must be non-negative "
+                   "and finite, got ",
+                   config.node.processor.loopCyclesPerElem);
     if (config.threads < 0 || config.threads > sweep::kMaxThreads)
-        util::fatal("MachineConfig '", config.name,
-                    "': threads must be in [0, ", sweep::kMaxThreads,
-                    "], got ", config.threads);
+        return bad("threads must be in [0, ", sweep::kMaxThreads,
+                   "], got ", config.threads);
+
+    // Outage targets must exist on this machine's topology.
+    const FaultSpec &f = config.faults;
+    const ChaosSchedule &c = config.chaos;
+    if (f.linkDown.empty() && f.nodeDown.empty() &&
+        c.cascades.empty() && c.flaps.empty())
+        return "";
+    Topology topo(config.topology);
+    for (const FaultSpec::Outage &o : f.linkDown)
+        if (o.id < 0 || o.id >= topo.linkCount())
+            return bad("link_down: bad link ", o.id, " (have ",
+                       topo.linkCount(), ")");
+    for (const FaultSpec::Outage &o : f.nodeDown)
+        if (o.id < 0 || o.id >= topo.nodeCount())
+            return bad("node_down: bad node ", o.id, " (have ",
+                       topo.nodeCount(), ")");
+    // Chaos draws victims without replacement (applyOutages).
+    auto victims = [&](const auto &items, const char *verb) {
+        for (const auto &item : items) {
+            int space =
+                item.nodes ? topo.nodeCount() : topo.networkLinkCount();
+            if (item.count > space)
+                return bad(item.nodes ? "node " : "link ", verb,
+                           " wants ", item.count,
+                           " victims but the machine only has ", space);
+        }
+        return std::string();
+    };
+    std::string why = victims(c.cascades, "cascade");
+    return why.empty() ? victims(c.flaps, "flap") : why;
 }
 
+namespace {
+
+/** @p config, after a fatal() if machineConfigError rejects it. */
+const MachineConfig &
+validated(const MachineConfig &config)
+{
+    if (std::string error = machineConfigError(config); !error.empty())
+        util::fatal(error);
+    return config;
+}
+
+} // namespace
+
 Machine::Machine(const MachineConfig &config)
-    : cfg((validateMachineConfig(config), config)),
+    : cfg(validated(config)),
       topo(cfg.topology),
       injector(cfg.faults.any() || !cfg.chaos.phases.empty()
                    ? std::make_unique<FaultInjector>(cfg.faults,
@@ -65,8 +101,8 @@ Machine::Machine(const MachineConfig &config)
     net.setFaults(injector.get());
     if (injector && !cfg.chaos.phases.empty())
         injector->setChaos(&cfg.chaos, &queue);
-    // Apply scheduled topology outages from the fault spec. IDs are
-    // validated by downLink/downNode against this machine's geometry.
+    // Apply scheduled topology outages from the fault spec (their
+    // IDs were checked by machineConfigError).
     for (const FaultSpec::Outage &o : cfg.faults.linkDown)
         topo.downLink(o.id, o.at);
     for (const FaultSpec::Outage &o : cfg.faults.nodeDown)

@@ -56,11 +56,13 @@ struct MachineConfig
 
 /**
  * Sanity-check a machine configuration, with clear error messages
- * instead of silent NaNs or divide-by-zero downstream. fatal()s on
- * the first violation. Called by the Machine constructor; exposed for
- * tools that want to validate user input before building a machine.
+ * instead of silent NaNs or divide-by-zero downstream: the first
+ * violation, empty when the config is sound. Outage targets count:
+ * link_down/node_down ids and cascade/flap victim counts must exist
+ * on the topology. The Machine constructor fatal()s on a violation;
+ * tools call this first to refuse user input without dying.
  */
-void validateMachineConfig(const MachineConfig &config);
+std::string machineConfigError(const MachineConfig &config);
 
 /** Nodes + network, ready to run communication operations. */
 class Machine

@@ -2,8 +2,6 @@
 
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
-#include <sstream>
 
 namespace ct::svc {
 
@@ -107,15 +105,34 @@ struct Cursor
             i += 4;
             return true;
         }
-        // Number.
-        const char *start = s.c_str() + i;
-        char *end = nullptr;
-        double v = std::strtod(start, &end);
-        if (end == start)
+        // Number, kept as its source text: JSON's
+        // -?digits[.digits][(e|E)[+-]digits], read by the field.
+        std::size_t start = i;
+        auto digits = [&] {
+            std::size_t from = i;
+            while (i < s.size() &&
+                   std::isdigit(static_cast<unsigned char>(s[i])))
+                ++i;
+            return i > from;
+        };
+        if (s[i] == '-')
+            ++i;
+        bool ok = digits();
+        if (ok && i < s.size() && s[i] == '.') {
+            ++i;
+            ok = digits();
+        }
+        if (ok && i < s.size() && (s[i] == 'e' || s[i] == 'E')) {
+            if (++i < s.size() && (s[i] == '+' || s[i] == '-'))
+                ++i;
+            ok = digits();
+        }
+        if (!ok) {
+            i = start;
             return fail("malformed value");
+        }
         out.kind = JsonValue::Kind::Number;
-        out.num = v;
-        i += static_cast<std::size_t>(end - start);
+        out.str = s.substr(start, i - start);
         return true;
     }
 };

@@ -27,8 +27,9 @@ struct JsonValue
 {
     enum class Kind { String, Number, Bool, Null };
     Kind kind = Kind::Null;
-    std::string str;     ///< String
-    double num = 0.0;    ///< Number
+    /** String, or a Number's source text ("4096", "-2.5e3"): the
+     *  reader picks the grammar, e.g. util::parseCount. */
+    std::string str;
     bool boolean = false; ///< Bool
 };
 

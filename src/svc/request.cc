@@ -1,8 +1,7 @@
 #include "svc/request.h"
 
-#include <cmath>
-
 #include "svc/json.h"
+#include "util/string_util.h"
 
 namespace ct::svc {
 
@@ -61,11 +60,10 @@ readUint(const JsonObject &obj, const char *key, std::uint64_t &out,
     if (it == obj.end())
         return true; // optional; caller checks presence separately
     const JsonValue &v = it->second;
-    if (v.kind != JsonValue::Kind::Number || v.num < 0 ||
-        v.num != std::floor(v.num) || v.num > 1.8e19)
+    if (v.kind != JsonValue::Kind::Number ||
+        !util::parseCount(v.str, 0, UINT64_MAX, out).empty())
         return fail(error, std::string("field '") + key +
                                "' must be a non-negative integer");
-    out = static_cast<std::uint64_t>(v.num);
     return true;
 }
 
@@ -252,16 +250,10 @@ Request::tryParse(const std::string &line, std::string *error,
 std::uint64_t
 peekRequestId(const std::string &line)
 {
-    auto parsed = parseFlatJson(line, nullptr);
-    if (!parsed)
-        return 0;
-    auto it = parsed->find("id");
-    if (it == parsed->end() ||
-        it->second.kind != JsonValue::Kind::Number ||
-        it->second.num < 0 ||
-        it->second.num != std::floor(it->second.num))
-        return 0;
-    return static_cast<std::uint64_t>(it->second.num);
+    std::uint64_t id = 0;
+    if (auto parsed = parseFlatJson(line, nullptr))
+        readUint(*parsed, "id", id, nullptr);
+    return id;
 }
 
 } // namespace ct::svc

@@ -499,6 +499,14 @@ PlanService::handleSim(const Request &request)
         .field("style", base.styleKey)
         .field("budget", budget);
 
+    if (std::string bad = sim::machineConfigError(cfg); !bad.empty()) {
+        // An outage target the machine lacks: an in-band error, not
+        // a fatal() from the Machine constructor.
+        w.field("error", bad);
+        return finish(request, Status::Error, Fidelity::None,
+                      w.fragment(), "");
+    }
+
     if (budget > 0 && budget < opts.analyticFloor) {
         // Bottom rung: the budget cannot buy a meaningful sim, so
         // answer from the model immediately (microseconds, and a

@@ -1,10 +1,9 @@
 #include "sweep/farm.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cstring>
 
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace ct::sweep {
 
@@ -226,24 +225,17 @@ Farm::stats() const
 bool
 parseThreadCount(const char *text, int &threads, std::string &error)
 {
-    const char *end = text + std::strlen(text);
-    unsigned long v = 0;
-    auto [ptr, ec] = std::from_chars(text, end, v);
-    if (ptr == text || ptr != end) {
+    std::string_view digits = text;
+    if (util::parseCount(digits, 1, kMaxThreads, threads).empty())
+        return true;
+    if (!util::isAllDigits(digits))
         error = "thread count must be a decimal integer";
-        return false;
-    }
-    if (ec == std::errc() && v < 1) {
+    else if (digits.find_first_not_of('0') == std::string_view::npos)
         error = "thread count must be >= 1 (1 = serial)";
-        return false;
-    }
-    if (ec != std::errc() || v > kMaxThreads) {
+    else
         error = "thread count exceeds the oversubscription cap of " +
                 std::to_string(kMaxThreads);
-        return false;
-    }
-    threads = static_cast<int>(v);
-    return true;
+    return false;
 }
 
 } // namespace ct::sweep

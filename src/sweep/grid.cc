@@ -9,6 +9,7 @@
 #include "rt/workload.h"
 #include "sim/machine.h"
 #include "sim/measure.h"
+#include "util/string_util.h"
 #include "util/table.h"
 
 namespace ct::sweep {
@@ -184,21 +185,6 @@ Grid::cells() const
 
 namespace {
 
-std::vector<std::string>
-splitList(const std::string &text, char sep)
-{
-    std::vector<std::string> out;
-    std::size_t begin = 0;
-    while (begin <= text.size()) {
-        std::size_t end = text.find(sep, begin);
-        if (end == std::string::npos)
-            end = text.size();
-        out.push_back(text.substr(begin, end - begin));
-        begin = end + 1;
-    }
-    return out;
-}
-
 /** The machine a cell runs on (runCell builds exactly this). */
 sim::MachineConfig
 cellConfig(const CellSpec &spec)
@@ -210,19 +196,23 @@ cellConfig(const CellSpec &spec)
     return cfg;
 }
 
-/** Why a cell's simulated exchange cannot fit a node's RAM; empty
- *  when it fits or the cell runs no exchange sim. */
+/** Why a cell's simulated exchange cannot run: an outage target
+ *  its machine lacks, or buffers that cannot fit a node's RAM; empty
+ *  when it can or the cell runs no exchange sim. */
 std::string
 cellFitError(const CellSpec &spec)
 {
     if (spec.kind != CellKind::Exchange || spec.nodes > kScaleSimNodes)
         return {};
+    sim::MachineConfig cfg = cellConfig(spec);
+    if (std::string bad = sim::machineConfigError(cfg); !bad.empty())
+        return bad;
     auto program =
         core::buildProgram(spec.machine, spec.style, spec.x, spec.y);
     if (!program)
         return {};
-    return rt::exchangeFitError(cellConfig(spec).node, spec.x, spec.y,
-                                spec.words, program->stagingBuffers);
+    return rt::exchangeFitError(cfg.node, spec.x, spec.y, spec.words,
+                                program->stagingBuffers);
 }
 
 std::optional<Grid>
@@ -254,20 +244,14 @@ presetGrid(const std::string &name, std::string *error)
         // alone, so the top of the range costs microseconds.
         std::string range = name.substr(6);
         std::size_t dots = range.find("..");
-        std::string lo_text = dots == std::string::npos
-                                  ? range
-                                  : range.substr(0, dots);
-        std::string hi_text = dots == std::string::npos
-                                  ? range
-                                  : range.substr(dots + 2);
-        char *end = nullptr;
-        long lo = std::strtol(lo_text.c_str(), &end, 10);
-        bool lo_ok = !lo_text.empty() && *end == '\0';
-        long hi = std::strtol(hi_text.c_str(), &end, 10);
-        bool hi_ok = !hi_text.empty() && *end == '\0';
-        if (!lo_ok || !hi_ok || lo > hi ||
-            !sim::validScaleNodes(static_cast<int>(lo)) ||
-            !sim::validScaleNodes(static_cast<int>(hi))) {
+        std::string_view hi_text = range;
+        if (dots != std::string::npos)
+            hi_text.remove_prefix(dots + 2);
+        int lo = 0, hi = 0;
+        if (!util::parseCount(range.substr(0, dots), 8, 8192, lo)
+                 .empty() ||
+            !util::parseCount(hi_text, lo, 8192, hi).empty() ||
+            !sim::validScaleNodes(lo) || !sim::validScaleNodes(hi)) {
             if (error)
                 *error = "bad scale range '" + range +
                          "' (expected LO..HI, powers of two in "
@@ -275,8 +259,8 @@ presetGrid(const std::string &name, std::string *error)
             return std::nullopt;
         }
         std::vector<int> counts;
-        for (long n = lo; n <= hi; n *= 2)
-            counts.push_back(static_cast<int>(n));
+        for (int n = lo; n <= hi; n *= 2)
+            counts.push_back(n);
         return Grid()
             .styles({"chained"})
             .words({1024})
@@ -334,7 +318,7 @@ Grid::parse(const std::string &spec, std::string *error)
             *error = message;
         return std::nullopt;
     };
-    for (const std::string &clause : splitList(spec, ';')) {
+    for (const std::string &clause : util::split(spec, ';')) {
         std::size_t eq = clause.find('=');
         if (eq == std::string::npos || eq == 0)
             return fail("bad grid clause '" + clause +
@@ -377,7 +361,7 @@ Grid::parse(const std::string &spec, std::string *error)
                             "' (expected exchange or copy)");
         } else if (index == kMachine) {
             std::vector<core::MachineId> machines;
-            for (const std::string &m : splitList(value, ',')) {
+            for (const std::string &m : util::split(value, ',')) {
                 if (m == "t3d")
                     machines.push_back(core::MachineId::T3d);
                 else if (m == "paragon")
@@ -388,7 +372,7 @@ Grid::parse(const std::string &spec, std::string *error)
             grid.machines(std::move(machines));
         } else if (index == kStyle) {
             std::vector<std::string> styles;
-            for (const std::string &s : splitList(value, ',')) {
+            for (const std::string &s : util::split(value, ',')) {
                 if (s == "all") {
                     styles.clear();
                     break;
@@ -400,7 +384,7 @@ Grid::parse(const std::string &spec, std::string *error)
             grid.styles(std::move(styles));
         } else if (index == kX || index == kY) {
             std::vector<core::AccessPattern> patterns;
-            for (const std::string &p : splitList(value, ',')) {
+            for (const std::string &p : util::split(value, ',')) {
                 auto pattern = core::AccessPattern::parse(p);
                 if (!pattern || pattern->isFixed())
                     return fail("bad pattern '" + p + "' for '" +
@@ -413,30 +397,27 @@ Grid::parse(const std::string &spec, std::string *error)
                 grid.ys(std::move(patterns));
         } else if (index == kWords) {
             std::vector<std::uint64_t> counts;
-            for (const std::string &w : splitList(value, ',')) {
-                char *end = nullptr;
-                unsigned long long v =
-                    std::strtoull(w.c_str(), &end, 10);
-                if (w.empty() || *end != '\0' || v == 0)
+            for (const std::string &w : util::split(value, ',')) {
+                std::uint64_t v = 0;
+                if (!util::parseCount(w, 1, UINT64_MAX, v).empty())
                     return fail("bad word count '" + w + "'");
                 counts.push_back(v);
             }
             grid.words(std::move(counts));
         } else if (index == kNodes) {
             std::vector<int> counts;
-            for (const std::string &n : splitList(value, ',')) {
-                char *end = nullptr;
-                long v = std::strtol(n.c_str(), &end, 10);
-                if (n.empty() || *end != '\0' ||
-                    !sim::validScaleNodes(static_cast<int>(v)))
+            for (const std::string &n : util::split(value, ',')) {
+                int v = 0;
+                if (!util::parseCount(n, 8, 8192, v).empty() ||
+                    !sim::validScaleNodes(v))
                     return fail("bad node count '" + n +
                                 "' (powers of two in [8, 8192])");
-                counts.push_back(static_cast<int>(v));
+                counts.push_back(v);
             }
             grid.nodes(std::move(counts));
         } else { // kFaults
             std::vector<sim::FaultSpec> fault_specs;
-            for (const std::string &f : splitList(value, '|')) {
+            for (const std::string &f : util::split(value, '|')) {
                 if (f == "none") {
                     fault_specs.push_back(sim::FaultSpec{});
                     continue;

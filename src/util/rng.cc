@@ -2,6 +2,7 @@
 
 #include <numeric>
 
+#include "hash.h"
 #include "logging.h"
 
 namespace ct::util {
@@ -14,24 +15,13 @@ rotl(std::uint64_t x, int k)
     return (x << k) | (x >> (64 - k));
 }
 
-/** splitmix64, used to expand the seed into generator state. */
-std::uint64_t
-splitmix(std::uint64_t &x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
 {
-    std::uint64_t x = seed;
-    for (auto &s : state)
-        s = splitmix(x);
+    // splitmix64 expands the seed into the generator state.
+    for (std::uint64_t i = 0; i < 4; ++i)
+        state[i] = mixSeed(seed, i + 1);
 }
 
 std::uint64_t

@@ -1,6 +1,8 @@
 #include "string_util.h"
 
 #include <cctype>
+#include <charconv>
+#include <cstdio>
 
 namespace ct::util {
 
@@ -45,6 +47,59 @@ isAllDigits(std::string_view s)
         if (!std::isdigit(static_cast<unsigned char>(c)))
             return false;
     return true;
+}
+
+std::string
+parseCount(std::string_view text, std::uint64_t min,
+           std::uint64_t max, std::uint64_t &out)
+{
+    // Unsigned from_chars takes digits only: no sign, no space.
+    std::uint64_t v = 0;
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    bool digits = ptr != text.data() && ptr == end;
+    if (digits && ec == std::errc() && v >= min && v <= max) {
+        out = v;
+        return "";
+    }
+    return (digits ? "outside [" : "expected an integer in [") +
+           std::to_string(min) + ", " + std::to_string(max) + "]";
+}
+
+std::string
+parseDecimal(std::string_view text, double min, double max,
+             double &out)
+{
+    // A leading digit or '.' keeps out the forms from_chars also
+    // takes: a sign, "inf" and "nan". Hex needs chars_format::hex.
+    double v = 0.0;
+    const char *end = text.data() + text.size();
+    bool decimal = !text.empty() &&
+                   (std::isdigit(static_cast<unsigned char>(text[0])) ||
+                    text[0] == '.');
+    if (decimal) {
+        auto [ptr, ec] = std::from_chars(text.data(), end, v);
+        decimal = ec == std::errc() && ptr == end;
+    }
+    if (decimal && v >= min && v <= max) {
+        out = v;
+        return "";
+    }
+    return (decimal ? "outside [" : "expected a decimal in [") +
+           formatRate(min) + ", " + formatRate(max) + "]";
+}
+
+std::string
+formatRate(double v)
+{
+    char buf[32];
+    for (int digits = 6;; ++digits) {
+        int n = std::snprintf(buf, sizeof buf, "%.*g", digits, v);
+        double back = 0.0;
+        std::from_chars(buf, buf + n, back);
+        if (back == v || digits == 17)
+            return std::string(buf, static_cast<std::size_t>(n));
+    }
 }
 
 } // namespace ct::util

@@ -55,6 +55,22 @@ TEST(Parser, CongestionAnnotation)
     EXPECT_EQ(f->congestionOverride(), 2.5);
 }
 
+TEST(Parser, CongestionIsAFiniteUnsignedDecimal)
+{
+    auto e = ok("1S0 || Nd@1.5 || 0D1");
+    ASSERT_TRUE(e);
+    EXPECT_EQ(e->format(), "1S0 || Nd@1.5 || 0D1");
+    EXPECT_EQ(ok("Nd@1e1")->congestionOverride(), 10.0);
+    // A NaN congestion panics the evaluator and an infinite one
+    // rates 0 MB/s, so neither may parse.
+    for (const char *text : {"1S0 || Nd@nan || 0D1", "Nd@inf", "Nd@NAN",
+                             "Nadp@infinity", "Nd@1e999", "Nd@0x2"}) {
+        ParseError err = bad(text);
+        EXPECT_NE(err.message.find("congestion"), std::string::npos)
+            << text << ": " << err.message;
+    }
+}
+
 TEST(Parser, BufferPackingFormulaRoundTrip)
 {
     const char *text = "1C1 o (1S0 || Nd || 0D1) o 1C64";

@@ -61,6 +61,53 @@ TEST(ChaosSchedule, SummaryRoundTrips)
               s.summary());
 }
 
+TEST(ChaosScheduleForms, AcceptedFormsKeepTheirValues)
+{
+    auto s = ChaosSchedule::parse("step:drop:0.01:1000");
+    ASSERT_EQ(s.phases.size(), 1u);
+    EXPECT_EQ(s.phases[0].r1, 0.01);
+    EXPECT_EQ(s.phases[0].t0, 1000u);
+    EXPECT_EQ(ChaosSchedule::parse("seed:18446744073709551615").seed,
+              18446744073709551615ULL);
+    EXPECT_EQ(ChaosSchedule::parse("cascade:node:2147483647:0:1")
+                  .cascades.at(0)
+                  .count,
+              2147483647);
+}
+
+TEST(ChaosScheduleForms, SummaryRoundTripsExactly)
+{
+    // Six significant digits would print 0.00123457 here.
+    for (const char *spec :
+         {"step:drop:0.0012345678:0;seed:1",
+          "ramp:corrupt:0.1234567:0.30000000000000004:5:"
+          "18446744073709551615;seed:18446744073709551615",
+          "cascade:node:2147483647:0:10;flap:link:3:1:4:2;seed:9"}) {
+        ChaosSchedule s = ChaosSchedule::parse(spec);
+        EXPECT_EQ(s.summary(), spec);
+        EXPECT_EQ(ChaosSchedule::parse(s.summary()).summary(), spec);
+    }
+}
+
+TEST(ChaosScheduleNegative, RejectsWrappingCountsAndNan)
+{
+    // A count that wraps int (4294967296 -> 0) would draw no victims
+    // and print a summary that does not parse.
+    for (const auto &[spec, token] :
+         std::vector<std::pair<const char *, const char *>>{
+             {"cascade:node:4294967296:0:10", "'4294967296'"},
+             {"step:drop:nan:0", "'nan'"},
+             {"step:drop:inf:0", "'inf'"},
+             {"step:drop:0x1:0", "'0x1'"},
+             {"ramp:dup:0:+1:0:5", "'+1'"},
+             {"seed:+3", "'+3'"}}) {
+        std::string err;
+        EXPECT_FALSE(ChaosSchedule::tryParse(spec, &err)) << spec;
+        EXPECT_NE(err.find(token), std::string::npos)
+            << spec << ": " << err;
+    }
+}
+
 TEST(ChaosScheduleNegative, RejectsUnknownVerb)
 {
     std::string err;

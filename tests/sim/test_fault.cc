@@ -101,6 +101,59 @@ TEST(FaultSpecNegative, TryParseSucceedsOnValidSpec)
     EXPECT_TRUE(err.empty());
 }
 
+// Number forms: pinned before the parsers moved onto util's grammar.
+
+TEST(FaultSpecForms, AcceptedFormsKeepTheirValues)
+{
+    EXPECT_EQ(FaultSpec::parse("drop=1e-3").drop, 1e-3);
+    EXPECT_EQ(FaultSpec::parse("drop=.5").drop, 0.5);
+    EXPECT_EQ(FaultSpec::parse("drop=0.5").drop, 0.5);
+    EXPECT_EQ(FaultSpec::parse("drop=1").drop, 1.0);
+    EXPECT_EQ(FaultSpec::parse("drop=0.1,seed=0").seed, 0u);
+    EXPECT_EQ(FaultSpec::parse("drop=0.1,seed=18446744073709551615").seed,
+              18446744073709551615ULL);
+    auto outage = FaultSpec::parse("node_down=2147483647@7,link_down=3");
+    EXPECT_EQ(outage.nodeDown.at(0).id, 2147483647);
+    EXPECT_EQ(outage.nodeDown.at(0).at, 7u);
+    EXPECT_EQ(outage.linkDown.at(0).at, 0u);
+}
+
+TEST(FaultSpecForms, RejectsNanHexSignsAndWrappingIds)
+{
+    // A lax grammar reads each as some other value: nan runs
+    // fault-free, 0x0.8 is hex 0.5, 4294967299 wraps to node 3.
+    for (const char *spec :
+         {"drop=nan", "drop=0x0.8", "drop=inf", "drop=-0", "drop=+0.5",
+          "node_down=4294967299@0", "node_down=-1@0", "node_down=1@-5",
+          "node_down=1@", "seed=+3", "seed=18446744073709551616",
+          "engine_stall=0.1,engine_stall_cycles=0"}) {
+        std::string err;
+        EXPECT_FALSE(FaultSpec::tryParse(spec, &err)) << spec;
+        std::string value(spec);
+        value = value.substr(value.rfind('=') + 1);
+        EXPECT_NE(err.find("'" + value), std::string::npos)
+            << spec << ": " << err;
+    }
+}
+
+TEST(FaultSpecForms, SummaryRoundTripsExactly)
+{
+    for (const char *spec :
+         {"drop=0.3000001,seed=1",
+          "drop=0.1,corrupt=0.30000000000000004,"
+          "seed=18446744073709551615",
+          "delay=9,delay_rate=0.123456789,seed=2",
+          "engine_stall=0.5,engine_stall_cycles=7,seed=3",
+          "link_down=2147483647@0,node_down=3@100,seed=4"}) {
+        FaultSpec s = FaultSpec::parse(spec);
+        EXPECT_EQ(s.summary(), spec);
+        EXPECT_EQ(FaultSpec::parse(s.summary()).summary(), spec);
+    }
+    // Six-digit rates keep the bytes they always had.
+    EXPECT_EQ(FaultSpec::parse("drop=1e-3,dup=0.05").summary(),
+              "drop=0.001,dup=0.05,seed=1");
+}
+
 TEST(FaultInjector, SameSeedSameSchedule)
 {
     auto spec = FaultSpec::parse(

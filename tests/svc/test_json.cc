@@ -14,9 +14,10 @@ TEST(FlatJson, ParsesScalarsOfEveryKind)
     EXPECT_EQ(obj->at("s").kind, svc::JsonValue::Kind::String);
     EXPECT_EQ(obj->at("s").str, "x");
     EXPECT_EQ(obj->at("n").kind, svc::JsonValue::Kind::Number);
-    EXPECT_EQ(obj->at("n").num, 4096.0);
-    EXPECT_EQ(obj->at("f").num, 1.5);
-    EXPECT_EQ(obj->at("neg").num, -2.0);
+    // Numbers keep their source text; each field picks its grammar.
+    EXPECT_EQ(obj->at("n").str, "4096");
+    EXPECT_EQ(obj->at("f").str, "1.5");
+    EXPECT_EQ(obj->at("neg").str, "-2");
     EXPECT_EQ(obj->at("b").kind, svc::JsonValue::Kind::Bool);
     EXPECT_TRUE(obj->at("b").boolean);
     EXPECT_EQ(obj->at("z").kind, svc::JsonValue::Kind::Null);

@@ -19,6 +19,7 @@ expectRejected(const std::string &line, const std::string &needle)
     std::string error;
     auto req = svc::Request::tryParse(line, &error, nullptr);
     EXPECT_FALSE(req) << "accepted: " << line;
+    EXPECT_FALSE(error.empty()) << "no diagnostic for: " << line;
     EXPECT_NE(error.find(needle), std::string::npos)
         << "diagnostic for " << line << " was: " << error;
 }
@@ -104,6 +105,44 @@ TEST(Request, RejectsMissingAndMalformedEssentials)
                    "non-negative integer");
 }
 
+TEST(Request, IntegerFieldsAreDigitTokensOverTheFullRange)
+{
+    std::string error;
+    // 2^53 + 1 has no double; the id must still come back exact.
+    auto big = parse(R"({"id":9007199254740993,"op":"health"})", &error);
+    ASSERT_TRUE(big) << error;
+    EXPECT_EQ(big->id, 9007199254740993ULL);
+    auto max = parse(R"({"id":18446744073709551615,"op":"sim",)"
+                     R"("machine":"t3d","xqy":"1Q1",)"
+                     R"("words":18446744073709551615,)"
+                     R"("budget":18446744073709551615})",
+                     &error);
+    ASSERT_TRUE(max) << error;
+    EXPECT_EQ(max->id, 18446744073709551615ULL);
+    EXPECT_EQ(max->words, 18446744073709551615ULL);
+    EXPECT_EQ(max->budget, 18446744073709551615ULL);
+    expectRejected(R"({"id":18446744073709551616,"op":"health"})",
+                   "field 'id' must be a non-negative integer");
+
+    // Each passes a check on its double value but is no integer.
+    for (const char *value : {"1e2", "1.0", "0x1", "+2", "-0"}) {
+        const std::string v = value;
+        expectRejected(R"({"id":)" + v + R"(,"op":"health"})", "");
+        expectRejected(R"({"id":1,"op":"sim","machine":"t3d",)"
+                       R"("xqy":"1Q1","words":)" + v + "}",
+                       "");
+        expectRejected(R"({"id":1,"op":"plan","machine":"t3d",)"
+                       R"("xqy":"1Q1","bytes":)" + v + "}",
+                       "");
+        expectRejected(R"({"id":1,"op":"sim","machine":"t3d",)"
+                       R"("xqy":"1Q1","budget":)" + v + "}",
+                       "");
+    }
+    expectRejected(R"({"id":1,"op":"sim","machine":"t3d",)"
+                   R"("xqy":"1Q1","words":1e2})",
+                   "field 'words' must be a non-negative integer");
+}
+
 TEST(Request, PeekRequestIdIsBestEffort)
 {
     EXPECT_EQ(svc::peekRequestId(R"({"id":42,"op":"health"})"), 42u);
@@ -112,6 +151,11 @@ TEST(Request, PeekRequestIdIsBestEffort)
               7u);
     EXPECT_EQ(svc::peekRequestId("not json"), 0u);
     EXPECT_EQ(svc::peekRequestId(R"({"id":"seven"})"), 0u);
+    // No float detour: out-of-range or fractional ids read as 0.
+    EXPECT_EQ(svc::peekRequestId(R"({"id":1e30,"op":"health"})"), 0u);
+    EXPECT_EQ(svc::peekRequestId(R"({"id":4.5,"op":"health"})"), 0u);
+    EXPECT_EQ(svc::peekRequestId(R"({"id":9007199254740993})"),
+              9007199254740993ULL);
 }
 
 TEST(Request, IdSurvivesRejectedParse)

@@ -149,6 +149,61 @@ TEST(PlanService, OversizedSimIsRefusedInBandAndServiceKeepsAnswering)
     EXPECT_EQ(out.responses[3].fidelity, svc::Fidelity::Exact);
 }
 
+TEST(PlanService, OutageTargetsTheMachineLacksAreRefusedInBand)
+{
+    // Built, each of these machines fatal()s in its constructor and
+    // takes the service down with every later line unanswered.
+    Collector out;
+    svc::PlanService service(syncOptions(), out.sink());
+    service.submit(R"({"id":1,"op":"sim","machine":"t3d","xqy":"1Q1",)"
+                   R"("words":256,"faults":"node_down=64@0"})");
+    service.submit(R"({"id":2,"op":"sim","machine":"t3d","xqy":"1Q1",)"
+                   R"("words":256,"chaos":"cascade:node:100:0:10"})");
+    service.submit(R"({"id":3,"op":"sim","machine":"t3d","xqy":"1Q1",)"
+                   R"("words":256})");
+    service.stop();
+
+    ASSERT_EQ(out.responses.size(), 3u);
+    for (int i : {0, 1}) {
+        EXPECT_EQ(out.responses[i].id, static_cast<std::uint64_t>(i + 1));
+        EXPECT_EQ(out.responses[i].status, svc::Status::Error);
+        EXPECT_EQ(out.responses[i].fidelity, svc::Fidelity::None);
+    }
+    EXPECT_NE(out.responses[0].line.find("bad node 64"),
+              std::string::npos)
+        << out.responses[0].line;
+    EXPECT_NE(out.responses[1].line.find("100 victims"),
+              std::string::npos)
+        << out.responses[1].line;
+    EXPECT_EQ(out.responses[2].id, 3u);
+    EXPECT_EQ(out.responses[2].status, svc::Status::Ok);
+}
+
+TEST(PlanService, IdsAreEchoedWithoutAFloatDetour)
+{
+    svc::ServiceOptions opts = syncOptions();
+    opts.chaos = chaosSpec("satq:1:1");
+    Collector out;
+    svc::PlanService service(opts, out.sink());
+    service.submit(R"({"id":9007199254740993,"op":"health"})");
+    // Refused at admission, where only peekRequestId reads the id;
+    // casting 1e30 to an integer would be undefined behavior.
+    service.submit(R"({"id":1e30,"op":"health"})");
+    service.submit(R"({"id":18446744073709551615,"op":"health"})");
+    service.stop();
+
+    ASSERT_EQ(out.responses.size(), 3u);
+    EXPECT_EQ(out.responses[0].id, 9007199254740993ULL);
+    EXPECT_EQ(out.responses[0].line.rfind(
+                  R"({"id":9007199254740993,)", 0),
+              0u)
+        << out.responses[0].line;
+    EXPECT_EQ(out.responses[1].status, svc::Status::Rejected);
+    EXPECT_EQ(out.responses[1].id, 0u);
+    EXPECT_EQ(out.responses[2].id, 18446744073709551615ULL);
+    EXPECT_EQ(out.responses[2].status, svc::Status::Ok);
+}
+
 TEST(PlanService, CacheHitsProduceIdenticalBytes)
 {
     Collector out;

@@ -75,6 +75,42 @@ TEST(SvcChaos, RejectsBadSpecsLoudly)
     }
 }
 
+TEST(SvcChaos, NumberFormsAreStrictAndSummariesExact)
+{
+    EXPECT_EQ(mustParse("seed:18446744073709551615").seed,
+              18446744073709551615ULL);
+    EXPECT_EQ(mustParse("stall:.5:60000").stallRate, 0.5);
+    EXPECT_EQ(mustParse("flip:1e-3").flipRate, 1e-3);
+    // strtoull would wrap seed:-3 to 18446744073709551613.
+    for (const char *spec : {"satq:-1:5", "seed:+3", "seed:-3",
+                             "flip:nan", "stall:0x1:5", "satq:1:+2"}) {
+        std::string error;
+        EXPECT_FALSE(svc::SvcChaos::tryParse(spec, &error)) << spec;
+        EXPECT_NE(error.find(spec), std::string::npos) << error;
+    }
+    // Seven significant digits must not print as six.
+    for (const char *spec : {"seed:1;flip:0.1234567",
+                             "seed:2;stall:0.30000000000000004:9"}) {
+        svc::SvcChaos c = mustParse(spec);
+        EXPECT_EQ(c.summary(), spec);
+        EXPECT_EQ(mustParse(c.summary()).summary(), spec);
+    }
+}
+
+TEST(SvcChaos, DecisionStreamsArePinned)
+{
+    // The decisions hash the seed, a tag and the arrival index or
+    // cache key; pin a few so the hash cannot drift unnoticed.
+    svc::SvcChaos c = mustParse("seed:7;stall:0.5:2;flip:0.5");
+    std::string stalls;
+    for (std::uint64_t i = 0; i < 16; ++i)
+        stalls += c.stallFor(i) ? '1' : '0';
+    EXPECT_EQ(stalls, "0100101100111000");
+    EXPECT_EQ(c.flipBitFor("key0"), std::optional<std::uint32_t>(983587));
+    EXPECT_EQ(c.flipBitFor("key1"), std::optional<std::uint32_t>(381958));
+    EXPECT_EQ(c.flipBitFor("key3"), std::nullopt);
+}
+
 TEST(SvcChaos, DecisionsArePureFunctionsOfSeedAndId)
 {
     svc::SvcChaos a = mustParse("seed:7;stall:0.5:2;flip:0.5");

@@ -88,6 +88,66 @@ TEST(GridParse, RejectsExchangeCellsThatCannotFitNodeRam)
         << error;
 }
 
+TEST(GridParse, RefusesOutageTargetsTheMachineLacks)
+{
+    // The T3D config has 8 nodes: node 64 would kill the sweep in
+    // the Machine constructor, so the cell is refused at parse time.
+    std::string error;
+    EXPECT_FALSE(Grid::parse("kind=exchange;machine=t3d;style=chained;"
+                             "x=1;y=1;words=1024;"
+                             "faults=node_down=64@0",
+                             &error));
+    EXPECT_NE(error.find("bad node"), std::string::npos) << error;
+    EXPECT_FALSE(Grid::parse("kind=exchange;machine=t3d;style=chained;"
+                             "x=1;y=1;words=1024;"
+                             "faults=link_down=99999@0",
+                             &error));
+    EXPECT_NE(error.find("bad link"), std::string::npos) << error;
+    EXPECT_TRUE(Grid::parse("kind=exchange;machine=t3d;style=chained;"
+                            "x=1;y=1;words=1024;"
+                            "faults=node_down=7@0",
+                            &error))
+        << error;
+}
+
+TEST(GridParse, NumberFormsAreStrict)
+{
+    std::string error;
+    auto grid = Grid::parse("kind=exchange;machine=t3d;style=chained;"
+                            "x=1;y=1;words=1,1024;nodes=8,8192",
+                            &error);
+    ASSERT_TRUE(grid) << error;
+    std::vector<CellSpec> cells = grid->cells();
+    ASSERT_EQ(cells.size(), 4u);
+    EXPECT_EQ(cells[0].words, 1u);
+    EXPECT_EQ(cells[0].nodes, 8);
+    EXPECT_EQ(cells[3].words, 1024u);
+    EXPECT_EQ(cells[3].nodes, 8192);
+    auto scale = Grid::parse("nodes:64..8192", &error);
+    ASSERT_TRUE(scale) << error;
+    EXPECT_EQ(scale->cells().size(), 16u);
+
+    // strtol/strtoull would accept a sign or a leading space.
+    for (const auto &[spec, token] :
+         std::vector<std::pair<const char *, const char *>>{
+             {"kind=copy;words=+64", "'+64'"},
+             {"kind=copy;words= 64", "' 64'"},
+             {"kind=exchange;nodes= 64", "' 64'"},
+             {"kind=exchange;nodes=+64", "'+64'"},
+             {"nodes:+8..16", "'+8..16'"},
+             {"nodes:8.. 16", "'8.. 16'"}}) {
+        EXPECT_FALSE(Grid::parse(spec, &error)) << spec;
+        EXPECT_NE(error.find(token), std::string::npos)
+            << spec << ": " << error;
+    }
+    // strtoull would wrap -1 to 2^64-1 and blame node RAM instead.
+    EXPECT_FALSE(Grid::parse("kind=exchange;machine=t3d;style=chained;"
+                             "x=1;y=1;words=-1",
+                             &error));
+    EXPECT_NE(error.find("bad word count '-1'"), std::string::npos)
+        << error;
+}
+
 TEST(GridParse, CellOrderIsMachineMajor)
 {
     std::string error;

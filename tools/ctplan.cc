@@ -62,12 +62,10 @@
  *      delivery, abandoned packets, validation tolerance miss)
  */
 
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -89,6 +87,7 @@
 #include "svc/service.h"
 #include "sweep/farm.h"
 #include "sweep/grid.h"
+#include "util/string_util.h"
 #include "util/table.h"
 
 namespace {
@@ -153,28 +152,6 @@ struct Invocation
 
 int usage(const std::string &error = "");
 
-/**
- * Strict decimal count in [min, max]: digits only, no sign, space or
- * suffix. Returns a diagnostic, empty on success.
- */
-template <typename T>
-std::string
-parseCount(const std::string &text, std::uint64_t min,
-           std::uint64_t max, T &out)
-{
-    std::uint64_t v = 0;
-    const char *end = text.data() + text.size();
-    auto [ptr, ec] = std::from_chars(text.data(), end, v);
-    if (ec == std::errc() && ptr == end && v >= min && v <= max) {
-        out = static_cast<T>(v);
-        return "";
-    }
-    if (max == std::numeric_limits<std::uint64_t>::max())
-        return "expected an integer >= " + std::to_string(min);
-    return "expected an integer in [" + std::to_string(min) + ", " +
-           std::to_string(max) + "]";
-}
-
 /** Parse the optional second positional, if given, as a count >= 1
  *  into @p out; false after a diagnostic. */
 template <typename T>
@@ -184,8 +161,7 @@ countArg(const Invocation &inv, const char *what, T &out)
     if (inv.args.size() < 2)
         return true;
     const std::string &text = inv.args[1];
-    std::string error = parseCount(
-        text, 1, std::numeric_limits<std::uint64_t>::max(), out);
+    std::string error = util::parseCount(text, 1, UINT64_MAX, out);
     if (!error.empty())
         usage(std::string("bad ") + what + " '" + text + "': " + error);
     return error.empty();
@@ -322,17 +298,21 @@ runSim(const Invocation &inv)
     P x = xy->first, y = xy->second;
 
     auto cfg = sim::configFor(inv.machine);
-    std::string unfit = rt::exchangeFitError(
-        cfg.node, x, y, words,
-        inv.transport == SimTransport::Packing ? 1 : 0);
-    if (!unfit.empty()) {
-        std::fprintf(stderr, "%s\n", unfit.c_str());
-        return kExitUsage;
-    }
     cfg.faults = inv.faults;
     cfg.chaos = inv.chaos;
     // 1 = serial: run the plain event loop, no engine constructed.
     cfg.threads = inv.threads == 1 ? 0 : inv.threads;
+    // Refuse outage targets the machine lacks and buffers that
+    // cannot fit node RAM before building anything.
+    std::string unfit = sim::machineConfigError(cfg);
+    if (unfit.empty())
+        unfit = rt::exchangeFitError(
+            cfg.node, x, y, words,
+            inv.transport == SimTransport::Packing ? 1 : 0);
+    if (!unfit.empty()) {
+        std::fprintf(stderr, "%s\n", unfit.c_str());
+        return kExitUsage;
+    }
     sim::Machine m(cfg);
 
     std::unique_ptr<obs::Tracer> tracer;
@@ -825,7 +805,7 @@ const Flag kFlags[] = {
     {"--adaptive", kSim, nullptr, store<&Invocation::adaptive>},
     {"--rounds", kSim, "N",
      [](const std::string &t, Invocation &inv) {
-         return parseCount(t, 1, 1 << 20, inv.rounds);
+         return util::parseCount(t, 1, 1 << 20, inv.rounds);
      }},
     {"--trace", kSim, "FILE", store<&Invocation::traceFile>},
     {"--trace-format", kSim, "chrome|jsonl",
@@ -860,28 +840,29 @@ const Flag kFlags[] = {
     {"--grid", kSweep, "SPEC", store<&Invocation::grid>},
     {"--nodes", kPlan, "N",
      [](const std::string &t, Invocation &inv) {
-         if (!parseCount(t, 8, 8192, inv.nodes).empty() ||
+         if (!util::parseCount(t, 8, 8192, inv.nodes).empty() ||
              !sim::validScaleNodes(inv.nodes))
              return std::string("expected a power of two in [8, 8192]");
          return std::string();
      }},
     {"--workers", kServe, "N",
      [](const std::string &t, Invocation &inv) {
-         return parseCount(t, 0, 256, inv.serve.workers);
+         return util::parseCount(t, 0, 256, inv.serve.workers);
      }},
     {"--queue", kServe, "N",
      [](const std::string &t, Invocation &inv) {
-         return parseCount(t, 1, 1 << 20, inv.serve.queueCapacity);
+         return util::parseCount(t, 1, 1 << 20,
+                                 inv.serve.queueCapacity);
      }},
     {"--cache", kServe, "N",
      [](const std::string &t, Invocation &inv) {
-         return parseCount(t, 1, 1 << 20, inv.serve.cacheCapacity);
+         return util::parseCount(t, 1, 1 << 20,
+                                 inv.serve.cacheCapacity);
      }},
     {"--default-budget", kServe, "N",
      [](const std::string &t, Invocation &inv) {
-         return parseCount(t, 0,
-                           std::numeric_limits<std::uint64_t>::max(),
-                           inv.serve.defaultBudget);
+         return util::parseCount(t, 0, UINT64_MAX,
+                                 inv.serve.defaultBudget);
      }},
     {"--svc-chaos", kServe, "SPEC",
      [](const std::string &t, Invocation &inv) {
