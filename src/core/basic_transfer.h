@@ -114,6 +114,9 @@ class ThroughputTable
     /** Number of recorded intra-node samples. */
     std::size_t sampleCount() const { return entries.size(); }
 
+    /** Same name and the same samples, compared exactly. */
+    bool operator==(const ThroughputTable &other) const = default;
+
   private:
     struct Key
     {
@@ -122,6 +125,7 @@ class ThroughputTable
         AccessPattern write;
 
         bool operator<(const Key &other) const;
+        bool operator==(const Key &other) const = default;
     };
 
     /**

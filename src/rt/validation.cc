@@ -27,29 +27,30 @@ crossValidate(ValidationOptions options)
         core::AccessPattern::indexed(),
     };
 
-    // Per-machine inputs, measured serially up front: the measured
-    // table is itself a simulation campaign, and the workers only
-    // ever read these (shared immutable state is fine; DESIGN.md
-    // §14).
+    // Per-machine inputs. The workers only ever read these (shared
+    // immutable state is fine; DESIGN.md §14).
     struct MachineCtx
     {
         sim::MachineConfig cfg;
         core::ThroughputTable table;
         core::ExecutionProfile profile;
     };
+    const std::vector<sim::MachineConfig> configs = {
+        sim::configFor(core::MachineId::T3d),
+        sim::configFor(core::MachineId::Paragon)};
+    sweep::Farm farm({options.threads, 0});
+    // Feed the model the simulator-measured basic-transfer table,
+    // exactly as the paper feeds measured figures into the model:
+    // the comparison then tests the *composition rules*, not the
+    // table values. Both machines' campaigns run as one batch on the
+    // farm, and each table comes out as sim::measuredTable() would
+    // build it.
+    std::vector<core::ThroughputTable> tables =
+        sim::measuredTables(configs, farm);
     std::vector<MachineCtx> machines;
-    for (core::MachineId id :
-         {core::MachineId::T3d, core::MachineId::Paragon}) {
-        sim::MachineConfig cfg = sim::configFor(id);
-        // Feed the model the simulator-measured basic-transfer table,
-        // exactly as the paper feeds measured figures into the model:
-        // the comparison then tests the *composition rules*, not the
-        // table values.
-        core::ThroughputTable table = sim::measuredTable(cfg);
-        core::ExecutionProfile profile = executionProfileFor(cfg);
-        machines.push_back(
-            {std::move(cfg), std::move(table), profile});
-    }
+    for (std::size_t mi = 0; mi < configs.size(); ++mi)
+        machines.push_back({configs[mi], std::move(tables[mi]),
+                            executionProfileFor(configs[mi])});
 
     // Expand the full cell list before anything runs, so the merged
     // report is a pure function of the grid (never of the schedule).
@@ -82,7 +83,6 @@ crossValidate(ValidationOptions options)
     // Each cell builds its own backends from the shared read-only
     // inputs; results land in canonical cell order regardless of the
     // steal schedule.
-    sweep::Farm farm({options.threads, 0});
     auto cells = farm.map<std::optional<ValidationCell>>(
         pending.size(),
         [&](std::size_t i, int) -> std::optional<ValidationCell> {

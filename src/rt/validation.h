@@ -31,9 +31,11 @@ struct ValidationOptions
     /** Per-cell |model - sim| / sim gate, in percent. */
     double tolerancePct = 15.0;
     /**
-     * Sweep-farm workers running the cells (0 = serial inline).
-     * Every cell builds its backends privately, so the report is
-     * byte-identical for every thread count (DESIGN.md §14).
+     * Sweep-farm workers running both machines' measurement
+     * campaigns and then the cells (0 = serial inline, no thread
+     * spawned). Every measurement and every cell builds its own
+     * simulator state, so the report is byte-identical for every
+     * thread count (DESIGN.md §14).
      */
     int threads = 0;
 };

@@ -134,7 +134,7 @@ makeFlow(sim::Machine &machine, NodeId src, NodeId dst,
 Bytes
 pairExchangeNodeBytes(AccessPattern x, AccessPattern y,
                       std::uint64_t words, Bytes alloc_skew,
-                      int staging_buffers)
+                      std::uint64_t ring_sets)
 {
     // pairExchange() runs makeFlow() for a -> b, then b -> a, so node
     // a allocates its send walk, the replica of b's index array and
@@ -151,10 +151,8 @@ pairExchangeNodeBytes(AccessPattern x, AccessPattern y,
     b.walk(x, send);
     if (y.isIndexed())
         b.alloc(recv.index);
-    // The packing layer gives each node one ring per direction, and
-    // PVM a second one for its system-buffer copy.
-    int rings = 2 * std::clamp(staging_buffers, 0, 2);
-    for (int i = 0; i < rings; ++i) {
+    // A layer run gives each node one ring per direction per set.
+    for (std::uint64_t i = 0; i < 2 * ring_sets; ++i) {
         a.alloc(layerRingBytes);
         b.alloc(layerRingBytes);
     }
@@ -162,12 +160,21 @@ pairExchangeNodeBytes(AccessPattern x, AccessPattern y,
 }
 
 std::string
-exchangeFitError(const sim::NodeConfig &node, AccessPattern x,
+exchangeFitError(const sim::MachineConfig &cfg, AccessPattern x,
                  AccessPattern y, std::uint64_t words,
-                 int staging_buffers)
+                 const ExchangeLayers &layers)
 {
+    std::uint64_t per_run = static_cast<std::uint64_t>(
+        std::clamp(layers.stagingBuffers, 0, 2));
+    if (layers.degradeToPacking && cfg.faults.engineFail > 0.0)
+        per_run += 1;
+    // A round with no words to move builds no layer.
+    std::uint64_t runs = std::min<std::uint64_t>(
+        static_cast<std::uint64_t>(layers.rounds),
+        std::max<std::uint64_t>(words, 1));
+    const sim::NodeConfig &node = cfg.node;
     Bytes need = pairExchangeNodeBytes(x, y, words, node.ramAllocSkew,
-                                       staging_buffers);
+                                       runs * per_run);
     if (need <= node.ramBytes)
         return {};
     return std::to_string(words) + " words of " + x.label() + "Q" +

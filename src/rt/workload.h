@@ -39,28 +39,50 @@ sim::PatternWalk allocWalk(sim::Node &node, core::AccessPattern p,
 
 /**
  * Bytes of node memory a pairExchange() of @p words elements x -> y
- * reaches on its busiest node: the walks it allocates plus, for a
- * program with @p staging_buffers >= 1, the packing layer's staging
- * rings (PVM's system copies at >= 2), replayed through
+ * reaches on its busiest node: the walks it allocates plus
+ * @p ring_sets sets of message-layer staging rings (a set is one
+ * ring per direction on each node), replayed through
  * NodeRam::alloc()'s alignment and @p alloc_skew padding. Saturates
- * instead of wrapping. Rings that a run allocates later (a reliable
- * transport's degradation fallback, adaptive rounds) are not counted.
+ * instead of wrapping.
  */
 sim::Bytes pairExchangeNodeBytes(core::AccessPattern x,
                                  core::AccessPattern y,
                                  std::uint64_t words,
                                  sim::Bytes alloc_skew,
-                                 int staging_buffers);
+                                 std::uint64_t ring_sets);
 
 /**
- * Empty if pairExchangeNodeBytes() fits @p node's RAM; otherwise a
- * one-line reason naming the word count and the node RAM, for
- * callers that refuse such a run before building a machine.
+ * The message-layer runs an exchange makes on one machine, as far as
+ * node memory goes: every layer run allocates its staging rings
+ * anew, and nothing is freed until the machine is.
  */
-std::string exchangeFitError(const sim::NodeConfig &node,
+struct ExchangeLayers
+{
+    /** Ring sets one layer run allocates: 0 chained, 1 buffer
+     *  packing, 2 PVM (TransferProgram::stagingBuffers). */
+    int stagingBuffers = 0;
+    /** A ReliableLayer that re-runs the exchange through buffer
+     *  packing, one more ring set, when the deposit engine dies
+     *  (ReliableOptions::degradeToPacking). */
+    bool degradeToPacking = false;
+    /** Layer runs: 1 static; under the resilience controller one
+     *  per round that carries words, each a fresh layer. */
+    int rounds = 1;
+};
+
+/**
+ * Empty if a pairExchange() of @p words elements x -> y, run by
+ * @p layers, fits @p cfg's node RAM; otherwise a one-line reason
+ * naming the word count and the node RAM, for callers that refuse
+ * such a run before building a machine. A degradable layer counts
+ * its fallback ring set only when @p cfg's fault spec can kill the
+ * deposit engine (engine_fail > 0), so fault-free runs size as
+ * before.
+ */
+std::string exchangeFitError(const sim::MachineConfig &cfg,
                              core::AccessPattern x,
                              core::AccessPattern y, std::uint64_t words,
-                             int staging_buffers);
+                             const ExchangeLayers &layers);
 
 /**
  * Replicate the index array of @p walk into @p node's memory (the

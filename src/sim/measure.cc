@@ -4,6 +4,7 @@
 #include <array>
 #include <initializer_list>
 
+#include "sweep/farm.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -281,45 +282,122 @@ measureNetwork(const MachineConfig &cfg, Framing framing,
                         cfg.clockHz);
 }
 
-core::ThroughputTable
-measuredTable(const MachineConfig &cfg)
+namespace {
+
+/**
+ * One measurement of the campaign, as a plain value: the basic
+ * transfer to time (its op and access patterns) and, for Nd / Nadp,
+ * the congestion factor. The framing follows the op: Nd sends
+ * data-only packets, Nadp address-data pairs.
+ */
+struct Measurement
+{
+    core::BasicTransfer transfer;
+    /** Flows sharing the middle link; network ops only. */
+    int congestion = 1;
+};
+
+/**
+ * The campaign in recording order, the same list for every machine:
+ * per pattern the local copies (one side varied at a time, like
+ * Table 1), xS0, 0Ry and 0Dy; then 1F0; then Nd and Nadp at
+ * congestion 1, 2 and 4.
+ */
+std::vector<Measurement>
+measurementCampaign()
 {
     using P = AccessPattern;
-    core::ThroughputTable table;
-    table.setMachineName(cfg.name + " (sim)");
-
     const std::uint32_t strides[] = {1, 2, 4, 8, 16, 32, 64};
     std::vector<P> patterns;
     for (std::uint32_t s : strides)
         patterns.push_back(P::strided(s));
     patterns.push_back(P::indexed());
 
+    std::vector<Measurement> campaign;
     for (const P &p : patterns) {
-        // Local copies: vary one side at a time, like Table 1.
-        table.set(core::localCopy(P::contiguous(), p),
-                  measureLocalCopy(cfg, P::contiguous(), p));
+        campaign.push_back({core::localCopy(P::contiguous(), p)});
         if (!p.isContiguous())
-            table.set(core::localCopy(p, P::contiguous()),
-                      measureLocalCopy(cfg, p, P::contiguous()));
-
-        table.set(core::loadSend(p), measureLoadSend(cfg, p));
-        if (auto r = measureReceiveStore(cfg, p))
-            table.set(core::receiveStore(p), *r);
-        if (auto d = measureReceiveDeposit(cfg, p))
-            table.set(core::receiveDeposit(p), *d);
+            campaign.push_back({core::localCopy(p, P::contiguous())});
+        campaign.push_back({core::loadSend(p)});
+        campaign.push_back({core::receiveStore(p)});
+        campaign.push_back({core::receiveDeposit(p)});
     }
-    if (auto f = measureFetchSend(cfg))
-        table.set(core::fetchSend(P::contiguous()), *f);
-
+    campaign.push_back({core::fetchSend(P::contiguous())});
     for (int congestion : {1, 2, 4}) {
-        table.setNetwork(
-            core::TransferOp::NetData, congestion,
-            measureNetwork(cfg, Framing::DataOnly, congestion));
-        table.setNetwork(
-            core::TransferOp::NetAddrData, congestion,
-            measureNetwork(cfg, Framing::AddrDataPair, congestion));
+        campaign.push_back({core::netData(), congestion});
+        campaign.push_back({core::netAddrData(), congestion});
     }
-    return table;
+    return campaign;
+}
+
+/** Time one measurement; nullopt when the machine lacks the
+ *  transfer (no DMA, no co-processor, a pattern the deposit engine
+ *  refuses). */
+std::optional<util::MBps>
+runMeasurement(const MachineConfig &cfg, const Measurement &m)
+{
+    const core::BasicTransfer &t = m.transfer;
+    switch (t.op) {
+      case core::TransferOp::LocalCopy:
+        return measureLocalCopy(cfg, t.read, t.write);
+      case core::TransferOp::LoadSend:
+        return measureLoadSend(cfg, t.read);
+      case core::TransferOp::FetchSend:
+        return measureFetchSend(cfg);
+      case core::TransferOp::ReceiveStore:
+        return measureReceiveStore(cfg, t.write);
+      case core::TransferOp::ReceiveDeposit:
+        return measureReceiveDeposit(cfg, t.write);
+      case core::TransferOp::NetData:
+        return measureNetwork(cfg, Framing::DataOnly, m.congestion);
+      case core::TransferOp::NetAddrData:
+        return measureNetwork(cfg, Framing::AddrDataPair,
+                              m.congestion);
+    }
+    util::panic("runMeasurement: bad op");
+}
+
+/** Record one rate into @p table; nullopt leaves the transfer
+ *  absent. */
+void
+record(core::ThroughputTable &table, const Measurement &m,
+       const std::optional<util::MBps> &rate)
+{
+    if (!rate)
+        return;
+    if (core::isNetworkOp(m.transfer.op))
+        table.setNetwork(m.transfer.op, m.congestion, *rate);
+    else
+        table.set(m.transfer, *rate);
+}
+
+} // namespace
+
+core::ThroughputTable
+measuredTable(const MachineConfig &cfg)
+{
+    sweep::Farm serial({0, 0});
+    return std::move(measuredTables({&cfg, 1}, serial).front());
+}
+
+std::vector<core::ThroughputTable>
+measuredTables(std::span<const MachineConfig> configs,
+               sweep::Farm &farm)
+{
+    const std::vector<Measurement> campaign = measurementCampaign();
+    const std::size_t n = campaign.size();
+    auto rates = farm.map<std::optional<util::MBps>>(
+        configs.size() * n, [&](std::size_t i, int) {
+            return runMeasurement(configs[i / n], campaign[i % n]);
+        });
+    // Record in campaign order, whichever worker measured what.
+    std::vector<core::ThroughputTable> tables(configs.size());
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        tables[c].setMachineName(configs[c].name + " (sim)");
+        for (std::size_t j = 0; j < n; ++j)
+            record(tables[c], campaign[j], rates[c * n + j]);
+    }
+    return tables;
 }
 
 } // namespace ct::sim

@@ -11,9 +11,15 @@
 #define CT_SIM_MEASURE_H
 
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "core/basic_transfer.h"
 #include "sim/machine.h"
+
+namespace ct::sweep {
+class Farm;
+}
 
 namespace ct::sim {
 
@@ -80,11 +86,24 @@ util::MBps measureNetwork(const MachineConfig &cfg, Framing framing,
                           std::uint64_t words_per_flow = measureWords);
 
 /**
- * Run the whole campaign: strides 1..64, indexed patterns, all
- * engines, network at congestion 1/2/4. The result mirrors the
+ * Run the whole campaign serially: strides 1..64, indexed patterns,
+ * all engines, network at congestion 1/2/4. The result mirrors the
  * structure of core::paperTable() with simulator-measured values.
  */
 core::ThroughputTable measuredTable(const MachineConfig &cfg);
+
+/**
+ * The campaign of every config in @p configs, measured as one batch
+ * on @p farm (measuredTable() is this on an inline farm). Each
+ * measurement is a pure function of its config and its place in the
+ * campaign -- it builds its own Node or Machine -- and the results
+ * are recorded in campaign order, so entry i equals
+ * measuredTable(configs[i]) bit for bit whatever the worker count
+ * or steal schedule (DESIGN.md §14).
+ */
+std::vector<core::ThroughputTable>
+measuredTables(std::span<const MachineConfig> configs,
+               sweep::Farm &farm);
 
 } // namespace ct::sim
 

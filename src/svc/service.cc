@@ -519,9 +519,9 @@ PlanService::handleSim(const Request &request)
 
     core::TransferProgram program =
         core::withReliability(base);
-    std::string unfit =
-        rt::exchangeFitError(cfg.node, program.x, program.y,
-                             request.words, program.stagingBuffers);
+    std::string unfit = rt::exchangeFitError(
+        cfg, program.x, program.y, request.words,
+        {program.stagingBuffers, program.reliable});
     if (!unfit.empty()) {
         // Refused before a machine is built: the service keeps
         // answering instead of dying in the node allocator.

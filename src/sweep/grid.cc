@@ -211,8 +211,11 @@ cellFitError(const CellSpec &spec)
         core::buildProgram(spec.machine, spec.style, spec.x, spec.y);
     if (!program)
         return {};
-    return rt::exchangeFitError(cfg.node, spec.x, spec.y, spec.words,
-                                program->stagingBuffers);
+    // Faulted cells run the reliable transport (runCell), which
+    // degrades to buffer packing if the deposit engine dies.
+    return rt::exchangeFitError(
+        cfg, spec.x, spec.y, spec.words,
+        {program->stagingBuffers, spec.faults.any()});
 }
 
 std::optional<Grid>

@@ -1,5 +1,7 @@
 #include "logging.h"
 
+#include <cstdio>
+
 namespace ct::util {
 
 namespace {
@@ -22,17 +24,33 @@ setLogLevel(LogLevel level)
 
 namespace detail {
 
+namespace {
+
+/**
+ * Write "tag: msg\n" to stderr as one fwrite. stdio locks the stream
+ * for the whole call, so lines from concurrent threads (farm
+ * workers warning at once) never interleave mid-line.
+ */
+void
+writeLine(const char *tag, const std::string &msg)
+{
+    std::string line = std::string(tag) + ": " + msg + "\n";
+    std::fwrite(line.data(), 1, line.size(), stderr);
+}
+
+} // namespace
+
 void
 fatalExit(const std::string &msg)
 {
-    std::cerr << "fatal: " << msg << std::endl;
+    writeLine("fatal", msg);
     std::exit(1);
 }
 
 void
 panicAbort(const std::string &msg)
 {
-    std::cerr << "panic: " << msg << std::endl;
+    writeLine("panic", msg);
     std::abort();
 }
 
@@ -40,7 +58,7 @@ void
 emit(LogLevel level, const char *tag, const std::string &msg)
 {
     if (static_cast<int>(level) <= static_cast<int>(globalLevel))
-        std::cerr << tag << ": " << msg << std::endl;
+        writeLine(tag, msg);
 }
 
 } // namespace detail

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/style_registry.h"
+#include "rt/resilience.h"
 #include "rt/sim_backend.h"
 #include "rt/workload.h"
 
@@ -122,9 +123,9 @@ expectExactFootprint(sim::MachineConfig cfg, P x, P y,
         auto op = pairExchange(m, x, y, words);
         EXPECT_EQ(op.flows.size(), 2u);
     }
-    EXPECT_TRUE(exchangeFitError(cfg.node, x, y, words, 0).empty());
+    EXPECT_TRUE(exchangeFitError(cfg, x, y, words, {}).empty());
     cfg.node.ramBytes = need - 1;
-    EXPECT_FALSE(exchangeFitError(cfg.node, x, y, words, 0).empty());
+    EXPECT_FALSE(exchangeFitError(cfg, x, y, words, {}).empty());
     EXPECT_EXIT(
         {
             sim::Machine m(cfg);
@@ -178,14 +179,111 @@ TEST(ExchangeFit, RefusesTheOversizedT3dExchangeNamingWordsAndRam)
 {
     // Two 32 MiB buffers plus padding on a 64 MiB T3D node.
     std::string why = exchangeFitError(
-        sim::t3dNodeConfig(), P::contiguous(), P::contiguous(),
-        4194304, 0);
+        sim::t3dConfig(), P::contiguous(), P::contiguous(), 4194304,
+        {});
     EXPECT_NE(why.find("4194304 words"), std::string::npos) << why;
     EXPECT_NE(why.find("67108864"), std::string::npos) << why;
     // A little less fits.
-    EXPECT_TRUE(exchangeFitError(sim::t3dNodeConfig(), P::contiguous(),
-                                 P::contiguous(), 4194304 - 1024, 0)
+    EXPECT_TRUE(exchangeFitError(sim::t3dConfig(), P::contiguous(),
+                                 P::contiguous(), 4194304 - 1024, {})
                     .empty());
+}
+
+// A reliable run that loses its deposit engine re-runs the exchange
+// through buffer packing, whose rings come on top of the walks.
+
+TEST(ExchangeFit, DegradableRunsCountTheirFallbackRingSet)
+{
+    const P x = P::contiguous(), y = P::strided(2);
+    const std::uint64_t words = 256;
+    auto program =
+        core::buildProgram(core::MachineId::T3d, "chained", x, y);
+    ASSERT_TRUE(program);
+    ASSERT_EQ(program->stagingBuffers, 0);
+    const core::TransferProgram reliable =
+        core::withReliability(*program);
+    const ExchangeLayers layers{0, true};
+
+    sim::MachineConfig cfg = sim::t3dConfig({2, 1, 1});
+    const sim::Bytes walks_only = pairExchangeNodeBytes(
+        x, y, words, cfg.node.ramAllocSkew, 0);
+    cfg.node.ramBytes = walks_only;
+    // Fault-free, nothing can degrade: the walks alone must fit.
+    EXPECT_TRUE(exchangeFitError(cfg, x, y, words, layers).empty());
+
+    cfg.faults = sim::FaultSpec::parse("engine_fail=1");
+    EXPECT_FALSE(exchangeFitError(cfg, x, y, words, layers).empty());
+    cfg.node.ramBytes = pairExchangeNodeBytes(
+        x, y, words, cfg.node.ramAllocSkew, 1);
+    EXPECT_TRUE(exchangeFitError(cfg, x, y, words, layers).empty());
+    SimRun run = SimBackend(cfg).exchange(reliable, words);
+    EXPECT_TRUE(run.result.degraded);
+    EXPECT_EQ(run.corruptWords, 0u);
+    cfg.node.ramBytes -= 1;
+    EXPECT_FALSE(exchangeFitError(cfg, x, y, words, layers).empty());
+    EXPECT_EXIT(SimBackend(cfg).exchange(reliable, words),
+                testing::ExitedWithCode(1), "out of memory");
+}
+
+TEST(ExchangeFit, AdaptiveRoundsEachCountTheirRingsAndFallback)
+{
+    // Each round builds a fresh layer on the same machine. Once the
+    // deposit engine is dead, a packing round degrades too and runs
+    // a second packing layer, so a round can hold two ring sets.
+    const P x = P::contiguous(), y = P::strided(2);
+    const std::uint64_t words = 4096;
+    const int rounds = 4;
+    const ExchangeLayers layers{1, true, rounds};
+    sim::MachineConfig cfg = sim::t3dConfig({2, 1, 1});
+    cfg.faults = sim::FaultSpec::parse("engine_fail=1");
+    cfg.node.ramBytes = pairExchangeNodeBytes(
+        x, y, words, cfg.node.ramAllocSkew, 2 * rounds);
+    EXPECT_TRUE(exchangeFitError(cfg, x, y, words, layers).empty());
+    {
+        sim::Machine m(cfg);
+        CommOp op = pairExchange(m, x, y, words);
+        ResilienceController controller(cfg, x, y);
+        AdaptiveResult ar =
+            runAdaptiveExchange(m, op, controller, rounds);
+        EXPECT_TRUE(ar.degraded);
+        EXPECT_EQ(ar.corruptWords, 0u);
+    }
+    cfg.node.ramBytes -= 1;
+    EXPECT_FALSE(exchangeFitError(cfg, x, y, words, layers).empty());
+
+    // A round with no words builds no layer: 2 words in 2^20 rounds
+    // are at most 2 layer runs.
+    const ExchangeLayers many{1, true, 1 << 20};
+    cfg.node.ramBytes =
+        pairExchangeNodeBytes(x, y, 2, cfg.node.ramAllocSkew, 2 * 2);
+    EXPECT_TRUE(exchangeFitError(cfg, x, y, 2, many).empty());
+    cfg.node.ramBytes -= 1;
+    EXPECT_FALSE(exchangeFitError(cfg, x, y, 2, many).empty());
+}
+
+TEST(ExchangeFit, EngineFailureLowersTheT3dThresholds)
+{
+    // 1Q2 on a 64 MiB T3D node. Fault-free, 2796156 words is the
+    // largest count that fits, as before; a dying deposit engine
+    // adds the fallback's ring set, and under the controller every
+    // round adds its own.
+    const P x = P::contiguous(), y = P::strided(2);
+    sim::MachineConfig cfg = sim::t3dConfig();
+    auto fits = [&](std::uint64_t words, ExchangeLayers layers) {
+        return exchangeFitError(cfg, x, y, words, layers).empty();
+    };
+    EXPECT_TRUE(fits(2796156, {0, true}));
+    EXPECT_FALSE(fits(2796157, {0, true}));
+
+    cfg.faults = sim::FaultSpec::parse("engine_fail=1");
+    EXPECT_FALSE(fits(2796156, {0, true}));
+    EXPECT_TRUE(fits(2795898, {0, true}));
+    EXPECT_FALSE(fits(2795899, {0, true}));
+    EXPECT_TRUE(fits(2796156, {0, false})); // raw chained: no fallback
+
+    EXPECT_FALSE(fits(2795800, {1, true, 4}));
+    EXPECT_TRUE(fits(2794068, {1, true, 4}));
+    EXPECT_FALSE(fits(2794069, {1, true, 4}));
 }
 
 TEST(ExchangeFit, ByteSizesSaturateInsteadOfWrapping)
@@ -199,8 +297,8 @@ TEST(ExchangeFit, ByteSizesSaturateInsteadOfWrapping)
     EXPECT_EQ(pairExchangeNodeBytes(P::contiguous(), P::contiguous(),
                                     words, 1056, 0),
               ~sim::Bytes{0});
-    EXPECT_FALSE(exchangeFitError(sim::t3dNodeConfig(), P::contiguous(),
-                                  P::contiguous(), words, 0)
+    EXPECT_FALSE(exchangeFitError(sim::t3dConfig(), P::contiguous(),
+                                  P::contiguous(), words, {})
                      .empty());
 }
 

@@ -149,6 +149,31 @@ TEST(PlanService, OversizedSimIsRefusedInBandAndServiceKeepsAnswering)
     EXPECT_EQ(out.responses[3].fidelity, svc::Fidelity::Exact);
 }
 
+TEST(PlanService, SimThatCannotFitItsDegradationIsRefusedInBand)
+{
+    // 2796156 words of 1Q2 fit a T3D node fault-free. With a dying
+    // deposit engine the reliable transport falls back to buffer
+    // packing, whose rings no longer fit: built, the sim dies in the
+    // node allocator and takes the service down with the next line.
+    Collector out;
+    svc::PlanService service(syncOptions(), out.sink());
+    service.submit(R"({"id":1,"op":"sim","machine":"t3d","xqy":"1Q2",)"
+                   R"("words":2796156,"faults":"engine_fail=1",)"
+                   R"("budget":100000000})");
+    service.submit(R"({"id":2,"op":"health"})");
+    service.stop();
+
+    ASSERT_EQ(out.responses.size(), 2u);
+    const svc::ServiceResponse &refused = out.responses[0];
+    EXPECT_EQ(refused.id, 1u);
+    EXPECT_EQ(refused.status, svc::Status::Error);
+    EXPECT_EQ(refused.fidelity, svc::Fidelity::None);
+    EXPECT_NE(refused.line.find("2796156 words"), std::string::npos)
+        << refused.line;
+    EXPECT_EQ(out.responses[1].id, 2u);
+    EXPECT_EQ(out.responses[1].status, svc::Status::Ok);
+}
+
 TEST(PlanService, OutageTargetsTheMachineLacksAreRefusedInBand)
 {
     // Built, each of these machines fatal()s in its constructor and

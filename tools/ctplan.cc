@@ -302,13 +302,22 @@ runSim(const Invocation &inv)
     cfg.chaos = inv.chaos;
     // 1 = serial: run the plain event loop, no engine constructed.
     cfg.threads = inv.threads == 1 ? 0 : inv.threads;
+    // The staging rings the run can allocate: buffer packing's, and
+    // the reliable transport's packing fallback if the deposit
+    // engine dies. Every adaptive round builds a fresh reliable
+    // layer of the controller's style, chained or buffer packing.
+    rt::ExchangeLayers layers;
+    if (inv.adaptive)
+        layers = {1, true, inv.rounds};
+    else if (inv.transport == SimTransport::Packing)
+        layers.stagingBuffers = 1;
+    else if (inv.transport == SimTransport::Reliable)
+        layers.degradeToPacking = true;
     // Refuse outage targets the machine lacks and buffers that
     // cannot fit node RAM before building anything.
     std::string unfit = sim::machineConfigError(cfg);
     if (unfit.empty())
-        unfit = rt::exchangeFitError(
-            cfg.node, x, y, words,
-            inv.transport == SimTransport::Packing ? 1 : 0);
+        unfit = rt::exchangeFitError(cfg, x, y, words, layers);
     if (!unfit.empty()) {
         std::fprintf(stderr, "%s\n", unfit.c_str());
         return kExitUsage;
