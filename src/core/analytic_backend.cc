@@ -58,12 +58,25 @@ AnalyticBackend::AnalyticBackend(ThroughputTable table,
         util::fatal("AnalyticBackend: profile needs a clock");
 }
 
-AnalyticBackend
+const AnalyticBackend &
 paperBackend(MachineId id)
 {
-    ExecutionProfile profile;
-    profile.clockHz = paperCaps(id).clockHz;
-    return AnalyticBackend(paperTable(id), profile);
+    auto build = [id] {
+        ExecutionProfile profile;
+        profile.clockHz = paperCaps(id).clockHz;
+        return AnalyticBackend(paperTable(id), profile);
+    };
+    switch (id) {
+      case MachineId::T3d: {
+        static const AnalyticBackend backend = build();
+        return backend;
+      }
+      case MachineId::Paragon: {
+        static const AnalyticBackend backend = build();
+        return backend;
+      }
+    }
+    util::panic("paperBackend: bad id");
 }
 
 std::optional<util::MBps>

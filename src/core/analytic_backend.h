@@ -148,9 +148,11 @@ class AnalyticBackend
  * The backend the §5 planner ranks styles with: the paper's throughput
  * table and the machine's clock. It carries no execution profile, so
  * it serves rate() and costModel(); the execution-aware predictors
- * need a profile from rt::executionProfileFor().
+ * need a profile from rt::executionProfileFor(). A process-wide
+ * immutable backend per machine, built on first use and shared by
+ * every caller (panics on a bad id).
  */
-AnalyticBackend paperBackend(MachineId id);
+const AnalyticBackend &paperBackend(MachineId id);
 
 } // namespace ct::core
 

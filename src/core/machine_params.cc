@@ -195,14 +195,18 @@ machineName(MachineId id)
     util::panic("machineName: bad id");
 }
 
-ThroughputTable
+const ThroughputTable &
 paperTable(MachineId id)
 {
     switch (id) {
-      case MachineId::T3d:
-        return t3dTable();
-      case MachineId::Paragon:
-        return paragonTable();
+      case MachineId::T3d: {
+        static const ThroughputTable table = t3dTable();
+        return table;
+      }
+      case MachineId::Paragon: {
+        static const ThroughputTable table = paragonTable();
+        return table;
+      }
     }
     util::panic("paperTable: bad id");
 }

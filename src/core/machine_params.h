@@ -70,8 +70,12 @@ struct MachineCaps
     double clockHz = 0.0;
 };
 
-/** The paper's measured basic-transfer throughputs for a machine. */
-ThroughputTable paperTable(MachineId id);
+/**
+ * The paper's measured basic-transfer throughputs for a machine: a
+ * process-wide immutable table per machine, built on first use and
+ * shared by every caller (panics on a bad id).
+ */
+const ThroughputTable &paperTable(MachineId id);
 
 /** The paper's description of a machine's hardware capabilities. */
 MachineCaps paperCaps(MachineId id);

@@ -13,7 +13,7 @@ namespace ct::core {
 std::vector<PlannedStrategy>
 plan(const PlanQuery &query)
 {
-    AnalyticBackend backend = paperBackend(query.machine);
+    const AnalyticBackend &backend = paperBackend(query.machine);
     MachineCaps caps = paperCaps(query.machine);
     double congestion = query.congestion > 0.0 ? query.congestion
                                                : caps.defaultCongestion;
@@ -52,7 +52,7 @@ std::vector<SizedPlan>
 planForSize(MachineId machine, AccessPattern x, AccessPattern y,
             util::Bytes message_bytes)
 {
-    AnalyticBackend backend = paperBackend(machine);
+    const AnalyticBackend &backend = paperBackend(machine);
     double congestion = paperCaps(machine).defaultCongestion;
     std::vector<SizedPlan> result;
     for (const StyleInfo &info : styleRegistry()) {

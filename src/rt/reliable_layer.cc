@@ -513,10 +513,17 @@ ReliableLayer::run(sim::Machine &machine, const CommOp &op)
 
     RunResult result = inner->run(machine, op);
 
+    // The ADP-datapath flag is sticky and machine-wide, so it also
+    // reads true in every later run on this machine. Buffer packing
+    // (and PVM, which lowers to it) deposits only contiguous blocks:
+    // a dead ADP datapath cannot have stopped it, and rerunning it
+    // through packing would only pay the round twice.
     bool engine_failed = false;
-    for (NodeId n = 0; n < machine.nodeCount(); ++n)
-        engine_failed |=
-            machine.node(n).depositEngine().adpFailed();
+    if (!dynamic_cast<const PackingLayer *>(inner.get())) {
+        for (NodeId n = 0; n < machine.nodeCount(); ++n)
+            engine_failed |=
+                machine.node(n).depositEngine().adpFailed();
+    }
 
     if (engine_failed && opts.degradeToPacking) {
         // The wrapped layer lost its deposit engine mid-step. Re-run

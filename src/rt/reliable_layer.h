@@ -21,7 +21,9 @@
  * (xC1 o (1S0 || Nd || 0D1) o 1Cy), which only needs contiguous
  * deposits. The result is flagged `degraded` and the downgrade is
  * logged; the makespan includes both the aborted chained phase and
- * the packing recovery.
+ * the packing recovery. A wrapped layer that already is buffer
+ * packing never degrades: it needs no ADP datapath, so a machine
+ * whose engine died in an earlier run runs it once, as is.
  */
 
 #ifndef CT_RT_RELIABLE_LAYER_H

@@ -63,7 +63,11 @@ struct ExchangeLayers
     int stagingBuffers = 0;
     /** A ReliableLayer that re-runs the exchange through buffer
      *  packing, one more ring set, when the deposit engine dies
-     *  (ReliableOptions::degradeToPacking). */
+     *  (ReliableOptions::degradeToPacking). Counted for every
+     *  round, although a round whose layer already is buffer
+     *  packing never degrades: the check runs before the controller
+     *  picks any round's style, and a later round can still pick a
+     *  deposit style. */
     bool degradeToPacking = false;
     /** Layer runs: 1 static; under the resilience controller one
      *  per round that carries words, each a fresh layer. */

@@ -1,7 +1,5 @@
 #include "svc/plan_cache.h"
 
-#include <algorithm>
-
 #include "util/crc32c.h"
 #include "util/logging.h"
 
@@ -35,11 +33,11 @@ PlanCache::lookup(const std::string &key)
         // A corrupt hit is a miss, never data: drop the entry so the
         // recomputed answer replaces it.
         ++counters.corruptHits;
+        recency.erase(it->second.pos);
         entries.erase(it);
-        insertionOrder.erase(std::find(insertionOrder.begin(),
-                                       insertionOrder.end(), key));
         return std::nullopt;
     }
+    recency.splice(recency.begin(), recency, it->second.pos);
     ++counters.hits;
     return it->second.payload;
 }
@@ -50,20 +48,22 @@ PlanCache::insert(const std::string &key, const std::string &payload)
     std::lock_guard<std::mutex> lock(mu);
     auto it = entries.find(key);
     if (it != entries.end()) {
-        // Overwrite in place (refreshing a dropped-corrupt or stale
-        // entry); insertion order keeps the original slot.
+        // Overwrite in place (refreshing a stale entry); the write
+        // is a use, so the entry also becomes the most recent.
         it->second.payload = payload;
         it->second.crc = stamp(key, payload);
+        recency.splice(recency.begin(), recency, it->second.pos);
         ++counters.insertions;
         return;
     }
-    while (entries.size() >= cap) {
-        entries.erase(insertionOrder.front());
-        insertionOrder.pop_front();
+    if (entries.size() >= cap) {
+        entries.erase(recency.back());
+        recency.pop_back();
         ++counters.evictions;
     }
-    entries.emplace(key, Entry{payload, stamp(key, payload)});
-    insertionOrder.push_back(key);
+    recency.push_front(key);
+    entries.emplace(key,
+                    Entry{payload, stamp(key, payload), recency.begin()});
     ++counters.insertions;
 }
 

@@ -4,6 +4,10 @@
 #include <sstream>
 #include <thread>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "core/analytic_backend.h"
 #include "core/planner.h"
 #include "core/machine_params.h"
@@ -116,6 +120,21 @@ analyticRateFor(const Request &req,
             analytic.predictRate(program, env.congestion))
         return *rate;
     return 0.0;
+}
+
+/**
+ * Hand the heap memory of machines that were just destroyed back to
+ * the OS. glibc keeps freed memory in the malloc arena of the thread
+ * that allocated it, so without this every worker stays resident at
+ * the largest simulation it ever ran, and the service's resident size
+ * depends on which worker happened to miss on which sim key.
+ */
+void
+releaseFreedMemory()
+{
+#if defined(__GLIBC__)
+    malloc_trim(0);
+#endif
 }
 
 } // namespace
@@ -534,6 +553,7 @@ PlanService::handleSim(const Request &request)
     rt::SimBackend backend(cfg);
     backend.setEventBudget(budget);
     rt::SimRun run = backend.exchange(program, request.words);
+    releaseFreedMemory();
 
     w.field("layer", run.layerName)
         .field("events", run.eventsExecuted)
@@ -576,6 +596,7 @@ PlanService::handleValidate(const Request &request)
             return finish(request, status, fidelity, fragment, "");
     }
     rt::ValidationReport report = rt::crossValidate();
+    releaseFreedMemory();
     JsonWriter w;
     w.field("cells",
             static_cast<std::uint64_t>(report.cells.size()));

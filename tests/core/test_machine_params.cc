@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/analytic_backend.h"
 #include "core/machine_params.h"
 
 namespace {
@@ -159,6 +160,23 @@ TEST(MachineParams, Names)
     EXPECT_EQ(machineName(MachineId::T3d), "T3D");
     EXPECT_EQ(machineName(MachineId::Paragon), "Paragon");
     EXPECT_EQ(paperTable(MachineId::T3d).machineName(), "T3D");
+}
+
+TEST(MachineParams, PaperModelIsBuiltOnce)
+{
+    for (MachineId id : {MachineId::T3d, MachineId::Paragon}) {
+        const ThroughputTable &table = paperTable(id);
+        const AnalyticBackend &backend = paperBackend(id);
+        EXPECT_EQ(&paperTable(id), &table);
+        EXPECT_EQ(&paperBackend(id), &backend);
+        EXPECT_EQ(table.machineName(), machineName(id));
+        EXPECT_EQ(backend.table().machineName(), machineName(id));
+        EXPECT_EQ(backend.profile().clockHz, paperCaps(id).clockHz);
+    }
+    EXPECT_NE(&paperTable(MachineId::T3d),
+              &paperTable(MachineId::Paragon));
+    EXPECT_NE(&paperBackend(MachineId::T3d),
+              &paperBackend(MachineId::Paragon));
 }
 
 } // namespace

@@ -201,6 +201,28 @@ TEST(ReliableLayer, DegradationRecoversUnderWireFaultsToo)
     EXPECT_EQ(verifyDelivery(m, op), 0u);
 }
 
+TEST(ReliableLayer, PackingOnADeadEngineDoesNotDegrade)
+{
+    // The ADP-datapath failure outlives the run that caused it. A
+    // later packing run on the same machine needs only contiguous
+    // deposits, so it must run once, not again through a fallback.
+    auto cfg = sim::t3dConfig({2, 1, 1});
+    cfg.faults = sim::FaultSpec::parse("engine_fail=1,seed=3");
+    sim::Machine m(cfg);
+    auto op = pairExchange(m, P::strided(4), P::strided(4), 512);
+    seedSources(m, op);
+    ASSERT_TRUE(makeReliableChained()->run(m, op).degraded);
+    ASSERT_TRUE(m.node(0).depositEngine().adpFailed() ||
+                m.node(1).depositEngine().adpFailed());
+
+    auto packing = makeReliablePacking();
+    RunResult result = packing->run(m, op);
+    EXPECT_FALSE(result.degraded);
+    EXPECT_FALSE(packing->stats().degraded);
+    EXPECT_EQ(packing->stats().degradations, 0u);
+    EXPECT_EQ(verifyDelivery(m, op), 0u);
+}
+
 TEST(ReliableLayer, DegradationCanBeDisabled)
 {
     auto cfg = sim::t3dConfig({2, 1, 1});

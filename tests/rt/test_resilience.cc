@@ -458,6 +458,28 @@ TEST(AdaptiveExchange, BeatsStaticChainedPastBreakEven)
     EXPECT_GT(adap.transportAdaptations, 0);
 }
 
+TEST(AdaptiveExchange, RoundsAfterEngineDeathRunPackingOnce)
+{
+    // Round 0 kills the deposit engine and degrades; the controller
+    // then runs buffer packing, which a dead ADP datapath cannot
+    // stop. Those rounds must not degrade (and run) a second time,
+    // so splitting the exchange into rounds costs little.
+    const P x = P::contiguous(), y = P::strided(2);
+    auto makespan = [&](int rounds) {
+        auto cfg = sim::t3dConfig({2, 1, 1});
+        cfg.faults = sim::FaultSpec::parse("engine_fail=1,seed=1");
+        sim::Machine m(cfg);
+        CommOp op = pairExchange(m, x, y, 4096);
+        ResilienceController ctl(cfg, x, y);
+        AdaptiveResult r = runAdaptiveExchange(m, op, ctl, rounds);
+        EXPECT_TRUE(r.degraded);
+        EXPECT_EQ(r.corruptWords, 0u);
+        return static_cast<double>(r.makespan);
+    };
+    double one = makespan(1);
+    EXPECT_LT(makespan(4), 1.1 * one);
+}
+
 TEST(AdaptiveExchangeDeath, RejectsZeroRounds)
 {
     auto cfg = sim::t3dConfig({2, 1, 1});

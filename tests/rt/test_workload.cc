@@ -227,9 +227,9 @@ TEST(ExchangeFit, DegradableRunsCountTheirFallbackRingSet)
 
 TEST(ExchangeFit, AdaptiveRoundsEachCountTheirRingsAndFallback)
 {
-    // Each round builds a fresh layer on the same machine. Once the
-    // deposit engine is dead, a packing round degrades too and runs
-    // a second packing layer, so a round can hold two ring sets.
+    // Each round builds a fresh layer on the same machine, and any
+    // round that picks a deposit style can degrade and run a second,
+    // packing layer, so every round counts two ring sets.
     const P x = P::contiguous(), y = P::strided(2);
     const std::uint64_t words = 4096;
     const int rounds = 4;

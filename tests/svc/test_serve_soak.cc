@@ -186,3 +186,36 @@ TEST(ServeSoak, EveryRequestAnsweredOnceAndReplaysBitExact)
             << ": response log not replay-exact";
     }
 }
+
+TEST(ServeSoak, ResponsesDoNotDependOnCacheOrPool)
+{
+    // The cache and the pool decide only which answers are computed
+    // again, never their bytes: replay one chaos storm (cache flips
+    // included) from a single-entry cache to one larger than the
+    // stream, synchronously and on a pool. Health responses echo
+    // workers and cache_capacity, so they differ by design.
+    const int n = 300;
+    std::vector<std::string> lines = makeStorm(7, n);
+    std::string reference;
+    for (std::size_t capacity : {1u, 16u, 4096u}) {
+        for (int workers : {0, 4}) {
+            svc::ServiceOptions opts = soakOptions(n);
+            opts.cacheCapacity = capacity;
+            opts.workers = workers;
+            RunLog log = runStorm(lines, opts);
+            ASSERT_EQ(log.responses.size(), static_cast<std::size_t>(n));
+            std::string bytes;
+            for (const svc::ServiceResponse &r : log.responses) {
+                if (r.line.find(R"("op":"health")") != std::string::npos)
+                    continue;
+                bytes += r.line;
+                bytes += '\n';
+            }
+            if (reference.empty())
+                reference = bytes;
+            else
+                EXPECT_EQ(bytes, reference)
+                    << "cache " << capacity << ", workers " << workers;
+        }
+    }
+}

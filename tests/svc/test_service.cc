@@ -246,6 +246,36 @@ TEST(PlanService, CacheHitsProduceIdenticalBytes)
     EXPECT_EQ(s.misses, 1u);
 }
 
+TEST(PlanService, RecentlyUsedSimIsNotResimulated)
+{
+    // Fewer distinct keys than the capacity come between two uses of
+    // the sim key, so it is never evicted: every key misses once.
+    svc::ServiceOptions opts = syncOptions();
+    opts.cacheCapacity = 4;
+    Collector out;
+    svc::PlanService service(opts, out.sink());
+    const std::string sim =
+        R"({"id":0,"op":"sim","machine":"t3d","xqy":"1Q4","words":512})";
+    auto plan = [](const char *xqy) {
+        return std::string(R"({"id":1,"op":"plan","machine":"t3d",)") +
+               R"("xqy":")" + xqy + R"("})";
+    };
+    const std::vector<std::string> lines = {
+        sim,         plan("1Q1"), plan("1Q2"), plan("1Q8"), sim,
+        plan("1Q16"), sim,        plan("2Q1"), plan("4Q1"), sim,
+    };
+    for (const std::string &line : lines)
+        service.submit(line);
+    service.stop();
+
+    ASSERT_EQ(out.responses.size(), lines.size());
+    for (std::size_t i : {4u, 6u, 9u})
+        EXPECT_EQ(out.responses[i].line, out.responses[0].line);
+    // sim + 1Q1, 1Q2, 1Q8, 1Q16, 2Q1, 4Q1.
+    EXPECT_EQ(service.metrics().counterValue("svc.cache.misses"), 7u);
+    EXPECT_EQ(service.metrics().counterValue("svc.cache.hits"), 3u);
+}
+
 TEST(PlanService, CorruptCacheHitIsRecomputedNotServed)
 {
     // flip:1 corrupts every inserted entry; every subsequent lookup
