@@ -49,7 +49,7 @@ evalNode(const TransferExpr &node, const EvalContext &ctx)
 
 util::MBps
 applyConstraints(util::MBps value,
-                 const std::vector<ResourceConstraint> &constraints)
+                 std::span<const ResourceConstraint> constraints)
 {
     for (const auto &c : constraints) {
         if (c.demandFactor <= 0.0 || c.limit <= 0.0)

@@ -9,8 +9,8 @@
 #define CT_CORE_ALGEBRA_H
 
 #include <optional>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "core/expr.h"
 
@@ -34,7 +34,9 @@ struct EvalContext
     const ThroughputTable *table = nullptr;
     /** Congestion assumed for network legs without an override. */
     double congestion = 2.0;
-    std::vector<ResourceConstraint> constraints;
+    /** Bounds applied to the result; a view, so rating a program
+     *  does not copy its constraints. */
+    std::span<const ResourceConstraint> constraints;
 };
 
 /**

@@ -1,8 +1,7 @@
 #include "basic_transfer.h"
 
+#include <climits>
 #include <cmath>
-#include <tuple>
-#include <vector>
 
 #include "util/logging.h"
 
@@ -156,12 +155,18 @@ std::optional<util::MBps>
 ThroughputTable::lookupStrided(TransferOp op, std::uint32_t stride,
                                bool vary_read) const
 {
-    // Gather the sampled (stride, throughput) curve for this op with
-    // the non-varying side contiguous (or fixed for S/F/R/D ops).
-    std::vector<std::pair<std::uint32_t, util::MBps>> samples;
-    for (const auto &[key, mbps] : entries) {
-        if (key.op != op)
-            continue;
+    // Walk the sampled (stride, throughput) curve for this op with the
+    // non-varying side contiguous (or fixed for S/F/R/D ops), keeping
+    // its first and last samples and the two that bracket @p stride.
+    // The map keeps one op's keys together (the fixed pattern sorts
+    // first), ordered by the varying pattern, so the curve arrives
+    // sorted by stride -- re-checked cheaply.
+    using Sample = std::pair<std::uint32_t, util::MBps>;
+    std::optional<Sample> first, last, below, above;
+    const AccessPattern lowest = AccessPattern::fixed();
+    for (auto it = entries.lower_bound(Key{op, lowest, lowest});
+         it != entries.end() && it->first.op == op; ++it) {
+        const Key &key = it->first;
         const AccessPattern &varying = vary_read ? key.read : key.write;
         const AccessPattern &fixed_side =
             vary_read ? key.write : key.read;
@@ -169,39 +174,38 @@ ThroughputTable::lookupStrided(TransferOp op, std::uint32_t stride,
             continue;
         if (!(fixed_side.isContiguous() || fixed_side.isFixed()))
             continue;
-        samples.emplace_back(varying.stride(), mbps);
-    }
-    if (samples.empty())
-        return std::nullopt;
-    // Map is ordered, so samples arrive sorted by stride already for a
-    // given op, but re-check cheaply.
-    for (std::size_t i = 1; i < samples.size(); ++i) {
-        if (samples[i - 1].first >= samples[i].first)
+        Sample s{varying.stride(), it->second};
+        if (last && last->first >= s.first)
             util::panic("lookupStrided: samples not sorted");
+        if (!first)
+            first = s;
+        if (s.first < stride)
+            below = s;
+        else if (!above)
+            above = s;
+        last = s;
     }
+    if (!first)
+        return std::nullopt;
 
-    if (stride <= samples.front().first)
-        return samples.front().second;
-    if (stride >= samples.back().first) {
+    if (stride <= first->first)
+        return first->second;
+    if (stride >= last->first) {
         // Clamp beyond the largest sampled stride ("stride 64 applies
         // to any larger stride") -- but only when a strided sample
         // exists at all. A table with only a contiguous entry means
         // the hardware cannot do strided transfers (e.g. the Paragon
         // DMA deposit engine).
-        if (samples.back().first < 2)
+        if (last->first < 2)
             return std::nullopt;
-        return samples.back().second;
+        return last->second;
     }
-    for (std::size_t i = 1; i < samples.size(); ++i) {
-        if (stride <= samples[i].first) {
-            auto [s0, v0] = samples[i - 1];
-            auto [s1, v1] = samples[i];
-            double t = (std::log2(double(stride)) - std::log2(double(s0))) /
-                       (std::log2(double(s1)) - std::log2(double(s0)));
-            return v0 + t * (v1 - v0);
-        }
-    }
-    util::panic("lookupStrided: interpolation fell through");
+    // first < stride < last: below and above bracket it.
+    auto [s0, v0] = *below;
+    auto [s1, v1] = *above;
+    double t = (std::log2(double(stride)) - std::log2(double(s0))) /
+               (std::log2(double(s1)) - std::log2(double(s0)));
+    return v0 + t * (v1 - v0);
 }
 
 std::optional<util::MBps>
@@ -310,31 +314,38 @@ ThroughputTable::lookupNetwork(TransferOp op, double congestion) const
     if (congestion < 1.0)
         util::fatal("lookupNetwork: congestion < 1");
 
-    std::vector<std::pair<int, util::MBps>> samples;
-    for (const auto &[key, mbps] : network)
-        if (key.first == static_cast<int>(op))
-            samples.emplace_back(key.second, mbps);
-    if (samples.empty())
+    // One op's samples are one range of the map, sorted by
+    // congestion; keep its ends and the two that bracket @p congestion.
+    using Sample = std::pair<int, util::MBps>;
+    std::optional<Sample> first, last, below, above;
+    int key = static_cast<int>(op);
+    for (auto it = network.lower_bound({key, INT_MIN});
+         it != network.end() && it->first.first == key; ++it) {
+        Sample s{it->first.second, it->second};
+        if (!first)
+            first = s;
+        if (s.first < congestion)
+            below = s;
+        else if (!above)
+            above = s;
+        last = s;
+    }
+    if (!first)
         return std::nullopt;
 
-    if (congestion <= samples.front().first)
-        return samples.front().second;
-    if (congestion >= samples.back().first) {
+    if (congestion <= first->first)
+        return first->second;
+    if (congestion >= last->first) {
         // Extrapolate: bandwidth scales inversely with congestion.
-        auto [c, v] = samples.back();
+        auto [c, v] = *last;
         return v * static_cast<double>(c) / congestion;
     }
-    for (std::size_t i = 1; i < samples.size(); ++i) {
-        if (congestion <= samples[i].first) {
-            auto [c0, v0] = samples[i - 1];
-            auto [c1, v1] = samples[i];
-            // Geometric interpolation matches the ~1/c falloff.
-            double t = (std::log2(congestion) - std::log2(double(c0))) /
-                       (std::log2(double(c1)) - std::log2(double(c0)));
-            return v0 * std::pow(v1 / v0, t);
-        }
-    }
-    util::panic("lookupNetwork: interpolation fell through");
+    // Geometric interpolation matches the ~1/c falloff.
+    auto [c0, v0] = *below;
+    auto [c1, v1] = *above;
+    double t = (std::log2(congestion) - std::log2(double(c0))) /
+               (std::log2(double(c1)) - std::log2(double(c0)));
+    return v0 * std::pow(v1 / v0, t);
 }
 
 } // namespace ct::core

@@ -6,13 +6,20 @@
 
 namespace ct::core {
 
+std::shared_ptr<TransferExpr>
+TransferExpr::node(ExprKind kind)
+{
+    auto n = std::make_shared<TransferExpr>(Private{});
+    n->kindValue = kind;
+    return n;
+}
+
 ExprPtr
 TransferExpr::leaf(BasicTransfer t)
 {
-    auto node = std::shared_ptr<TransferExpr>(new TransferExpr());
-    node->kindValue = ExprKind::Leaf;
-    node->leafTransfer = t;
-    return node;
+    auto n = node(ExprKind::Leaf);
+    n->leafTransfer = t;
+    return n;
 }
 
 ExprPtr
@@ -23,11 +30,10 @@ TransferExpr::leaf(BasicTransfer t, double congestion)
                     t.name());
     if (congestion < 1.0)
         util::fatal("TransferExpr::leaf: congestion < 1");
-    auto node = std::shared_ptr<TransferExpr>(new TransferExpr());
-    node->kindValue = ExprKind::Leaf;
-    node->leafTransfer = t;
-    node->congestion = congestion;
-    return node;
+    auto n = node(ExprKind::Leaf);
+    n->leafTransfer = t;
+    n->congestion = congestion;
+    return n;
 }
 
 ExprPtr
@@ -38,10 +44,9 @@ TransferExpr::seq(std::vector<ExprPtr> parts)
     for (const auto &p : parts)
         if (!p)
             util::fatal("TransferExpr::seq: null child");
-    auto node = std::shared_ptr<TransferExpr>(new TransferExpr());
-    node->kindValue = ExprKind::Seq;
-    node->parts = std::move(parts);
-    return node;
+    auto n = node(ExprKind::Seq);
+    n->parts = std::move(parts);
+    return n;
 }
 
 ExprPtr
@@ -65,10 +70,9 @@ TransferExpr::par(std::vector<ExprPtr> parts)
     for (const auto &p : parts)
         if (!p)
             util::fatal("TransferExpr::par: null child");
-    auto node = std::shared_ptr<TransferExpr>(new TransferExpr());
-    node->kindValue = ExprKind::Par;
-    node->parts = std::move(parts);
-    return node;
+    auto n = node(ExprKind::Par);
+    n->parts = std::move(parts);
+    return n;
 }
 
 ExprPtr

@@ -103,7 +103,16 @@ class TransferExpr
     std::string format() const;
 
   private:
-    TransferExpr() = default;
+    /** Lets only the builders construct nodes, through make_shared
+     *  (one allocation for the node and its reference count). */
+    struct Private
+    {};
+
+  public:
+    explicit TransferExpr(Private) {}
+
+  private:
+    static std::shared_ptr<TransferExpr> node(ExprKind kind);
 
     std::string formatInner(bool parenthesize) const;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iomanip>
 #include <sstream>
+#include <string_view>
 
 #include "core/analytic_backend.h"
 #include "core/style_registry.h"
@@ -18,16 +19,19 @@ plan(const PlanQuery &query)
     double congestion = query.congestion > 0.0 ? query.congestion
                                                : caps.defaultCongestion;
 
+    const std::vector<StyleInfo> &styles = styleRegistry();
     std::vector<PlannedStrategy> result;
-    for (const StyleInfo &info : styleRegistry()) {
+    result.reserve(styles.size());
+    for (const StyleInfo &info : styles) {
         auto program = buildProgram(query.machine, info.key,
                                     query.read, query.write);
         if (!program)
             continue;
-        auto rate = backend.rate(*program, congestion);
-        if (!rate)
+        auto model = backend.costModel(*program, congestion);
+        if (!model)
             continue;
-        result.push_back({std::move(*program), *rate});
+        result.push_back(
+            {std::move(*program), model->asymptotic(), *model});
     }
     if (result.empty())
         util::panic("plan: no legal strategy for ",
@@ -45,31 +49,37 @@ plan(const PlanQuery &query)
 PlannedStrategy
 bestPlan(const PlanQuery &query)
 {
-    return plan(query).front();
+    std::vector<PlannedStrategy> plans = plan(query);
+    return std::move(plans.front());
+}
+
+std::vector<SizedPlan>
+planForSize(const std::vector<PlannedStrategy> &plans,
+            util::Bytes message_bytes)
+{
+    // Back in registry order first, which the stable sort then keeps
+    // for ties.
+    std::vector<SizedPlan> result;
+    result.reserve(plans.size());
+    for (const StyleInfo &info : styleRegistry())
+        for (const PlannedStrategy &p : plans)
+            if (p.program.styleKey == info.key)
+                result.push_back({p.program.style, info.key,
+                                  p.model.throughputAt(message_bytes),
+                                  p.model});
+    std::stable_sort(result.begin(), result.end(),
+                     [](const SizedPlan &a, const SizedPlan &b) {
+                         return a.effective > b.effective;
+                     });
+    return result;
 }
 
 std::vector<SizedPlan>
 planForSize(MachineId machine, AccessPattern x, AccessPattern y,
             util::Bytes message_bytes)
 {
-    const AnalyticBackend &backend = paperBackend(machine);
-    double congestion = paperCaps(machine).defaultCongestion;
-    std::vector<SizedPlan> result;
-    for (const StyleInfo &info : styleRegistry()) {
-        auto program = buildProgram(machine, info.key, x, y);
-        if (!program)
-            continue;
-        auto model = backend.costModel(*program, congestion);
-        if (!model)
-            continue;
-        result.push_back({program->style, info.key,
-                          model->throughputAt(message_bytes), *model});
-    }
-    std::stable_sort(result.begin(), result.end(),
-                     [](const SizedPlan &a, const SizedPlan &b) {
-                         return a.effective > b.effective;
-                     });
-    return result;
+    return planForSize(plan(PlanQuery{machine, x, y, 0.0}),
+                       message_bytes);
 }
 
 util::Bytes
@@ -113,14 +123,20 @@ canonicalQueryKey(const char *op, MachineId machine,
                   const std::string &canonical_faults,
                   const std::string &canonical_chaos)
 {
-    std::ostringstream os;
-    os << op << '|' << machineName(machine) << '|' << x.label() << 'Q'
-       << y.label() << "|words=" << words << "|bytes=" << bytes
-       << "|budget=" << budget << "|faults="
-       << (canonical_faults.empty() ? "none" : canonical_faults)
-       << "|chaos="
-       << (canonical_chaos.empty() ? "none" : canonical_chaos);
-    return os.str();
+    auto orNone = [](const std::string &spec) {
+        return spec.empty() ? std::string_view("none")
+                            : std::string_view(spec);
+    };
+    std::string key;
+    key.reserve(96);
+    key.append(op).append("|").append(machineName(machine)).append("|")
+        .append(x.label()).append("Q").append(y.label())
+        .append("|words=").append(std::to_string(words))
+        .append("|bytes=").append(std::to_string(bytes))
+        .append("|budget=").append(std::to_string(budget))
+        .append("|faults=").append(orNone(canonical_faults))
+        .append("|chaos=").append(orNone(canonical_chaos));
+    return key;
 }
 
 std::string

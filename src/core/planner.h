@@ -20,7 +20,11 @@ namespace ct::core {
 struct PlannedStrategy
 {
     TransferProgram program;
+    /** Steady-state rate at the query's congestion. */
     util::MBps estimate = 0.0;
+    /** The latency-extended model built from that same rate, so
+     *  model.asymptotic() == estimate. */
+    MessageCostModel model;
 };
 
 /** Inputs of a planning query. */
@@ -36,8 +40,9 @@ struct PlanQuery
 
 /**
  * Enumerate, rate and sort (fastest first) all styles the machine can
- * execute for the queried xQy. Never returns an empty vector: buffer
- * packing is always available.
+ * execute for the queried xQy; ties keep registry order. Each style's
+ * program is built and rated once. Never returns an empty vector:
+ * buffer packing is always available.
  */
 std::vector<PlannedStrategy> plan(const PlanQuery &query);
 
@@ -56,22 +61,28 @@ struct SizedPlan
     std::string key;
     /** Effective throughput at the queried message size. */
     util::MBps effective = 0.0;
-    /** The style's latency-extended model (paperBackend() at the
-     *  machine's default congestion): its asymptotic() rate and
+    /** The style's latency-extended model from the plan it re-ranks
+     *  (at that plan's congestion): its asymptotic() rate and
      *  halfPowerPoint(). */
     MessageCostModel model;
 };
 
 /**
- * Size-aware planning via the latency-extended model: rank the
- * styles by their *effective* throughput for messages of
- * @p message_bytes. For small messages the ranking can differ from
- * plan(): chained transfers pay a heavier synchronization charge, so
- * below a crossover size buffer packing wins even where the
- * steady-state model says otherwise (the §6.2 SOR situation). With
- * @p message_bytes 0 every effective rate is 0 and the styles keep
- * registry order.
+ * Size-aware planning via the latency-extended model: re-rank the
+ * styles of one plan() pass by their *effective* throughput for
+ * messages of @p message_bytes, at the congestion @p plans were rated
+ * at. For small messages the ranking can differ from plan():
+ * chained transfers pay a heavier synchronization charge, so below a
+ * crossover size buffer packing wins even where the steady-state
+ * model says otherwise (the §6.2 SOR situation). Ties keep registry
+ * order; with @p message_bytes 0 every effective rate is 0, so the
+ * styles come back in registry order.
  */
+std::vector<SizedPlan> planForSize(const std::vector<PlannedStrategy> &plans,
+                                   util::Bytes message_bytes);
+
+/** Shortcut: planForSize() of plan() at the machine's default
+ *  congestion. */
 std::vector<SizedPlan> planForSize(MachineId machine, AccessPattern x,
                                    AccessPattern y,
                                    util::Bytes message_bytes);

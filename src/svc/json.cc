@@ -1,6 +1,7 @@
 #include "svc/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 namespace ct::svc {
@@ -187,11 +188,13 @@ parseFlatJson(const std::string &line, std::string *error)
     return obj;
 }
 
-std::string
-jsonEscape(const std::string &s)
+namespace {
+
+/** Append @p s to @p out with JSON string escaping (quotes,
+ *  backslashes, control chars). */
+void
+appendEscaped(std::string &out, std::string_view s)
 {
-    std::string out;
-    out.reserve(s.size());
     for (char c : s) {
         switch (c) {
         case '"': out += "\\\""; break;
@@ -210,74 +213,89 @@ jsonEscape(const std::string &s)
                 out += c;
         }
     }
-    return out;
 }
 
-JsonWriter &
-JsonWriter::append(const std::string &key, const std::string &rendered)
+/** Append the decimal digits of @p v. */
+template <typename Int>
+void
+appendInt(std::string &out, Int v)
+{
+    char digits[24];
+    out.append(digits,
+               std::to_chars(digits, digits + sizeof digits, v).ptr);
+}
+
+} // namespace
+
+void
+appendFixed(std::string &out, double v)
+{
+    // Room for any double: 309 integer digits, a sign, the point and
+    // three decimals.
+    char digits[320];
+    out.append(digits, std::to_chars(digits, digits + sizeof digits, v,
+                                     std::chars_format::fixed, 3)
+                           .ptr);
+}
+
+void
+JsonWriter::key(std::string_view name)
 {
     if (!body.empty())
         body += ',';
     body += '"';
-    body += jsonEscape(key);
+    appendEscaped(body, name);
     body += "\":";
-    body += rendered;
+}
+
+JsonWriter &
+JsonWriter::field(std::string_view name, std::string_view v)
+{
+    key(name);
+    body += '"';
+    appendEscaped(body, v);
+    body += '"';
     return *this;
 }
 
 JsonWriter &
-JsonWriter::field(const std::string &key, const std::string &v)
+JsonWriter::field(std::string_view name, std::uint64_t v)
 {
-    std::string rendered;
-    rendered.reserve(v.size() + 2);
-    rendered += '"';
-    rendered += jsonEscape(v);
-    rendered += '"';
-    return append(key, rendered);
+    key(name);
+    appendInt(body, v);
+    return *this;
 }
 
 JsonWriter &
-JsonWriter::field(const std::string &key, const char *v)
+JsonWriter::field(std::string_view name, std::int64_t v)
 {
-    return field(key, std::string(v));
+    key(name);
+    appendInt(body, v);
+    return *this;
 }
 
 JsonWriter &
-JsonWriter::field(const std::string &key, std::uint64_t v)
+JsonWriter::field(std::string_view name, bool v)
 {
-    return append(key, std::to_string(v));
+    key(name);
+    body += v ? "true" : "false";
+    return *this;
 }
 
 JsonWriter &
-JsonWriter::field(const std::string &key, std::int64_t v)
+JsonWriter::fixed(std::string_view name, double v)
 {
-    return append(key, std::to_string(v));
+    key(name);
+    appendFixed(body, v);
+    return *this;
 }
 
 JsonWriter &
-JsonWriter::field(const std::string &key, int v)
+JsonWriter::raw(std::string_view name, std::string_view json)
 {
-    return append(key, std::to_string(v));
-}
-
-JsonWriter &
-JsonWriter::field(const std::string &key, bool v)
-{
-    return append(key, v ? "true" : "false");
-}
-
-JsonWriter &
-JsonWriter::fixed(const std::string &key, double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.3f", v);
-    return append(key, buf);
-}
-
-JsonWriter &
-JsonWriter::raw(const std::string &key, const std::string &json)
-{
-    return append(key, json);
+    key(name);
+    body += json;
+    return *this;
 }
 
 std::string

@@ -19,6 +19,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace ct::svc {
 
@@ -33,8 +34,9 @@ struct JsonValue
     bool boolean = false; ///< Bool
 };
 
-/** A parsed flat object, keys sorted (std::map). */
-using JsonObject = std::map<std::string, JsonValue>;
+/** A parsed flat object, keys sorted (std::map; looked up by any
+ *  string type without a temporary key). */
+using JsonObject = std::map<std::string, JsonValue, std::less<>>;
 
 /**
  * Parse one flat JSON object. Rejects nesting, arrays, duplicate
@@ -44,27 +46,35 @@ using JsonObject = std::map<std::string, JsonValue>;
 std::optional<JsonObject> parseFlatJson(const std::string &line,
                                         std::string *error);
 
-/** JSON string escaping (quotes, backslashes, control chars). */
-std::string jsonEscape(const std::string &s);
+/** Append @p v with three decimals, as printf's %.3f renders it. */
+void appendFixed(std::string &out, double v);
 
 /**
  * Deterministic single-line JSON object writer: fields appear in the
- * order they were added, numbers print through fixed formats.
+ * order they were added, numbers print through fixed formats. Keys
+ * and string values are escaped straight into the object's body.
  */
 class JsonWriter
 {
   public:
-    JsonWriter &field(const std::string &key, const std::string &v);
-    JsonWriter &field(const std::string &key, const char *v);
-    JsonWriter &field(const std::string &key, std::uint64_t v);
-    JsonWriter &field(const std::string &key, std::int64_t v);
-    JsonWriter &field(const std::string &key, int v);
-    JsonWriter &field(const std::string &key, bool v);
+    JsonWriter &field(std::string_view key, std::string_view v);
+    /** Keeps a string literal off the bool overload. */
+    JsonWriter &field(std::string_view key, const char *v)
+    {
+        return field(key, std::string_view(v));
+    }
+    JsonWriter &field(std::string_view key, std::uint64_t v);
+    JsonWriter &field(std::string_view key, std::int64_t v);
+    JsonWriter &field(std::string_view key, int v)
+    {
+        return field(key, std::int64_t{v});
+    }
+    JsonWriter &field(std::string_view key, bool v);
     /** Fixed %.3f rendering -- stable across hosts for the
      *  deterministic quantities the service reports. */
-    JsonWriter &fixed(const std::string &key, double v);
+    JsonWriter &fixed(std::string_view key, double v);
     /** Verbatim raw JSON fragment (pre-rendered nested value). */
-    JsonWriter &raw(const std::string &key, const std::string &json);
+    JsonWriter &raw(std::string_view key, std::string_view json);
 
     /** The finished single-line object, e.g. {"a":1,"b":"x"}. */
     std::string str() const;
@@ -74,8 +84,9 @@ class JsonWriter
     const std::string &fragment() const { return body; }
 
   private:
-    JsonWriter &append(const std::string &key,
-                       const std::string &rendered);
+    /** Start a field: separator and escaped key; the caller appends
+     *  the rendered value to body. */
+    void key(std::string_view name);
     std::string body;
 };
 

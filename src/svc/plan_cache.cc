@@ -43,15 +43,16 @@ PlanCache::lookup(const std::string &key)
 }
 
 void
-PlanCache::insert(const std::string &key, const std::string &payload)
+PlanCache::insert(const std::string &key, std::string payload)
 {
+    std::uint32_t crc = stamp(key, payload);
     std::lock_guard<std::mutex> lock(mu);
     auto it = entries.find(key);
     if (it != entries.end()) {
         // Overwrite in place (refreshing a stale entry); the write
         // is a use, so the entry also becomes the most recent.
-        it->second.payload = payload;
-        it->second.crc = stamp(key, payload);
+        it->second.payload = std::move(payload);
+        it->second.crc = crc;
         recency.splice(recency.begin(), recency, it->second.pos);
         ++counters.insertions;
         return;
@@ -62,8 +63,7 @@ PlanCache::insert(const std::string &key, const std::string &payload)
         ++counters.evictions;
     }
     recency.push_front(key);
-    entries.emplace(key,
-                    Entry{payload, stamp(key, payload), recency.begin()});
+    entries.emplace(key, Entry{std::move(payload), crc, recency.begin()});
     ++counters.insertions;
 }
 

@@ -70,7 +70,7 @@ class PlanCache
 
     /** Insert/overwrite @p key -> @p payload, CRC-stamping it and
      *  making it the most recently used entry. */
-    void insert(const std::string &key, const std::string &payload);
+    void insert(const std::string &key, std::string payload);
 
     /**
      * Chaos hook: flip bit @p bit_index (mod payload bits) of the

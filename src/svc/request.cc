@@ -67,10 +67,10 @@ readUint(const JsonObject &obj, const char *key, std::uint64_t &out,
     return true;
 }
 
-/** Read a string field into @p out; false when present but not a
- *  string. */
+/** Point @p out at a string field's text; false when present but
+ *  not a string. */
 bool
-readString(const JsonObject &obj, const char *key, std::string &out,
+readString(const JsonObject &obj, const char *key, std::string_view &out,
            std::string *error)
 {
     auto it = obj.find(key);
@@ -106,7 +106,7 @@ Request::tryParse(const std::string &line, std::string *error,
     if (id_out)
         *id_out = req.id;
 
-    std::string op;
+    std::string_view op;
     if (!readString(obj, "op", op, error))
         return std::nullopt;
     if (op.empty()) {
@@ -122,7 +122,7 @@ Request::tryParse(const std::string &line, std::string *error,
     else if (op == "health")
         req.op = Op::Health;
     else {
-        fail(error, "unknown op '" + op +
+        fail(error, "unknown op '" + std::string(op) +
                         "' (expected plan|validate|sim|health)");
         return std::nullopt;
     }
@@ -144,7 +144,7 @@ Request::tryParse(const std::string &line, std::string *error,
         }
     }
 
-    std::string machine, xqy, faults, chaos;
+    std::string_view machine, xqy, faults, chaos;
     if (!readString(obj, "machine", machine, error) ||
         !readString(obj, "xqy", xqy, error) ||
         !readString(obj, "faults", faults, error) ||
@@ -155,33 +155,30 @@ Request::tryParse(const std::string &line, std::string *error,
         return std::nullopt;
 
     // Fields that only make sense for some ops are rejected on the
-    // others instead of being ignored.
-    auto rejectField = [&](const char *key, const std::string &why) {
-        if (obj.find(key) != obj.end()) {
-            fail(error, std::string("field '") + key + "' " + why);
-            return true;
-        }
-        return false;
+    // others instead of being ignored. The diagnostic is built only
+    // when a field is rejected.
+    auto rejectField = [&](const char *key, const char *why) {
+        if (obj.find(key) == obj.end())
+            return false;
+        fail(error, std::string("field '") + key +
+                        "' does not apply to op '" + opName(req.op) +
+                        "'" + why);
+        return true;
     };
     if (req.op == Op::Health || req.op == Op::Validate) {
         for (const char *key :
              {"machine", "xqy", "words", "bytes", "budget", "faults",
               "chaos"})
-            if (rejectField(key, std::string("does not apply to op "
-                                             "'") +
-                                     opName(req.op) + "'"))
+            if (rejectField(key, ""))
                 return std::nullopt;
         return req;
     }
     if (req.op == Op::Plan) {
         for (const char *key : {"words", "budget", "faults", "chaos"})
-            if (rejectField(key, "does not apply to op 'plan' "
-                                 "(planning is analytic)"))
+            if (rejectField(key, " (planning is analytic)"))
                 return std::nullopt;
     }
-    if (req.op == Op::Sim && rejectField("bytes",
-                                         "does not apply to op 'sim' "
-                                         "(use words)"))
+    if (req.op == Op::Sim && rejectField("bytes", " (use words)"))
         return std::nullopt;
 
     // machine + xqy are required for plan and sim.
@@ -194,7 +191,7 @@ Request::tryParse(const std::string &line, std::string *error,
                         "' requires field 'machine'");
         return std::nullopt;
     } else {
-        fail(error, "unknown machine '" + machine +
+        fail(error, "unknown machine '" + std::string(machine) +
                         "' (expected t3d|paragon)");
         return std::nullopt;
     }
@@ -204,14 +201,16 @@ Request::tryParse(const std::string &line, std::string *error,
         return std::nullopt;
     }
     auto q = xqy.find('Q');
-    if (q == std::string::npos) {
-        fail(error, "bad xqy '" + xqy + "' (expected e.g. 1Q64)");
+    if (q == std::string_view::npos) {
+        fail(error, "bad xqy '" + std::string(xqy) +
+                        "' (expected e.g. 1Q64)");
         return std::nullopt;
     }
     auto x = core::AccessPattern::parse(xqy.substr(0, q));
     auto y = core::AccessPattern::parse(xqy.substr(q + 1));
     if (!x || !y || x->isFixed() || y->isFixed()) {
-        fail(error, "bad xqy '" + xqy + "' (expected e.g. 1Q64)");
+        fail(error, "bad xqy '" + std::string(xqy) +
+                        "' (expected e.g. 1Q64)");
         return std::nullopt;
     }
     req.x = *x;
@@ -225,7 +224,7 @@ Request::tryParse(const std::string &line, std::string *error,
     if (!faults.empty()) {
         std::string spec_error;
         auto parsed_faults =
-            sim::FaultSpec::tryParse(faults, &spec_error);
+            sim::FaultSpec::tryParse(std::string(faults), &spec_error);
         if (!parsed_faults) {
             fail(error, "bad faults spec: " + spec_error);
             return std::nullopt;
@@ -236,7 +235,7 @@ Request::tryParse(const std::string &line, std::string *error,
     if (!chaos.empty()) {
         std::string spec_error;
         auto parsed_chaos =
-            sim::ChaosSchedule::tryParse(chaos, &spec_error);
+            sim::ChaosSchedule::tryParse(std::string(chaos), &spec_error);
         if (!parsed_chaos) {
             fail(error, "bad chaos spec: " + spec_error);
             return std::nullopt;

@@ -1,7 +1,7 @@
 #include "svc/service.h"
 
 #include <algorithm>
-#include <sstream>
+#include <string_view>
 #include <thread>
 
 #if defined(__GLIBC__)
@@ -62,8 +62,7 @@ fidelityCode(Fidelity f)
  * per request, so one cached answer serves every equivalent query.
  */
 std::string
-encodeCached(Status status, Fidelity fidelity,
-             const std::string &fragment)
+encodeCached(Status status, Fidelity fidelity, std::string_view fragment)
 {
     std::string out;
     out.reserve(fragment.size() + 3);
@@ -74,9 +73,10 @@ encodeCached(Status status, Fidelity fidelity,
     return out;
 }
 
+/** Decode a cached payload; @p fragment views into @p payload. */
 bool
 decodeCached(const std::string &payload, Status &status,
-             Fidelity &fidelity, std::string &fragment)
+             Fidelity &fidelity, std::string_view &fragment)
 {
     if (payload.size() < 3 || payload[2] != ':')
         return false;
@@ -94,7 +94,7 @@ decodeCached(const std::string &payload, Status &status,
     case 'n': fidelity = Fidelity::None; break;
     default: return false;
     }
-    fragment = payload.substr(3);
+    fragment = std::string_view(payload).substr(3);
     return true;
 }
 
@@ -400,7 +400,7 @@ PlanService::handleParsed(const Request &request)
 
 ServiceResponse
 PlanService::finish(const Request &request, Status status,
-                    Fidelity fidelity, const std::string &fragment,
+                    Fidelity fidelity, std::string_view fragment,
                     const std::string &cache_key)
 {
     if (!cache_key.empty()) {
@@ -424,14 +424,16 @@ PlanService::finish(const Request &request, Status status,
         .field("op", opName(request.op))
         .field("status", statusName(status))
         .field("fidelity", fidelityName(fidelity));
-    std::string line = w.str();
+    // The envelope's fields, then the payload's, in one allocation.
+    const std::string &envelope = w.fragment();
+    resp.line.reserve(envelope.size() + fragment.size() + 3);
+    resp.line += '{';
+    resp.line += envelope;
     if (!fragment.empty()) {
-        line.pop_back(); // strip '}'
-        line += ',';
-        line += fragment;
-        line += '}';
+        resp.line += ',';
+        resp.line += fragment;
     }
-    resp.line = std::move(line);
+    resp.line += '}';
     return resp;
 }
 
@@ -444,31 +446,34 @@ PlanService::handlePlan(const Request &request)
     if (auto hit = cache.lookup(key)) {
         Status status;
         Fidelity fidelity;
-        std::string fragment;
+        std::string_view fragment;
         if (decodeCached(*hit, status, fidelity, fragment))
             return finish(request, status, fidelity, fragment, "");
     }
 
-    core::PlanQuery query{request.machine, request.x, request.y, 0.0};
-    auto plans = core::plan(query);
+    // One planning pass: the steady-state ranking, and the sized one
+    // re-ranked from the same rated programs.
+    auto plans = core::plan({request.machine, request.x, request.y, 0.0});
 
+    std::string xqy = request.x.label();
+    xqy += 'Q';
+    xqy += request.y.label();
     JsonWriter w;
     w.field("machine", wireMachineName(request.machine))
-        .field("xqy",
-               request.x.label() + "Q" + request.y.label())
+        .field("xqy", xqy)
         .field("best", plans.front().program.styleKey);
     w.fixed("best_mbps", plans.front().estimate);
-    std::ostringstream styles;
-    for (std::size_t i = 0; i < plans.size(); ++i) {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "%.3f", plans[i].estimate);
-        styles << (i ? "," : "")
-               << plans[i].program.styleKey << '=' << buf;
+    std::string styles;
+    for (const core::PlannedStrategy &p : plans) {
+        if (!styles.empty())
+            styles += ',';
+        styles += p.program.styleKey;
+        styles += '=';
+        appendFixed(styles, p.estimate);
     }
-    w.field("styles", styles.str());
+    w.field("styles", styles);
     if (request.bytes > 0) {
-        auto sized = core::planForSize(request.machine, request.x,
-                                       request.y, request.bytes);
+        auto sized = core::planForSize(plans, request.bytes);
         w.field("message_bytes", request.bytes);
         if (!sized.empty()) {
             w.field("best_sized", sized.front().key);
@@ -493,7 +498,7 @@ PlanService::handleSim(const Request &request)
     if (auto hit = cache.lookup(key)) {
         Status status;
         Fidelity fidelity;
-        std::string fragment;
+        std::string_view fragment;
         if (decodeCached(*hit, status, fidelity, fragment)) {
             if (fidelity == Fidelity::Truncated)
                 deadlineTruncated.inc();
@@ -591,7 +596,7 @@ PlanService::handleValidate(const Request &request)
     if (auto hit = cache.lookup(key)) {
         Status status;
         Fidelity fidelity;
-        std::string fragment;
+        std::string_view fragment;
         if (decodeCached(*hit, status, fidelity, fragment))
             return finish(request, status, fidelity, fragment, "");
     }

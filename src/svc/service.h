@@ -46,6 +46,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -171,8 +172,7 @@ class PlanService
      * the chaos flip applied after insertion).
      */
     ServiceResponse finish(const Request &request, Status status,
-                           Fidelity fidelity,
-                           const std::string &fragment,
+                           Fidelity fidelity, std::string_view fragment,
                            const std::string &cache_key);
 
     ServiceOptions opts;

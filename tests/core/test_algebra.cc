@@ -88,7 +88,8 @@ TEST(Algebra, ConstraintCapsThroughput)
     auto t = table();
     auto e = E::leaf(loadSend(P::contiguous())); // 120 unconstrained
     auto c = ctx(t);
-    c.constraints = {{"2x <= 100", 2.0, 100.0}};
+    std::vector<ResourceConstraint> caps = {{"2x <= 100", 2.0, 100.0}};
+    c.constraints = caps;
     EXPECT_DOUBLE_EQ(*evaluate(e, c), 50.0);
 }
 
@@ -97,7 +98,8 @@ TEST(Algebra, NonBindingConstraintIsIdentity)
     auto t = table();
     auto e = E::leaf(loadSend(P::contiguous()));
     auto c = ctx(t);
-    c.constraints = {{"2x <= 1000", 2.0, 1000.0}};
+    std::vector<ResourceConstraint> caps = {{"2x <= 1000", 2.0, 1000.0}};
+    c.constraints = caps;
     EXPECT_DOUBLE_EQ(*evaluate(e, c), 120.0);
 }
 

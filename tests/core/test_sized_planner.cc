@@ -1,11 +1,94 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "core/analytic_backend.h"
 #include "core/planner.h"
+#include "core/style_registry.h"
 
 namespace {
 
 using namespace ct::core;
 using P = AccessPattern;
+
+/** The storm workload's plan keys: these patterns squared, on both
+ *  machines, at these message sizes. */
+const char *const kStormPatterns[] = {"1",  "2",   "3",   "4",
+                                      "8",  "16",  "32",  "64",
+                                      "256", "1024", "w", "16.2"};
+const ct::util::Bytes kStormBytes[] = {0, 512, 8192, 131072};
+
+/**
+ * The sized ranking from first principles: every registry style built
+ * and rated on its own at the machine's default congestion, then
+ * stable-sorted by effective rate, so ties keep registry order.
+ */
+std::vector<SizedPlan>
+sizedOracle(MachineId id, P x, P y, ct::util::Bytes bytes)
+{
+    const AnalyticBackend &backend = paperBackend(id);
+    double congestion = paperCaps(id).defaultCongestion;
+    std::vector<SizedPlan> out;
+    for (const StyleInfo &info : styleRegistry()) {
+        auto program = buildProgram(id, info.key, x, y);
+        if (!program)
+            continue;
+        auto model = backend.costModel(*program, congestion);
+        if (!model)
+            continue;
+        out.push_back({program->style, info.key,
+                       model->throughputAt(bytes), *model});
+    }
+    std::stable_sort(out.begin(), out.end(),
+                     [](const SizedPlan &a, const SizedPlan &b) {
+                         return a.effective > b.effective;
+                     });
+    return out;
+}
+
+TEST(SizedPlanner, StormKeysMatchThePerStyleOracle)
+{
+    for (MachineId id : {MachineId::T3d, MachineId::Paragon})
+        for (const char *xs : kStormPatterns)
+            for (const char *ys : kStormPatterns) {
+                P x = *P::parse(xs), y = *P::parse(ys);
+                auto plans = plan(PlanQuery{id, x, y, 0.0});
+                for (ct::util::Bytes bytes : kStormBytes) {
+                    std::string where = machineName(id) + " " + xs +
+                                        "Q" + ys + " at " +
+                                        std::to_string(bytes) + " B";
+                    auto want = sizedOracle(id, x, y, bytes);
+                    auto got = planForSize(id, x, y, bytes);
+                    ASSERT_EQ(got.size(), want.size()) << where;
+                    for (std::size_t i = 0; i < got.size(); ++i) {
+                        EXPECT_EQ(got[i].key, want[i].key) << where;
+                        EXPECT_EQ(got[i].style, want[i].style) << where;
+                        EXPECT_EQ(got[i].effective, want[i].effective)
+                            << where;
+                        EXPECT_EQ(got[i].model.asymptotic(),
+                                  want[i].model.asymptotic())
+                            << where;
+                        EXPECT_EQ(got[i].model.halfPowerPoint(),
+                                  want[i].model.halfPowerPoint())
+                            << where;
+                    }
+                    // The sized models are the plans' rates.
+                    ASSERT_EQ(got.size(), plans.size()) << where;
+                    for (const PlannedStrategy &p : plans) {
+                        EXPECT_EQ(p.model.asymptotic(), p.estimate)
+                            << where;
+                        auto s = std::find_if(
+                            got.begin(), got.end(),
+                            [&](const SizedPlan &g) {
+                                return g.key == p.program.styleKey;
+                            });
+                        ASSERT_NE(s, got.end()) << where;
+                        EXPECT_EQ(s->model.asymptotic(), p.estimate)
+                            << where;
+                    }
+                }
+            }
+}
 
 TEST(SizedPlanner, LargeMessagesAgreeWithSteadyStatePlanner)
 {
@@ -16,6 +99,53 @@ TEST(SizedPlanner, LargeMessagesAgreeWithSteadyStatePlanner)
     ASSERT_FALSE(sized.empty());
     EXPECT_EQ(sized.front().style, steady.program.style);
     EXPECT_NEAR(sized.front().effective, steady.estimate, 1.5);
+}
+
+TEST(SizedPlanner, PlansCarryTheModelOfTheirEstimate)
+{
+    // At a scaled congestion too: the sized ranking re-ranks the same
+    // pass, so it rates every style at the plan's congestion.
+    for (double congestion : {0.0, 1.0, 37.5})
+        for (MachineId id : {MachineId::T3d, MachineId::Paragon}) {
+            auto plans = plan(PlanQuery{id, P::contiguous(),
+                                        P::contiguous(), congestion});
+            double rated = congestion > 0.0
+                               ? congestion
+                               : paperCaps(id).defaultCongestion;
+            for (const PlannedStrategy &p : plans) {
+                EXPECT_EQ(p.estimate,
+                          paperBackend(id).rate(p.program, rated))
+                    << p.program.styleKey;
+                EXPECT_EQ(p.model.asymptotic(), p.estimate)
+                    << p.program.styleKey;
+            }
+            for (const SizedPlan &s : planForSize(plans, 65536)) {
+                auto p = std::find_if(
+                    plans.begin(), plans.end(),
+                    [&](const PlannedStrategy &q) {
+                        return q.program.styleKey == s.key;
+                    });
+                ASSERT_NE(p, plans.end()) << s.key;
+                EXPECT_EQ(s.model.asymptotic(), p->estimate) << s.key;
+                EXPECT_EQ(s.effective, p->model.throughputAt(65536))
+                    << s.key;
+            }
+        }
+}
+
+TEST(SizedPlanner, TiesKeepRegistryOrder)
+{
+    // Every storm key's steady ranking happens to be registry order,
+    // so hand the re-ranking a pass in another order: at 0 bytes all
+    // effective rates tie and registry order must come back.
+    auto plans = plan(PlanQuery{MachineId::Paragon, P::contiguous(),
+                                P::contiguous(), 0.0});
+    ASSERT_EQ(plans.size(), 4u);
+    std::reverse(plans.begin(), plans.end());
+    auto sized = planForSize(plans, 0);
+    ASSERT_EQ(sized.size(), styleRegistry().size());
+    for (std::size_t i = 0; i < sized.size(); ++i)
+        EXPECT_EQ(sized[i].key, styleRegistry()[i].key);
 }
 
 TEST(SizedPlanner, SmallMessagesFlipTheContiguousRanking)

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/hash.h"
+
 namespace svc = ct::svc;
 
 namespace {
@@ -37,6 +39,30 @@ chaosSpec(const std::string &spec)
     auto parsed = svc::SvcChaos::tryParse(spec, &error);
     EXPECT_TRUE(parsed) << error;
     return parsed ? *parsed : svc::SvcChaos{};
+}
+
+/** The storm workload's 1,152 plan lines: twelve patterns squared on
+ *  both machines, steady state and three message sizes. */
+std::vector<std::string>
+stormPlanLines()
+{
+    static const char *const patterns[] = {
+        "1", "2", "3", "4", "8", "16", "32", "64", "256", "1024", "w",
+        "16.2"};
+    std::vector<std::string> lines;
+    for (const char *machine : {"t3d", "paragon"})
+        for (const char *x : patterns)
+            for (const char *y : patterns)
+                for (std::uint64_t bytes : {0, 512, 8192, 131072}) {
+                    std::string line =
+                        "{\"id\":" + std::to_string(lines.size() + 1) +
+                        ",\"op\":\"plan\",\"machine\":\"" + machine +
+                        "\",\"xqy\":\"" + x + "Q" + y + "\"";
+                    if (bytes)
+                        line += ",\"bytes\":" + std::to_string(bytes);
+                    lines.push_back(line + "}");
+                }
+    return lines;
 }
 
 } // namespace
@@ -408,4 +434,26 @@ TEST(PlanService, BudgetIsPartOfTheCacheKey)
     EXPECT_EQ(out.responses[0].fidelity, svc::Fidelity::Truncated);
     EXPECT_EQ(out.responses[1].fidelity, svc::Fidelity::Exact);
     EXPECT_EQ(service.cacheStats().hits, 0u);
+}
+
+TEST(PlanService, StormPlanAnswersKeepTheirBytes)
+{
+    // Every storm plan answer, first as a miss and then as a hit,
+    // against a hash of the bytes the service has always produced.
+    svc::ServiceOptions opts = syncOptions();
+    opts.cacheCapacity = 2048;
+    svc::PlanService service(opts, [](const svc::ServiceResponse &) {});
+    std::vector<std::string> lines = stormPlanLines();
+    ASSERT_EQ(lines.size(), 1152u);
+    std::vector<std::string> answers;
+    std::string log;
+    for (const std::string &line : lines) {
+        answers.push_back(service.handleLine(line).line);
+        log += answers.back() + "\n";
+    }
+    EXPECT_EQ(ct::util::fnv1a(log), 0x9f68b697adcda645ULL) << log;
+    EXPECT_EQ(service.cacheStats().misses, lines.size());
+    for (std::size_t i = 0; i < lines.size(); ++i)
+        EXPECT_EQ(service.handleLine(lines[i]).line, answers[i]);
+    EXPECT_EQ(service.cacheStats().hits, lines.size());
 }

@@ -6,19 +6,26 @@
  * each field's maximum, must come back field for field from
  * parse(summary()). Seeded byte mutations of them must either parse
  * to a spec whose summary round-trips or be rejected with a
- * diagnostic; nothing may crash.
+ * diagnostic; nothing may crash. NDJSON service requests get the same
+ * treatment: a mutated line either parses to a request whose
+ * memoization key survives rendering it back to a line, or the
+ * service answers it in band with an error.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "core/planner.h"
 #include "sim/chaos.h"
 #include "sim/fault.h"
 #include "svc/chaos.h"
+#include "svc/json.h"
+#include "svc/service.h"
 #include "sweep/grid.h"
 #include "util/rng.h"
 
@@ -409,6 +416,126 @@ TEST_P(SpecFuzz, GridMutantsParseOrFailLoudly)
             ASSERT_TRUE(again) << text << " -> " << summary;
             EXPECT_EQ(again->summary(), summary) << text;
         }
+    }
+}
+
+/** The lines of the committed serve-smoke request log. */
+std::vector<std::string>
+serveLogLines()
+{
+    std::ifstream in(CT_SVC_TEST_DATA "/serve_requests.ndjson");
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    return lines;
+}
+
+/** A request in the storm workload's shape: a plan, with or without a
+ *  message size, or a short sim, sometimes under a fault spec. */
+std::string
+stormLine(Rng &rng, std::uint64_t id)
+{
+    static const char *const patterns[] = {
+        "1", "2", "3", "4", "8", "16", "32", "64", "256", "1024", "w",
+        "16.2"};
+    bool sim = rng.nextBelow(4) == 0;
+    std::string line = "{\"id\":" + std::to_string(id) + ",\"op\":\"" +
+                       (sim ? "sim" : "plan") + "\",\"machine\":\"" +
+                       (rng.nextBelow(2) ? "t3d" : "paragon") +
+                       "\",\"xqy\":\"" + patterns[rng.nextBelow(12)] +
+                       "Q" + patterns[rng.nextBelow(12)] + "\"";
+    if (sim) {
+        line += ",\"words\":" + std::to_string(512 << rng.nextBelow(3)) +
+                ",\"budget\":" + std::to_string(2000 << rng.nextBelow(3));
+        if (rng.nextBelow(2))
+            line += ",\"faults\":\"" + randomFaults(rng, false).summary() +
+                    "\"";
+    } else if (rng.nextBelow(4)) {
+        line += ",\"bytes\":" + std::to_string(512 << rng.nextBelow(9));
+    }
+    return line + "}";
+}
+
+/** @p r rendered back to a request line: the fields its op takes,
+ *  patterns and specs in their canonical spelling. */
+std::string
+renderRequest(const svc::Request &r)
+{
+    svc::JsonWriter w;
+    w.field("id", r.id).field("op", svc::opName(r.op));
+    if (r.needsQuery())
+        w.field("machine",
+                r.machine == core::MachineId::T3d ? "t3d" : "paragon")
+            .field("xqy", r.x.label() + "Q" + r.y.label());
+    if (r.op == svc::Op::Plan)
+        w.field("bytes", r.bytes);
+    if (r.op == svc::Op::Sim) {
+        w.field("words", r.words).field("budget", r.budget);
+        for (const auto &[key, summary] :
+             {std::pair{"faults", r.faultsSummary},
+              std::pair{"chaos", r.chaosSummary}})
+            if (!summary.empty() && summary != "none")
+                w.field(key, summary);
+    }
+    return w.str();
+}
+
+/** The identity the service answers @p r under: its memoization key
+ *  for plan and sim, its op otherwise. */
+std::string
+requestKey(const svc::Request &r)
+{
+    switch (r.op) {
+      case svc::Op::Plan:
+        return core::canonicalQueryKey("plan", r.machine, r.x, r.y, 0,
+                                       r.bytes, 0, "", "");
+      case svc::Op::Sim:
+        return core::canonicalQueryKey("sim", r.machine, r.x, r.y,
+                                       r.words, 0, r.budget,
+                                       r.faultsSummary, r.chaosSummary);
+      default:
+        return svc::opName(r.op);
+    }
+}
+
+TEST_P(SpecFuzz, RequestMutantsRoundTripOrAnswerAnError)
+{
+    Rng rng(GetParam() + 800);
+    std::vector<std::string> seeds = serveLogLines();
+    ASSERT_FALSE(seeds.empty());
+    for (std::uint64_t id = 1; id <= 40; ++id)
+        seeds.push_back(stormLine(rng, id));
+    svc::ServiceOptions opts;
+    opts.workers = 0;
+    svc::PlanService service(opts, [](const svc::ServiceResponse &) {});
+    // Most mutants break the JSON; enough land in a value or between
+    // tokens to parse (a few dozen per seed).
+    for (int i = 0; i < 1000; ++i) {
+        std::string text =
+            mutate(rng, seeds[rng.nextBelow(seeds.size())], "{}\":,Q");
+        std::string error;
+        std::optional<svc::Request> req;
+        ASSERT_NO_THROW(req = svc::Request::tryParse(text, &error, nullptr))
+            << text;
+        if (req) {
+            std::string line = renderRequest(*req);
+            auto again = svc::Request::tryParse(line, &error, nullptr);
+            ASSERT_TRUE(again) << text << " -> " << line << ": " << error;
+            EXPECT_EQ(again->id, req->id) << text << " -> " << line;
+            EXPECT_EQ(requestKey(*again), requestKey(*req))
+                << text << " -> " << line;
+            continue;
+        }
+        // Rejected lines never reach a handler, so answering them
+        // costs no simulation.
+        EXPECT_FALSE(error.empty()) << "no diagnostic for " << text;
+        svc::ServiceResponse resp;
+        ASSERT_NO_THROW(resp = service.handleLine(text)) << text;
+        EXPECT_EQ(resp.status, svc::Status::Error) << text;
+        auto answer = svc::parseFlatJson(resp.line, &error);
+        ASSERT_TRUE(answer) << resp.line << ": " << error;
+        EXPECT_EQ(answer->at("status").str, "error") << resp.line;
+        EXPECT_FALSE(answer->at("error").str.empty()) << resp.line;
     }
 }
 

@@ -725,11 +725,11 @@ runPlan(const Invocation &inv)
     }
     auto plans = core::plan(query);
 
-    // Size-aware ranking via the latency-extended model.
+    // Size-aware ranking via the latency-extended model, re-ranked
+    // from the same pass (so at the same congestion).
     std::vector<core::SizedPlan> sized;
     if (bytes > 0)
-        sized = core::planForSize(inv.machine, xy->first, xy->second,
-                                  bytes);
+        sized = core::planForSize(plans, bytes);
 
     if (inv.json) {
         printPlanJson(query, plans, bytes, sized, scale.get());
