@@ -78,19 +78,7 @@ SorWorkload::fillInterior(Machine &machine) const
 std::uint64_t
 SorWorkload::verify(Machine &machine) const
 {
-    std::uint64_t mismatches = 0;
-    for (const auto &flow : commOp.flows) {
-        sim::NodeRam &src = machine.node(flow.src).ram();
-        sim::NodeRam &dst = machine.node(flow.dst).ram();
-        for (std::uint64_t i = 0; i < flow.words; ++i) {
-            std::uint64_t sent =
-                src.readWord(flow.srcWalk.elementAddr(src, i));
-            std::uint64_t got =
-                dst.readWord(flow.dstWalk.elementAddr(dst, i));
-            mismatches += sent != got;
-        }
-    }
-    return mismatches;
+    return rt::verifyDelivery(machine, commOp);
 }
 
 void

@@ -1,8 +1,7 @@
 #include "chained_layer.h"
 
-#include <deque>
-
 #include "obs/trace.h"
+#include "sim/ring.h"
 #include "sim/trace_tracks.h"
 #include "util/logging.h"
 
@@ -44,13 +43,13 @@ struct Ctx
 
     std::vector<GroupRun> runs;
     /** Group indices each active node still has to send, in order. */
-    std::vector<std::deque<std::size_t>> senderQueue;
+    std::vector<sim::Ring<std::size_t>> senderQueue;
     /** Per-node flags are char, not vector<bool>: adjacent nodes may
      *  flip their flags concurrently inside a parallel window, and
      *  bit-packed storage would make that a data race. */
     std::vector<char> procBusy;
     /** Packets waiting for the receive co-processor, per node. */
-    std::vector<std::deque<Packet>> coprocQueue;
+    std::vector<sim::Ring<Packet>> coprocQueue;
     std::vector<Cycles> coprocFreeAt;
     std::vector<char> coprocBusy;
     std::vector<Cycles> fetchFreeAt;
@@ -63,8 +62,8 @@ struct Ctx
     Ctx(Machine &machine, const CommOp &op, const ChainedOptions &opts)
         : machine(machine), op(op), opts(opts), groups(groupFlows(op)),
           active(groups), runs(groups.size()),
-          senderQueue(active.count()), procBusy(active.count(), 0),
-          coprocQueue(active.count()), coprocFreeAt(active.count(), 0),
+          procBusy(active.count(), 0), coprocQueue(active.count()),
+          coprocFreeAt(active.count(), 0),
           coprocBusy(active.count(), 0),
           fetchFreeAt(active.count(), 0),
           lastDoneByNode(active.count(), 0), tracer(machine.tracer())
@@ -84,6 +83,14 @@ struct Ctx
             util::fatal("ChainedLayer: machine has neither a flexible "
                         "deposit engine nor a receive co-processor");
         }
+        // Each node's send queue is sized once, for every group it
+        // sends; receive queues grow with the backlog that forms.
+        std::vector<std::size_t> sends(active.count());
+        for (const FlowGroup &group : groups)
+            ++sends[active.slot(group.src)];
+        senderQueue.reserve(active.count());
+        for (std::size_t count : sends)
+            senderQueue.emplace_back(count);
         for (std::size_t g = 0; g < groups.size(); ++g)
             senderQueue[active.slot(groups[g].src)].push_back(g);
     }
@@ -164,9 +171,9 @@ Ctx::trySend(NodeId node)
                             "contiguous flows");
             sim::Node &sender = machine.node(node);
             sim::Addr src_addr = flow.srcWalk.base + offset * 8;
+            pkt.words.resize(count);
             for (std::uint64_t i = 0; i < count; ++i)
-                pkt.words.push_back(
-                    sender.ram().readWord(src_addr + i * 8));
+                pkt.words[i] = sender.ram().readWord(src_addr + i * 8);
             pkt.destBase = flow.dstWalk.base + offset * 8;
             Cycles fetch_start =
                 std::max(now + elapsed, fetchFreeAt[n]);
@@ -199,7 +206,10 @@ Ctx::trySend(NodeId node)
                                          now + elapsed, pkt.words);
             pkt.destBase = flow.dstWalk.base + offset * 8;
         } else {
-            // Gather and address-generate segment by segment.
+            // Gather and address-generate segment by segment, into
+            // lists sized once for the whole chunk.
+            pkt.words.reserve(count);
+            pkt.addrs.reserve(count);
             std::uint64_t done = 0;
             while (done < count) {
                 auto [seg_pos, seg_off] =

@@ -100,21 +100,37 @@ std::vector<FlowGroup>
 groupFlows(const CommOp &op)
 {
     std::vector<FlowGroup> groups;
-    for (std::size_t f = 0; f < op.flows.size(); ++f) {
-        const Flow &flow = op.flows[f];
-        if (flow.words == 0)
+    const std::vector<Flow> &flows = op.flows;
+    std::size_t f = 0;
+    while (f < flows.size()) {
+        if (flows[f].words == 0) {
+            ++f;
             continue;
-        if (groups.empty() || groups.back().src != flow.src ||
-            groups.back().dst != flow.dst) {
-            FlowGroup group;
-            group.src = flow.src;
-            group.dst = flow.dst;
-            group.prefix.push_back(0);
-            groups.push_back(std::move(group));
         }
-        FlowGroup &group = groups.back();
-        group.flows.push_back(f);
-        group.prefix.push_back(group.prefix.back() + flow.words);
+        // A group runs to the next flow with words for another
+        // (src, dst); flows without words inside it are skipped.
+        // Count its members first so both lists are sized once.
+        NodeId src = flows[f].src, dst = flows[f].dst;
+        std::size_t end = f, members = 0;
+        for (; end < flows.size(); ++end) {
+            if (flows[end].words == 0)
+                continue;
+            if (flows[end].src != src || flows[end].dst != dst)
+                break;
+            ++members;
+        }
+        FlowGroup &group = groups.emplace_back();
+        group.src = src;
+        group.dst = dst;
+        group.flows.reserve(members);
+        group.prefix.reserve(members + 1);
+        group.prefix.push_back(0);
+        for (; f < end; ++f) {
+            if (flows[f].words == 0)
+                continue;
+            group.flows.push_back(f);
+            group.prefix.push_back(group.prefix.back() + flows[f].words);
+        }
     }
     return groups;
 }
@@ -158,10 +174,13 @@ seedSources(sim::Machine &machine, const CommOp &op)
 {
     for (std::size_t f = 0; f < op.flows.size(); ++f) {
         const Flow &flow = op.flows[f];
+        if (flow.words == 0)
+            continue;
         sim::NodeRam &ram = machine.node(flow.src).ram();
-        for (std::uint64_t i = 0; i < flow.words; ++i)
-            ram.writeWord(flow.srcWalk.elementAddr(ram, i),
-                          sourceValue(f, i));
+        sim::withCursor(flow.srcWalk, 0, [&](auto cur) {
+            for (std::uint64_t i = 0; i < flow.words; ++i, cur.advance())
+                ram.writeWord(cur.elementAddr(ram), sourceValue(f, i));
+        });
     }
 }
 
@@ -169,17 +188,19 @@ std::uint64_t
 verifyDelivery(sim::Machine &machine, const CommOp &op)
 {
     std::uint64_t mismatches = 0;
-    for (std::size_t f = 0; f < op.flows.size(); ++f) {
-        const Flow &flow = op.flows[f];
-        sim::NodeRam &src_ram = machine.node(flow.src).ram();
-        sim::NodeRam &dst_ram = machine.node(flow.dst).ram();
-        for (std::uint64_t i = 0; i < flow.words; ++i) {
-            std::uint64_t sent =
-                src_ram.readWord(flow.srcWalk.elementAddr(src_ram, i));
-            std::uint64_t got =
-                dst_ram.readWord(flow.dstWalk.elementAddr(dst_ram, i));
-            mismatches += sent != got;
-        }
+    for (const Flow &flow : op.flows) {
+        if (flow.words == 0)
+            continue;
+        const sim::NodeRam &src_ram = machine.node(flow.src).ram();
+        const sim::NodeRam &dst_ram = machine.node(flow.dst).ram();
+        sim::withCursor(flow.srcWalk, 0, [&](auto src) {
+            sim::withCursor(flow.dstWalk, 0, [&](auto dst) {
+                for (std::uint64_t i = 0; i < flow.words;
+                     ++i, src.advance(), dst.advance())
+                    mismatches += src_ram.readWord(src.elementAddr(src_ram)) !=
+                                  dst_ram.readWord(dst.elementAddr(dst_ram));
+            });
+        });
     }
     return mismatches;
 }

@@ -1,8 +1,7 @@
 #include "packing_layer.h"
 
-#include <deque>
-
 #include "obs/trace.h"
+#include "sim/ring.h"
 #include "sim/trace_tracks.h"
 #include "util/logging.h"
 
@@ -52,8 +51,8 @@ struct Ctx
     };
 
     std::vector<GroupRun> runs;
-    std::vector<std::deque<std::size_t>> senderQueue;
-    std::vector<std::deque<UnpackTask>> unpackQueue;
+    std::vector<sim::Ring<std::size_t>> senderQueue;
+    std::vector<sim::Ring<UnpackTask>> unpackQueue;
     /** char, not vector<bool>: adjacent nodes flip their flags
      *  concurrently inside a parallel window, and bit-packed storage
      *  would make that a data race. */
@@ -66,10 +65,18 @@ struct Ctx
     Ctx(Machine &machine, const CommOp &op, const PackingOptions &opts)
         : machine(machine), op(op), opts(opts),
           groups(groupFlows(op)), active(groups), runs(groups.size()),
-          senderQueue(active.count()), unpackQueue(active.count()),
-          procBusy(active.count(), 0), fetchFreeAt(active.count(), 0),
+          unpackQueue(active.count()), procBusy(active.count(), 0),
+          fetchFreeAt(active.count(), 0),
           lastDoneByNode(active.count(), 0), tracer(machine.tracer())
     {
+        // Each node's send queue is sized once, for every group it
+        // sends; unpack queues grow with the backlog that forms.
+        std::vector<std::size_t> sends(active.count());
+        for (const FlowGroup &group : groups)
+            ++sends[active.slot(group.src)];
+        senderQueue.reserve(active.count());
+        for (std::size_t count : sends)
+            senderQueue.emplace_back(count);
         const Bytes ring = layerRingBytes;
         for (std::size_t g = 0; g < groups.size(); ++g) {
             const FlowGroup &group = groups[g];
@@ -214,9 +221,9 @@ Ctx::runGather(NodeId node, std::size_t group_idx, std::uint64_t first,
         // DMA feed (1F0): runs in parallel with further processor
         // work; the processor is released as soon as the gather is
         // done.
+        pkt.words.resize(count);
         for (std::uint64_t i = 0; i < count; ++i)
-            pkt.words.push_back(
-                sender.ram().readWord(feed_addr + i * 8));
+            pkt.words[i] = sender.ram().readWord(feed_addr + i * 8);
         Cycles fetch_start = std::max(now + elapsed, fetchFreeAt[n]);
         Cycles fetch_elapsed =
             sender.fetchEngine().fetch(feed_addr, count * 8);

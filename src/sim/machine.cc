@@ -36,11 +36,6 @@ machineConfigError(const MachineConfig &config)
                    config.network.adpBytesPerWord);
     if (config.node.ramBytes == 0)
         return bad("node ramBytes must be positive");
-    if (config.node.processor.loopCyclesPerElem < 0.0 ||
-        !std::isfinite(config.node.processor.loopCyclesPerElem))
-        return bad("processor loopCyclesPerElem must be non-negative "
-                   "and finite, got ",
-                   config.node.processor.loopCyclesPerElem);
     if (config.threads < 0 || config.threads > sweep::kMaxThreads)
         return bad("threads must be in [0, ", sweep::kMaxThreads,
                    "], got ", config.threads);
@@ -213,7 +208,7 @@ t3dNodeConfig()
     node.memory.missOverheadCycles = 5;
     node.memory.storeIssueCycles = 3;
 
-    node.processor = {2.0, 5, 4};
+    node.processor = {2, 5, 4};
     node.hasCoProcessor = false;
 
     // The annex handles every pattern via address-data pairs.
@@ -243,9 +238,9 @@ paragonNodeConfig()
     node.memory.missOverheadCycles = 2;
     node.memory.storeIssueCycles = 1;
 
-    node.processor = {1.0, 6, 2};
+    node.processor = {1, 6, 2};
     node.hasCoProcessor = true;
-    node.coProcessor = {1.0, 6, 2};
+    node.coProcessor = {1, 6, 2};
 
     // The DMA deposits contiguous blocks only.
     node.deposit = {true, false, 2.5, 0.0, 20};

@@ -100,9 +100,10 @@ void
 fillChunk(NodeRam &ram, const PatternWalk &walk, std::uint64_t first,
           std::uint64_t count)
 {
-    WalkCursor cur(walk, first);
-    for (std::uint64_t i = 0; i < count; ++i, cur.advance())
-        ram.writeWord(cur.elementAddr(ram), 0x1000 + first + i);
+    withCursor(walk, first, [&](auto cur) {
+        for (std::uint64_t i = 0; i < count; ++i, cur.advance())
+            ram.writeWord(cur.elementAddr(ram), 0x1000 + first + i);
+    });
 }
 
 void
@@ -215,11 +216,16 @@ measureReceiveDeposit(const MachineConfig &cfg, core::AccessPattern y,
         pkt.dst = 0;
         pkt.framing =
             contiguous ? Framing::DataOnly : Framing::AddrDataPair;
-        WalkCursor cur(dst, first);
-        for (std::uint64_t i = 0; i < count; ++i, cur.advance()) {
-            pkt.words.push_back(0x3000 + first + i);
-            if (!contiguous)
-                pkt.addrs.push_back(cur.elementAddr(node.ram()));
+        pkt.words.resize(count);
+        for (std::uint64_t i = 0; i < count; ++i)
+            pkt.words[i] = 0x3000 + first + i;
+        // The addresses are data-plane only: no simulated index load.
+        if (!contiguous) {
+            pkt.addrs.resize(count);
+            withCursor(dst, first, [&](auto cur) {
+                for (std::uint64_t i = 0; i < count; ++i, cur.advance())
+                    pkt.addrs[i] = cur.elementAddr(node.ram());
+            });
         }
         if (contiguous)
             pkt.destBase = dst.base + first * 8;

@@ -59,13 +59,13 @@ class MemorySystem
      *        path (i860 pfld); auxiliary loads such as index-array
      *        reads set this false and go through the cache.
      */
-    Cycles load(Addr addr, Cycles now,
-                BusMaster master = BusMaster::Processor,
-                bool streaming = true);
+    [[gnu::always_inline]] Cycles
+    load(Addr addr, Cycles now, BusMaster master = BusMaster::Processor,
+         bool streaming = true);
 
     /** Processor word store; returns visible cycles. */
-    Cycles store(Addr addr, Cycles now,
-                 BusMaster master = BusMaster::Processor);
+    [[gnu::always_inline]] Cycles
+    store(Addr addr, Cycles now, BusMaster master = BusMaster::Processor);
 
     /**
      * Read through the engine port (cache bypassed, pattern-neutral).

@@ -153,12 +153,12 @@ Network::noteAvoidedLinks(const std::vector<LinkId> &avoided)
     }
 }
 
-bool
-Network::routeFor(const Packet &packet, std::vector<LinkId> &links)
+const std::vector<LinkId> *
+Network::routeFor(const Packet &packet)
 {
     if (!topo.anyOutages()) {
-        links = topo.route(packet.src, packet.dst);
-        return true;
+        topo.route(packet.src, packet.dst, routeScratch.links);
+        return &routeScratch.links;
     }
     Cycles now = events.now();
     // A dead node neither injects nor drains: the packet vanishes and
@@ -170,9 +170,10 @@ Network::routeFor(const Packet &packet, std::vector<LinkId> &links)
             tracer->instant("net", "dead-node",
                             traceTrack(packet.src, TraceTrack::Net),
                             now, "dst", packet.dst);
-        return false;
+        return nullptr;
     }
-    RouteInfo info = topo.healthyRoute(packet.src, packet.dst, now);
+    RouteInfo &info = routeScratch;
+    topo.healthyRoute(packet.src, packet.dst, now, info);
     if (!info.ok) {
         m.unroutablePackets.inc();
         noteAvoidedLinks(info.avoided);
@@ -180,7 +181,7 @@ Network::routeFor(const Packet &packet, std::vector<LinkId> &links)
             tracer->instant("net", "unroutable",
                             traceTrack(packet.src, TraceTrack::Net),
                             now, "dst", packet.dst);
-        return false;
+        return nullptr;
     }
     if (info.rerouted) {
         m.reroutedPackets.inc();
@@ -190,8 +191,7 @@ Network::routeFor(const Packet &packet, std::vector<LinkId> &links)
                             traceTrack(packet.src, TraceTrack::Net),
                             now, "dst", packet.dst);
     }
-    links = std::move(info.links);
-    return true;
+    return &info.links;
 }
 
 void
@@ -217,9 +217,10 @@ Network::transmit(Packet &&packet)
         return;
     }
 
-    std::vector<LinkId> route;
-    if (!routeFor(packet, route))
+    const std::vector<LinkId> *routed = routeFor(packet);
+    if (!routed)
         return;
+    const std::vector<LinkId> &route = *routed;
 
     if (faults) {
         // A permanent probabilistic link failure takes down one
@@ -285,11 +286,11 @@ Network::transmit(Packet &&packet)
                     traceTrack(packet.src, TraceTrack::Net),
                     events.now(), "cycles", extra);
         }
-        reserveAndSchedule(std::move(route), std::move(packet), extra);
+        reserveAndSchedule(route, std::move(packet), extra);
         return;
     }
 
-    reserveAndSchedule(std::move(route), std::move(packet), 0);
+    reserveAndSchedule(route, std::move(packet), 0);
 }
 
 Cycles
@@ -312,7 +313,7 @@ Network::reserveRoute(const std::vector<LinkId> &route,
 }
 
 void
-Network::reserveAndSchedule(std::vector<LinkId> route,
+Network::reserveAndSchedule(const std::vector<LinkId> &route,
                             Packet &&packet, Cycles extra_delay)
 {
     Cycles arrival = reserveRoute(route, packet) + extra_delay;

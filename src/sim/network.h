@@ -131,12 +131,13 @@ class Network
 
   private:
     void transmit(Packet &&packet);
-    /** Routing with outage handling; false = packet swallowed. */
-    bool routeFor(const Packet &packet, std::vector<LinkId> &links);
+    /** Route @p packet into routeScratch, with outage handling;
+     *  nullptr = packet swallowed. */
+    const std::vector<LinkId> *routeFor(const Packet &packet);
     /** Reserve link slots along @p route; returns the arrival time. */
     Cycles reserveRoute(const std::vector<LinkId> &route,
                         const Packet &packet);
-    void reserveAndSchedule(std::vector<LinkId> route,
+    void reserveAndSchedule(const std::vector<LinkId> &route,
                             Packet &&packet, Cycles extra_delay);
     void arrive(Packet &&packet, Cycles time);
     void noteAvoidedLinks(const std::vector<LinkId> &avoided);
@@ -173,6 +174,11 @@ class Network
     std::vector<Cycles> linkFreeAt;
     /** Dead links already counted in stats().reroutedLinks. */
     std::vector<bool> reroutedLinkSeen;
+    /** The route of the packet being transmitted. Kept across
+     *  packets, so routing reuses its buffers instead of allocating
+     *  per packet; transmit() runs serially (sends inside a parallel
+     *  window defer to commit), so one is enough. */
+    RouteInfo routeScratch;
 };
 
 } // namespace ct::sim

@@ -1,9 +1,5 @@
 #include "processor.h"
 
-#include <cmath>
-
-#include "util/logging.h"
-
 namespace ct::sim {
 
 Processor::Processor(const ProcessorConfig &config, MemorySystem &memory,
@@ -12,17 +8,75 @@ Processor::Processor(const ProcessorConfig &config, MemorySystem &memory,
 {
 }
 
+template <typename Src, typename Dst>
 Cycles
-Processor::loadElement(const PatternWalk &walk, const WalkCursor &cur,
-                       Cycles now, std::uint64_t &value)
+Processor::copyLoop(Src src, Dst dst, std::uint64_t count, Cycles start)
 {
-    Cycles cost = 0;
-    if (walk.needsIndexLoad())
-        cost += mem.load(cur.indexAddr(), now, master);
-    Addr addr = cur.elementAddr(nodeRam);
-    cost += mem.load(addr, now + cost, master);
-    value = nodeRam.readWord(addr);
-    return cost;
+    Cycles now = start;
+    for (std::uint64_t i = 0; i < count;
+         ++i, src.advance(), dst.advance()) {
+        if constexpr (Src::indexed)
+            now += mem.load(src.indexAddr(), now, master);
+        Addr saddr = src.elementAddr(nodeRam);
+        now += mem.load(saddr, now, master);
+        std::uint64_t value = nodeRam.readWord(saddr);
+        if constexpr (Dst::indexed)
+            now += mem.load(dst.indexAddr(), now, master);
+        Addr daddr = dst.elementAddr(nodeRam);
+        now += mem.store(daddr, now, master);
+        nodeRam.writeWord(daddr, value);
+        now += cfg.loopCyclesPerElem;
+    }
+    return now - start;
+}
+
+template <typename Src>
+Cycles
+Processor::gatherLoop(Src src, std::uint64_t count, Cycles start,
+                      std::uint64_t *words)
+{
+    Cycles now = start;
+    for (std::uint64_t i = 0; i < count; ++i, src.advance()) {
+        if constexpr (Src::indexed)
+            now += mem.load(src.indexAddr(), now, master);
+        Addr addr = src.elementAddr(nodeRam);
+        now += mem.load(addr, now, master);
+        words[i] = nodeRam.readWord(addr);
+        now += cfg.portStoreCycles + cfg.loopCyclesPerElem;
+    }
+    return now - start;
+}
+
+template <typename Dst>
+Cycles
+Processor::addrLoop(Dst dst, std::uint64_t count, Cycles start,
+                    Addr *addrs)
+{
+    Cycles now = start;
+    for (std::uint64_t i = 0; i < count; ++i, dst.advance()) {
+        if constexpr (Dst::indexed)
+            now += mem.load(dst.indexAddr(), now, master);
+        addrs[i] = dst.elementAddr(nodeRam);
+    }
+    return now - start;
+}
+
+template <typename Dst>
+Cycles
+Processor::scatterLoop(Dst dst, std::uint64_t count, Cycles start,
+                       const std::uint64_t *words)
+{
+    Cycles now = start;
+    for (std::uint64_t i = 0; i < count; ++i, dst.advance()) {
+        now += cfg.portLoadCycles;
+        if constexpr (Dst::indexed)
+            now += mem.load(dst.indexAddr(), now, master);
+        Addr daddr = dst.elementAddr(nodeRam);
+        now += mem.store(daddr, now, master);
+        nodeRam.writeWord(daddr, words[i]);
+        now += cfg.loopCyclesPerElem;
+    }
+    return now - start;
 }
 
 Cycles
@@ -37,24 +91,11 @@ Processor::copy2(const PatternWalk &src, std::uint64_t src_first,
                  const PatternWalk &dst, std::uint64_t dst_first,
                  std::uint64_t count, Cycles start)
 {
-    Cycles now = start;
-    WalkCursor scur(src, src_first);
-    WalkCursor dcur(dst, dst_first);
-    for (std::uint64_t i = 0; i < count;
-         ++i, scur.advance(), dcur.advance()) {
-        std::uint64_t value = 0;
-        now += loadElement(src, scur, now, value);
-        if (dst.needsIndexLoad())
-            now += mem.load(dcur.indexAddr(), now, master);
-        Addr daddr = dcur.elementAddr(nodeRam);
-        now += mem.store(daddr, now, master);
-        nodeRam.writeWord(daddr, value);
-        loopCarry += cfg.loopCyclesPerElem;
-        double whole = std::floor(loopCarry);
-        loopCarry -= whole;
-        now += static_cast<Cycles>(whole);
-    }
-    return now - start;
+    return withCursor(src, src_first, [&](auto s) {
+        return withCursor(dst, dst_first, [&](auto d) {
+            return copyLoop(s, d, count, start);
+        });
+    });
 }
 
 Cycles
@@ -62,19 +103,11 @@ Processor::gatherToPort(const PatternWalk &src, std::uint64_t first,
                         std::uint64_t count, Cycles start,
                         std::vector<std::uint64_t> &words)
 {
-    Cycles now = start;
-    WalkCursor cur(src, first);
-    for (std::uint64_t i = 0; i < count; ++i, cur.advance()) {
-        std::uint64_t value = 0;
-        now += loadElement(src, cur, now, value);
-        now += cfg.portStoreCycles;
-        words.push_back(value);
-        loopCarry += cfg.loopCyclesPerElem;
-        double whole = std::floor(loopCarry);
-        loopCarry -= whole;
-        now += static_cast<Cycles>(whole);
-    }
-    return now - start;
+    std::size_t at = words.size();
+    words.resize(at + count);
+    return withCursor(src, first, [&](auto s) {
+        return gatherLoop(s, count, start, words.data() + at);
+    });
 }
 
 Cycles
@@ -82,14 +115,11 @@ Processor::computeRemoteAddrs(const PatternWalk &dst,
                               std::uint64_t first, std::uint64_t count,
                               Cycles start, std::vector<Addr> &addrs)
 {
-    Cycles now = start;
-    WalkCursor cur(dst, first);
-    for (std::uint64_t i = 0; i < count; ++i, cur.advance()) {
-        if (dst.needsIndexLoad())
-            now += mem.load(cur.indexAddr(), now, master);
-        addrs.push_back(cur.elementAddr(nodeRam));
-    }
-    return now - start;
+    std::size_t at = addrs.size();
+    addrs.resize(at + count);
+    return withCursor(dst, first, [&](auto d) {
+        return addrLoop(d, count, start, addrs.data() + at);
+    });
 }
 
 Cycles
@@ -97,21 +127,9 @@ Processor::scatterFromPort(const PatternWalk &dst, std::uint64_t first,
                            std::uint64_t count, Cycles start,
                            const std::uint64_t *words)
 {
-    Cycles now = start;
-    WalkCursor cur(dst, first);
-    for (std::uint64_t i = 0; i < count; ++i, cur.advance()) {
-        now += cfg.portLoadCycles;
-        if (dst.needsIndexLoad())
-            now += mem.load(cur.indexAddr(), now, master);
-        Addr daddr = cur.elementAddr(nodeRam);
-        now += mem.store(daddr, now, master);
-        nodeRam.writeWord(daddr, words[i]);
-        loopCarry += cfg.loopCyclesPerElem;
-        double whole = std::floor(loopCarry);
-        loopCarry -= whole;
-        now += static_cast<Cycles>(whole);
-    }
-    return now - start;
+    return withCursor(dst, first, [&](auto d) {
+        return scatterLoop(d, count, start, words);
+    });
 }
 
 } // namespace ct::sim

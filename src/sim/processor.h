@@ -21,7 +21,7 @@ namespace ct::sim {
 struct ProcessorConfig
 {
     /** Loop/address-generation overhead per element (unrolled). */
-    double loopCyclesPerElem = 1.0;
+    Cycles loopCyclesPerElem = 1;
     /** Store one word to the memory-mapped NI send port. */
     Cycles portStoreCycles = 3;
     /** Load one word from the NI receive FIFO. */
@@ -61,7 +61,9 @@ class Processor
 
     /**
      * Load-send kernel (xS0): read elements with pattern x and store
-     * them to the NI port; the words are appended to @p words.
+     * them to the NI port; the words are appended to @p words, which
+     * grows once per call (reserve it to make the call allocate
+     * nothing).
      */
     Cycles gatherToPort(const PatternWalk &src, std::uint64_t first,
                         std::uint64_t count, Cycles start,
@@ -71,6 +73,8 @@ class Processor
      * Compute the destination addresses for a chained remote store
      * (the sender generates addresses for the receiver, §2.1). Index
      * loads for an indexed destination pattern cost sender time.
+     * The addresses are appended to @p addrs, which grows once per
+     * call.
      */
     Cycles computeRemoteAddrs(const PatternWalk &dst,
                               std::uint64_t first, std::uint64_t count,
@@ -92,16 +96,25 @@ class Processor
     const ProcessorConfig &config() const { return cfg; }
 
   private:
-    /** Visible cycles to read the element under @p cur (plus its
-     *  index load, if the walk is indexed). */
-    Cycles loadElement(const PatternWalk &walk, const WalkCursor &cur,
-                       Cycles now, std::uint64_t &value);
+    // One loop per kernel, instantiated for each typed cursor (or
+    // pair of cursors); the public kernels pick the instance once per
+    // call.
+    template <typename Src, typename Dst>
+    Cycles copyLoop(Src src, Dst dst, std::uint64_t count, Cycles start);
+    template <typename Src>
+    Cycles gatherLoop(Src src, std::uint64_t count, Cycles start,
+                      std::uint64_t *words);
+    template <typename Dst>
+    Cycles addrLoop(Dst dst, std::uint64_t count, Cycles start,
+                    Addr *addrs);
+    template <typename Dst>
+    Cycles scatterLoop(Dst dst, std::uint64_t count, Cycles start,
+                       const std::uint64_t *words);
 
     ProcessorConfig cfg;
     MemorySystem &mem;
     NodeRam &nodeRam;
     BusMaster master;
-    double loopCarry = 0.0;
 };
 
 } // namespace ct::sim

@@ -1,15 +1,21 @@
 /**
  * @file
- * Fixed-capacity FIFO ring for the memory system's bounded queues
- * (write-queue entries, outstanding pipelined loads). Storage is
- * sized once at construction, so pushes and pops never allocate; the
- * owner keeps size() within the capacity it asked for.
+ * FIFO ring for the simulator's queues: the memory system's bounded
+ * ones (write-queue entries, outstanding pipelined loads) and the
+ * message layers' per-node work queues. Storage is sized at
+ * construction; a push onto a full ring doubles it. A ring whose
+ * owner never exceeds the capacity it asked for (the memory system's)
+ * therefore never allocates after construction, and one whose depth
+ * is bounded only in practice (a layer's queues, which a duplicated
+ * packet can deepen) allocates once per doubling, not per element.
  */
 
 #ifndef CT_SIM_RING_H
 #define CT_SIM_RING_H
 
+#include <algorithm>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 namespace ct::sim {
@@ -18,6 +24,7 @@ template <typename T>
 class Ring
 {
   public:
+    Ring() = default;
     explicit Ring(std::size_t capacity) : slots(capacity) {}
 
     bool empty() const { return count == 0; }
@@ -35,11 +42,13 @@ class Ring
     T &back() { return (*this)[count - 1]; }
     const T &back() const { return (*this)[count - 1]; }
 
-    /** Append at the back; the ring must not be full. */
+    /** Append at the back, growing a full ring first. */
     void
-    push_back(const T &value)
+    push_back(T value)
     {
-        slots[wrap(head + count)] = value;
+        if (count == slots.size())
+            grow();
+        slots[wrap(head + count)] = std::move(value);
         ++count;
     }
 
@@ -59,6 +68,19 @@ class Ring
     }
 
   private:
+    /** Double the storage (to at least four slots), oldest element
+     *  first. Out of line: the memory system's rings never take this
+     *  path, so it stays out of their per-word code. */
+    [[gnu::noinline]] void
+    grow()
+    {
+        std::vector<T> bigger(std::max<std::size_t>(2 * slots.size(), 4));
+        for (std::size_t i = 0; i < count; ++i)
+            bigger[i] = std::move((*this)[i]);
+        slots.swap(bigger);
+        head = 0;
+    }
+
     /** Map a position in [0, 2 * capacity) onto a slot. */
     std::size_t
     wrap(std::size_t pos) const

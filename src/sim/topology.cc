@@ -105,20 +105,31 @@ Topology::route(NodeId src, NodeId dst,
 
     links.push_back(injectionLink(src));
 
-    auto cur = coords(src);
-    auto goal = coords(dst);
+    // Dimension order resolves dimension d only after every lower
+    // one, so on reaching d the packet still has src's coordinate
+    // there: step it and the node number together, no coordinate
+    // vectors needed.
+    NodeId node = src;
+    int src_rest = src, dst_rest = dst, place = 1;
     for (std::size_t d = 0; d < cfg.dims.size(); ++d) {
         int radix = cfg.dims[d];
-        while (cur[d] != goal[d]) {
-            int forward = (goal[d] - cur[d] + radix) % radix;
+        int cur = src_rest % radix, goal = dst_rest % radix;
+        src_rest /= radix;
+        dst_rest /= radix;
+        while (cur != goal) {
+            int forward = (goal - cur + radix) % radix;
             int backward = radix - forward;
             bool positive;
             if (cfg.torus)
                 positive = forward <= backward;
             else
-                positive = goal[d] > cur[d];
-            links.push_back(stepLink(cur, d, positive));
+                positive = goal > cur;
+            links.push_back(networkLink(node, d, positive));
+            int next = (cur + (positive ? 1 : radix - 1)) % radix;
+            node += (next - cur) * place;
+            cur = next;
         }
+        place *= radix;
     }
     links.push_back(ejectionLink(dst));
 }

@@ -26,28 +26,10 @@ PatternWalk::elementAddr(const NodeRam &ram, std::uint64_t i) const
     util::fatal("PatternWalk: fixed pattern has no element address");
 }
 
-WalkCursor::WalkCursor(const PatternWalk &walk, std::uint64_t first)
-    : walkRef(&walk), current(first)
+void
+fixedWalkFatal()
 {
-    using core::PatternKind;
-    switch (walk.pattern.kind()) {
-      case PatternKind::Contiguous:
-        addr = walk.base + first * util::wordBytes;
-        break;
-      case PatternKind::Strided: {
-        // One div/mod to seed the cursor; advance() is add-only.
-        std::uint64_t b = walk.pattern.block();
-        addr = walk.base +
-               (first / b) * walk.pattern.stride() * util::wordBytes +
-               (first % b) * util::wordBytes;
-        blockLeft = b - first % b;
-        break;
-      }
-      case PatternKind::Indexed:
-        break;
-      case PatternKind::Fixed:
-        util::fatal("WalkCursor: fixed pattern has no elements");
-    }
+    util::fatal("walk: fixed pattern has no elements");
 }
 
 PatternWalk

@@ -44,84 +44,127 @@ PatternWalk stridedWalk(Addr base, std::uint32_t stride_words,
                         std::uint32_t block_words = 1);
 PatternWalk indexedWalk(Addr base, Addr index_base);
 
-/**
- * Streaming address generator over a walk: O(1) state, no divisions
- * in steady state, and no materialized address arrays. Produces the
- * exact sequence `walk.elementAddr(ram, first)`,
- * `walk.elementAddr(ram, first + 1)`, ... so kernels iterating a walk
- * element-by-element can stream instead of recomputing (or caching)
- * per-element addresses.
- *
- * For indexed walks each elementAddr() call reads the index array,
- * mirroring the one architectural index load per element.
- * elementAddr() and advance() run per simulated word and are defined
- * inline below.
- */
-class WalkCursor
+/** Fatal error for a walk over the fixed pattern `0`, which has no
+ *  elements to step through. */
+[[noreturn]] void fixedWalkFatal();
+
+// Typed streaming cursors: O(1) state, no divisions in steady state
+// and no materialized address arrays. Each walks one pattern kind and
+// produces the exact sequence `walk.elementAddr(ram, first)`,
+// `walk.elementAddr(ram, first + 1)`, ..., so a loop instantiated for
+// a cursor type has no per-element dispatch; withCursor() picks the
+// type once per call. An indexed cursor reads the index array on each
+// elementAddr() call, mirroring the one architectural index load per
+// element; `indexed` lets kernels charge that load at compile time.
+
+/** Cursor over a contiguous walk. */
+class ContiguousCursor
 {
   public:
-    WalkCursor(const PatternWalk &walk, std::uint64_t first);
+    static constexpr bool indexed = false;
 
-    /** Word address of the current element. */
-    Addr elementAddr(const NodeRam &ram) const;
+    ContiguousCursor(const PatternWalk &walk, std::uint64_t first)
+        : addr(walk.base + first * util::wordBytes)
+    {
+    }
 
-    /** Address of the current element's index entry. */
-    Addr indexAddr() const { return walkRef->indexAddr(current); }
-
-    /** Element number the cursor stands on. */
-    std::uint64_t index() const { return current; }
-
-    /** Step to the next element. */
-    void advance();
+    Addr elementAddr(const NodeRam &) const { return addr; }
+    void advance() { addr += util::wordBytes; }
 
   private:
-    const PatternWalk *walkRef;
-    std::uint64_t current;
-    /** Precomputed address (contiguous / strided walks). */
-    Addr addr = 0;
-    /** Elements left in the current strided block (incl. current). */
-    std::uint64_t blockLeft = 0;
+    Addr addr;
 };
 
-inline Addr
-WalkCursor::elementAddr(const NodeRam &ram) const
+/** Cursor over a strided walk of blocks of consecutive words. */
+class StridedCursor
 {
-    if (walkRef->pattern.isIndexed())
-        return walkRef->base +
-               ram.readWord(walkRef->indexAddr(current)) *
-                   util::wordBytes;
-    return addr;
-}
+  public:
+    static constexpr bool indexed = false;
 
-inline void
-WalkCursor::advance()
-{
-    using core::PatternKind;
-    ++current;
-    switch (walkRef->pattern.kind()) {
-      case PatternKind::Contiguous:
-        addr += util::wordBytes;
-        break;
-      case PatternKind::Strided:
+    StridedCursor(const PatternWalk &walk, std::uint64_t first)
+        : block(walk.pattern.block()),
+          // From the last word of a block to the first of the next:
+          // stride words on from the block's start, which lies
+          // block - 1 words back.
+          blockJump(static_cast<Addr>(walk.pattern.stride()) *
+                        util::wordBytes -
+                    static_cast<Addr>(block - 1) * util::wordBytes)
+    {
+        // One div/mod to seed the cursor; advance() is add-only.
+        addr = walk.base +
+               (first / block) * walk.pattern.stride() * util::wordBytes +
+               (first % block) * util::wordBytes;
+        blockLeft = block - first % block;
+    }
+
+    Addr elementAddr(const NodeRam &) const { return addr; }
+
+    void
+    advance()
+    {
         if (--blockLeft == 0) {
-            // Jump from the last element of a block to the first of
-            // the next: stride words forward from the block start,
-            // i.e. back over the block-1 words already walked. Two
-            // 64-bit steps so an overlapping stride < block cannot
-            // underflow in 32 bits.
-            addr -= static_cast<Addr>(walkRef->pattern.block() - 1) *
-                    util::wordBytes;
-            addr += static_cast<Addr>(walkRef->pattern.stride()) *
-                    util::wordBytes;
-            blockLeft = walkRef->pattern.block();
+            addr += blockJump;
+            blockLeft = block;
         } else {
             addr += util::wordBytes;
         }
-        break;
-      case PatternKind::Indexed:
-      case PatternKind::Fixed:
+    }
+
+  private:
+    std::uint64_t block;
+    Addr blockJump;
+    Addr addr = 0;
+    /** Elements left in the current block (incl. the current one). */
+    std::uint64_t blockLeft = 0;
+};
+
+/** Cursor over an indexed walk. */
+class IndexedCursor
+{
+  public:
+    static constexpr bool indexed = true;
+
+    IndexedCursor(const PatternWalk &walk, std::uint64_t first)
+        : base(walk.base), index(walk.indexAddr(first))
+    {
+    }
+
+    /** Address of the current element's index entry. */
+    Addr indexAddr() const { return index; }
+
+    Addr
+    elementAddr(const NodeRam &ram) const
+    {
+        return base + ram.readWord(index) * util::wordBytes;
+    }
+
+    void advance() { index += util::wordBytes; }
+
+  private:
+    Addr base;
+    Addr index;
+};
+
+/**
+ * Call @p fn with the typed cursor that walks @p walk from element
+ * @p first, and return what it returns: the pattern kind is switched
+ * on once per walk, not per element. Fatal for the fixed pattern.
+ */
+template <typename Fn>
+decltype(auto)
+withCursor(const PatternWalk &walk, std::uint64_t first, Fn &&fn)
+{
+    switch (walk.pattern.kind()) {
+      case core::PatternKind::Contiguous:
+        return fn(ContiguousCursor(walk, first));
+      case core::PatternKind::Strided:
+        return fn(StridedCursor(walk, first));
+      case core::PatternKind::Indexed:
+        return fn(IndexedCursor(walk, first));
+      case core::PatternKind::Fixed:
         break;
     }
+    fixedWalkFatal();
 }
 
 } // namespace ct::sim

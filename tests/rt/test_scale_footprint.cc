@@ -9,7 +9,9 @@
  * capacity-proportional (O(N²) channels, dense per-link) version
  * would need at 4096 nodes. The same allocator witnesses the
  * simulator's word path (DESIGN.md §11): once a node is warm, moving
- * words through its memory system allocates nothing.
+ * words through its memory system allocates nothing; and its packet
+ * path: a warm layer run allocates per packet, flow group, RAM page
+ * and endpoint, never per word or per hop.
  */
 
 #include <gtest/gtest.h>
@@ -18,9 +20,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 #include "core/planner.h"
+#include "rt/chained_layer.h"
+#include "rt/packing_layer.h"
 #include "rt/reliable_layer.h"
 #include "rt/workload.h"
 #include "sim/machine.h"
@@ -30,13 +35,32 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocated{0};
+std::atomic<std::uint64_t> g_allocCalls{0};
+
+void
+countAllocation(std::size_t size)
+{
+    g_allocated.fetch_add(size, std::memory_order_relaxed);
+    g_allocCalls.fetch_add(1, std::memory_order_relaxed);
+}
+
+/**
+ * Frees what the operators below allocate. Out of line, so that g++
+ * never inlines a free() into code where it can see the pointer came
+ * from operator new (-Wmismatched-new-delete).
+ */
+[[gnu::noinline]] void
+release(void *p) noexcept
+{
+    std::free(p);
+}
 
 } // namespace
 
 void *
 operator new(std::size_t size)
 {
-    g_allocated.fetch_add(size, std::memory_order_relaxed);
+    countAllocation(size);
     if (void *p = std::malloc(size ? size : 1))
         return p;
     throw std::bad_alloc();
@@ -51,7 +75,7 @@ operator new[](std::size_t size)
 void *
 operator new(std::size_t size, std::align_val_t align)
 {
-    g_allocated.fetch_add(size, std::memory_order_relaxed);
+    countAllocation(size);
     if (void *p = std::aligned_alloc(static_cast<std::size_t>(align),
                                      size ? size : 1))
         return p;
@@ -70,7 +94,7 @@ operator new[](std::size_t size, std::align_val_t align)
 void *
 operator new(std::size_t size, const std::nothrow_t &) noexcept
 {
-    g_allocated.fetch_add(size, std::memory_order_relaxed);
+    countAllocation(size);
     return std::malloc(size ? size : 1);
 }
 
@@ -84,7 +108,7 @@ void *
 operator new(std::size_t size, std::align_val_t align,
              const std::nothrow_t &) noexcept
 {
-    g_allocated.fetch_add(size, std::memory_order_relaxed);
+    countAllocation(size);
     return std::aligned_alloc(static_cast<std::size_t>(align),
                               size ? size : 1);
 }
@@ -99,49 +123,49 @@ operator new[](std::size_t size, std::align_val_t align,
 void
 operator delete(void *p) noexcept
 {
-    std::free(p);
+    release(p);
 }
 
 void
 operator delete[](void *p) noexcept
 {
-    std::free(p);
+    release(p);
 }
 
 void
 operator delete(void *p, std::size_t) noexcept
 {
-    std::free(p);
+    release(p);
 }
 
 void
 operator delete[](void *p, std::size_t) noexcept
 {
-    std::free(p);
+    release(p);
 }
 
 void
 operator delete(void *p, std::align_val_t) noexcept
 {
-    std::free(p);
+    release(p);
 }
 
 void
 operator delete[](void *p, std::align_val_t) noexcept
 {
-    std::free(p);
+    release(p);
 }
 
 void
 operator delete(void *p, std::size_t, std::align_val_t) noexcept
 {
-    std::free(p);
+    release(p);
 }
 
 void
 operator delete[](void *p, std::size_t, std::align_val_t) noexcept
 {
-    std::free(p);
+    release(p);
 }
 
 namespace {
@@ -149,15 +173,18 @@ namespace {
 using namespace ct;
 using P = core::AccessPattern;
 
-/** Bytes allocated since construction. */
+/** Bytes and operator new calls since construction. */
 class AllocWindow
 {
   public:
-    AllocWindow() : start(g_allocated.load()) {}
+    AllocWindow() : start(g_allocated.load()), startCalls(g_allocCalls.load())
+    {}
     std::uint64_t bytes() const { return g_allocated.load() - start; }
+    std::uint64_t calls() const { return g_allocCalls.load() - startCalls; }
 
   private:
     std::uint64_t start;
+    std::uint64_t startCalls;
 };
 
 TEST(ScaleFootprint, AnalyticPlanAt4096NodesStaysSmall)
@@ -224,10 +251,11 @@ TEST(ScaleFootprint, ReliableChannelsScaleWithActiveFlows)
 
 /**
  * Bytes allocated by steady-state word traffic on a warm node of
- * @p config: @p rounds passes of Processor::copy over contiguous,
- * strided and indexed walks, then direct MemorySystem loads (data
- * and index) and stores over the same ranges. Every page the walks
- * touch is written first, so page materialization is not counted.
+ * @p config: @p rounds passes of Processor::copy, gatherToPort,
+ * scatterFromPort and computeRemoteAddrs over contiguous, strided and
+ * indexed walks, then direct MemorySystem loads (data and index) and
+ * stores over the same ranges. Every page the walks touch is written
+ * first, so page materialization is not counted.
  */
 std::uint64_t
 wordPathAllocations(const sim::NodeConfig &config, int rounds,
@@ -256,12 +284,24 @@ wordPathAllocations(const sim::NodeConfig &config, int rounds,
     };
     sim::Processor &proc = node.processor();
     sim::MemorySystem &mem = node.memory();
+    // The port kernels append to the caller's vectors; reserved here,
+    // they must never grow inside the window.
+    std::vector<std::uint64_t> port_words;
+    std::vector<sim::Addr> addrs;
+    port_words.reserve(kElems);
+    addrs.reserve(kElems);
     util::Cycles now = 0;
     auto pass = [&] {
         std::uint64_t moved = 0;
         for (const auto &walk : walks) {
             now += proc.copy(walk[0], walk[1], 0, kElems, now);
-            moved += kElems;
+            port_words.clear();
+            now += proc.gatherToPort(walk[0], 0, kElems, now, port_words);
+            now += proc.scatterFromPort(walk[1], 0, kElems, now,
+                                        port_words.data());
+            addrs.clear();
+            now += proc.computeRemoteAddrs(walk[1], 0, kElems, now, addrs);
+            moved += 4 * kElems;
         }
         for (std::uint64_t i = 0; i < kElems; ++i) {
             now += mem.load(src + perm[i] * 8, now);
@@ -297,6 +337,129 @@ TEST(ScaleFootprint, WordPathAllocatesNothingOnWarmNodes)
         std::uint64_t used = wordPathAllocations(c.config, 5, words);
         EXPECT_GE(words, 100000u) << c.name;
         EXPECT_EQ(used, 0u) << c.name << ": " << words << " words";
+    }
+}
+
+/** Pages materialized on all of @p machine's nodes. */
+std::uint64_t
+residentPages(sim::Machine &machine)
+{
+    std::uint64_t pages = 0;
+    for (int n = 0; n < machine.nodeCount(); ++n)
+        pages += machine.node(n).ram().residentPages();
+    return pages;
+}
+
+/** What one warm layer run allocated, next to what it moved. */
+struct PacketPathRun
+{
+    std::uint64_t calls = 0;   ///< operator new calls
+    std::uint64_t packets = 0; ///< packets sent
+    std::uint64_t groups = 0;  ///< flow groups (partner streams)
+    std::uint64_t nodes = 0;   ///< active endpoints
+    std::uint64_t pages = 0;   ///< RAM pages materialized
+};
+
+/**
+ * Run @p op through @p layer twice on @p machine and count the second
+ * run's allocations. The first run warms what a run reuses: the event
+ * pool's slabs, the RAM translation caches, the network's buffers.
+ */
+PacketPathRun
+warmRun(sim::Machine &machine, rt::MessageLayer &layer,
+        const rt::CommOp &op)
+{
+    rt::seedSources(machine, op);
+    layer.run(machine, op);
+    PacketPathRun run;
+    std::vector<rt::FlowGroup> groups = rt::groupFlows(op);
+    run.groups = groups.size();
+    run.nodes = rt::ActiveSet(groups).count();
+    std::uint64_t packets = machine.network().stats().packets;
+    std::uint64_t pages = residentPages(machine);
+    AllocWindow window;
+    layer.run(machine, op);
+    run.calls = window.calls();
+    run.packets = machine.network().stats().packets - packets;
+    run.pages = residentPages(machine) - pages;
+    EXPECT_EQ(rt::verifyDelivery(machine, op), 0u);
+    return run;
+}
+
+/**
+ * A transpose-shaped operation: every node sends @p flows_per_partner
+ * flows of 16 words to each of its next @p partners nodes, reading
+ * them contiguously and storing them with stride 8.
+ */
+rt::CommOp
+transposeShapedOp(sim::Machine &machine, int partners,
+                  int flows_per_partner)
+{
+    util::Rng rng(5);
+    rt::CommOp op;
+    op.name = "transpose-16w";
+    int nodes = machine.nodeCount();
+    for (int src = 0; src < nodes; ++src)
+        for (int k = 1; k <= partners; ++k)
+            for (int f = 0; f < flows_per_partner; ++f)
+                op.flows.push_back(rt::makeFlow(
+                    machine, src, (src + k) % nodes, P::contiguous(),
+                    P::strided(8), 16, rng));
+    return op;
+}
+
+TEST(ScaleFootprint, PacketPathAllocatesPerPacketNotPerWordOrHop)
+{
+    // A packet owns its payload (and, for address-data pairs, its
+    // address list); a flow group owns its flow and prefix lists; a
+    // materialized page owns its bytes and its map node; an active
+    // endpoint owns a send queue, a receive queue and a node in each
+    // of the run's two per-endpoint maps (slots, bytes per sender).
+    // Nothing else may allocate per word, per hop or per flow: the
+    // sender sizes a packet once per chunk, the network routes into a
+    // buffer it keeps, and routing steps coordinates without vectors.
+    // The slack covers the run's fixed tables, the growth of its
+    // lists and receive queues that outgrow their first four slots.
+    const std::uint64_t kSlack = 64;
+    for (core::MachineId id :
+         {core::MachineId::T3d, core::MachineId::Paragon}) {
+        for (bool transpose : {false, true}) {
+            for (bool chained : {true, false}) {
+                sim::Machine machine(sim::configFor(id, 64));
+                rt::CommOp op =
+                    transpose ? transposeShapedOp(machine, 8, 4)
+                              : rt::pairExchange(machine, P::contiguous(),
+                                                 P::contiguous(), 4096);
+                std::unique_ptr<rt::MessageLayer> layer;
+                if (chained)
+                    layer = std::make_unique<rt::ChainedLayer>();
+                else
+                    layer = std::make_unique<rt::PackingLayer>();
+                PacketPathRun run = warmRun(machine, *layer, op);
+                // Chained transfers to a strided destination carry an
+                // address per word.
+                std::uint64_t per_packet = chained && transpose ? 2 : 1;
+                std::uint64_t budget = run.packets * per_packet +
+                                       2 * run.groups + 4 * run.nodes +
+                                       2 * run.pages + kSlack;
+                std::fprintf(
+                    stderr,
+                    "%s %s %s: %llu allocations, %llu packets, %llu "
+                    "groups, %llu nodes, %llu pages, budget %llu\n",
+                    id == core::MachineId::T3d ? "t3d" : "paragon",
+                    transpose ? "transpose" : "pair-exchange",
+                    layer->name().c_str(),
+                    static_cast<unsigned long long>(run.calls),
+                    static_cast<unsigned long long>(run.packets),
+                    static_cast<unsigned long long>(run.groups),
+                    static_cast<unsigned long long>(run.nodes),
+                    static_cast<unsigned long long>(run.pages),
+                    static_cast<unsigned long long>(budget));
+                EXPECT_GT(run.packets, 0u);
+                EXPECT_LE(run.calls, budget)
+                    << layer->name() << (transpose ? " transpose" : "");
+            }
+        }
     }
 }
 

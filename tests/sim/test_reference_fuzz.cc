@@ -1,9 +1,11 @@
 /**
  * @file
  * Reference-model fuzz tests: the optimized tag store, the banked
- * DRAM, the write queue and the load pipeline are checked against
- * trivially-correct reference implementations (divisions, maps and
- * std::deque queues) on random streams, result by result.
+ * DRAM, the write queue, the load pipeline and the processor's copy,
+ * gather, scatter and address kernels are checked against
+ * trivially-correct reference implementations (divisions, maps,
+ * std::deque queues and per-element address arithmetic) on random
+ * streams, result by result.
  */
 
 #include <gtest/gtest.h>
@@ -12,9 +14,12 @@
 #include <deque>
 #include <list>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "sim/cache.h"
 #include "sim/dram.h"
+#include "sim/machine.h"
 #include "sim/prefetch.h"
 #include "sim/write_buffer.h"
 #include "util/rng.h"
@@ -554,5 +559,297 @@ TEST_P(LoadPipelineOracle, EveryLoadMatchesDequeReference)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LoadPipelineOracle,
                          testing::Range<std::uint64_t>(1, 7));
+
+/**
+ * The processor kernels as plain per-element loops: every address
+ * comes from PatternWalk::elementAddr (a division per strided
+ * element, an index-array read per indexed one), every cycle from
+ * MemorySystem::load/store and the ProcessorConfig costs, every word
+ * from NodeRam. Run on a second node built from the same config, it
+ * must match Processor result by result.
+ */
+class ReferenceKernels
+{
+  public:
+    ReferenceKernels(const ProcessorConfig &config, MemorySystem &memory,
+                     NodeRam &ram, BusMaster master)
+        : cfg(config), mem(memory), ram(ram), master(master)
+    {
+    }
+
+    Cycles
+    copy2(const PatternWalk &src, std::uint64_t src_first,
+          const PatternWalk &dst, std::uint64_t dst_first,
+          std::uint64_t count, Cycles start)
+    {
+        Cycles now = start;
+        for (std::uint64_t i = 0; i < count; ++i) {
+            std::uint64_t value = load(src, src_first + i, now);
+            if (dst.needsIndexLoad())
+                now += mem.load(dst.indexAddr(dst_first + i), now, master);
+            Addr daddr = dst.elementAddr(ram, dst_first + i);
+            now += mem.store(daddr, now, master);
+            ram.writeWord(daddr, value);
+            now += cfg.loopCyclesPerElem;
+        }
+        return now - start;
+    }
+
+    Cycles
+    gatherToPort(const PatternWalk &src, std::uint64_t first,
+                 std::uint64_t count, Cycles start,
+                 std::vector<std::uint64_t> &words)
+    {
+        Cycles now = start;
+        for (std::uint64_t i = 0; i < count; ++i) {
+            words.push_back(load(src, first + i, now));
+            now += cfg.portStoreCycles + cfg.loopCyclesPerElem;
+        }
+        return now - start;
+    }
+
+    Cycles
+    computeRemoteAddrs(const PatternWalk &dst, std::uint64_t first,
+                       std::uint64_t count, Cycles start,
+                       std::vector<Addr> &addrs)
+    {
+        Cycles now = start;
+        for (std::uint64_t i = 0; i < count; ++i) {
+            if (dst.needsIndexLoad())
+                now += mem.load(dst.indexAddr(first + i), now, master);
+            addrs.push_back(dst.elementAddr(ram, first + i));
+        }
+        return now - start;
+    }
+
+    Cycles
+    scatterFromPort(const PatternWalk &dst, std::uint64_t first,
+                    std::uint64_t count, Cycles start,
+                    const std::uint64_t *words)
+    {
+        Cycles now = start;
+        for (std::uint64_t i = 0; i < count; ++i) {
+            now += cfg.portLoadCycles;
+            if (dst.needsIndexLoad())
+                now += mem.load(dst.indexAddr(first + i), now, master);
+            Addr daddr = dst.elementAddr(ram, first + i);
+            now += mem.store(daddr, now, master);
+            ram.writeWord(daddr, words[i]);
+            now += cfg.loopCyclesPerElem;
+        }
+        return now - start;
+    }
+
+  private:
+    /** Element @p i of @p walk: its index load, its data load. */
+    std::uint64_t
+    load(const PatternWalk &walk, std::uint64_t i, Cycles &now)
+    {
+        if (walk.needsIndexLoad())
+            now += mem.load(walk.indexAddr(i), now, master);
+        Addr addr = walk.elementAddr(ram, i);
+        now += mem.load(addr, now, master);
+        return ram.readWord(addr);
+    }
+
+    ProcessorConfig cfg;
+    MemorySystem &mem;
+    NodeRam &ram;
+    BusMaster master;
+};
+
+void
+expectSameMemoryStats(const MemorySystem &a, const MemorySystem &b,
+                      const std::string &where)
+{
+    const CacheStats &ca = a.cache().stats(), &cb = b.cache().stats();
+    EXPECT_EQ(ca.loadHits, cb.loadHits) << where;
+    EXPECT_EQ(ca.loadMisses, cb.loadMisses) << where;
+    EXPECT_EQ(ca.storeHits, cb.storeHits) << where;
+    EXPECT_EQ(ca.storeMisses, cb.storeMisses) << where;
+    EXPECT_EQ(ca.writeBacks, cb.writeBacks) << where;
+    EXPECT_EQ(ca.invalidations, cb.invalidations) << where;
+    const DramStats &da = a.dram().stats(), &db = b.dram().stats();
+    EXPECT_EQ(da.reads, db.reads) << where;
+    EXPECT_EQ(da.writes, db.writes) << where;
+    EXPECT_EQ(da.rowHits, db.rowHits) << where;
+    EXPECT_EQ(da.rowMisses, db.rowMisses) << where;
+    EXPECT_EQ(da.busyCycles, db.busyCycles) << where;
+    const WriteBufferStats &wa = a.writeBuffer().stats(),
+                           &wb = b.writeBuffer().stats();
+    EXPECT_EQ(wa.stores, wb.stores) << where;
+    EXPECT_EQ(wa.coalesced, wb.coalesced) << where;
+    EXPECT_EQ(wa.fullStalls, wb.fullStalls) << where;
+    EXPECT_EQ(wa.stallCycles, wb.stallCycles) << where;
+    const ReadAheadStats &ra = a.readAhead().stats(),
+                         &rb = b.readAhead().stats();
+    EXPECT_EQ(ra.streamHits, rb.streamHits) << where;
+    EXPECT_EQ(ra.streamMisses, rb.streamMisses) << where;
+    EXPECT_EQ(ra.prefetchesIssued, rb.prefetchesIssued) << where;
+    const BusStats &ba = a.bus().stats(), &bb = b.bus().stats();
+    EXPECT_EQ(ba.transactions, bb.transactions) << where;
+    EXPECT_EQ(ba.ownerSwitches, bb.ownerSwitches) << where;
+    EXPECT_EQ(ba.busyCycles, bb.busyCycles) << where;
+    EXPECT_EQ(ba.waitCycles, bb.waitCycles) << where;
+}
+
+/** Elements a kernel call may touch: first + count stays below. */
+constexpr std::uint64_t kKernelElems = 600;
+
+/**
+ * The walks of one oracle case, allocated identically on each node:
+ * contiguous; strided with block 1, with block > 1, and with the
+ * tightest legal stride (block + 1; AccessPattern::strided refuses a
+ * stride below the block); indexed over a random index array with
+ * repeats. Each walk has its own region, filled with random words.
+ */
+std::vector<PatternWalk>
+oracleWalks(NodeRam &ram, std::uint64_t seed)
+{
+    ct::util::Rng rng(seed);
+    auto region = [&](std::uint64_t words) {
+        Addr base = ram.alloc(words * 8);
+        for (std::uint64_t i = 0; i < words; ++i)
+            ram.writeWord(base + i * 8, rng.next());
+        return base;
+    };
+    auto strided = [&](std::uint32_t stride, std::uint32_t block) {
+        std::uint64_t blocks = (kKernelElems + block - 1) / block;
+        return stridedWalk(region(blocks * stride), stride, block);
+    };
+    std::vector<PatternWalk> walks;
+    walks.push_back(contiguousWalk(region(kKernelElems)));
+    walks.push_back(
+        strided(2 + static_cast<std::uint32_t>(rng.nextBelow(15)), 1));
+    std::uint32_t block = 2 + static_cast<std::uint32_t>(rng.nextBelow(5));
+    walks.push_back(strided(
+        block + 1 + static_cast<std::uint32_t>(rng.nextBelow(12)), block));
+    walks.push_back(strided(block + 1, block));
+    Addr data = region(kKernelElems);
+    Addr index = ram.alloc(kKernelElems * 8);
+    for (std::uint64_t i = 0; i < kKernelElems; ++i)
+        ram.writeWord(index + i * 8, rng.nextBelow(kKernelElems));
+    walks.push_back(indexedWalk(data, index));
+    return walks;
+}
+
+struct KernelOracleCase
+{
+    const char *machine;
+    std::uint64_t seed;
+};
+
+class KernelOracle : public testing::TestWithParam<KernelOracleCase>
+{};
+
+TEST_P(KernelOracle, EveryKernelMatchesPerElementReference)
+{
+    const KernelOracleCase &c = GetParam();
+    NodeConfig config = std::string(c.machine) == "t3d"
+                            ? t3dNodeConfig()
+                            : paragonNodeConfig();
+    Node node(config);
+    Node mirror(config);
+    std::vector<PatternWalk> walks = oracleWalks(node.ram(), c.seed);
+    ASSERT_EQ(oracleWalks(mirror.ram(), c.seed).size(), walks.size());
+    Addr walks_end = node.ram().alloc(8);
+    ASSERT_EQ(mirror.ram().alloc(8), walks_end);
+
+    ct::util::Rng rng(c.seed * 7919 + 3);
+    Cycles now = 0;
+    std::vector<std::uint64_t> words, ref_words;
+    std::vector<Addr> addrs, ref_addrs;
+    for (int call = 0; call < 400; ++call) {
+        const PatternWalk &src = walks[rng.nextBelow(walks.size())];
+        const PatternWalk &dst = walks[rng.nextBelow(walks.size())];
+        std::uint64_t count =
+            rng.nextBelow(8) == 0 ? 0 : rng.nextBelow(257);
+        std::uint64_t src_first = rng.nextBelow(kKernelElems - count);
+        std::uint64_t dst_first = rng.nextBelow(kKernelElems - count);
+        // The co-processor (Paragon) drains the port as its own bus
+        // master, with its own instruction costs.
+        bool coproc = node.hasCoProcessor() && rng.nextBelow(2) == 0;
+        Processor &proc = coproc ? node.coProcessor() : node.processor();
+        ReferenceKernels ref(
+            coproc ? config.coProcessor : config.processor,
+            mirror.memory(), mirror.ram(),
+            coproc ? BusMaster::CoProcessor : BusMaster::Processor);
+        int kernel = static_cast<int>(rng.nextBelow(5));
+        std::string where = std::string(c.machine) + " seed " +
+                            std::to_string(c.seed) + " call " +
+                            std::to_string(call) + " kernel " +
+                            std::to_string(kernel) + " src " +
+                            src.pattern.label() + " dst " +
+                            dst.pattern.label() + " count " +
+                            std::to_string(count);
+        Cycles got = 0, want = 0;
+        switch (kernel) {
+          case 0:
+            got = proc.copy(src, dst, src_first, count, now);
+            want = ref.copy2(src, src_first, dst, src_first, count, now);
+            break;
+          case 1:
+            got = proc.copy2(src, src_first, dst, dst_first, count, now);
+            want = ref.copy2(src, src_first, dst, dst_first, count, now);
+            break;
+          case 2:
+            words.assign(rng.nextBelow(3), 7);
+            ref_words = words;
+            got = proc.gatherToPort(src, src_first, count, now, words);
+            want = ref.gatherToPort(src, src_first, count, now, ref_words);
+            ASSERT_EQ(words, ref_words) << where;
+            break;
+          case 3:
+            addrs.assign(rng.nextBelow(3), 8);
+            ref_addrs = addrs;
+            got = proc.computeRemoteAddrs(dst, dst_first, count, now,
+                                          addrs);
+            want = ref.computeRemoteAddrs(dst, dst_first, count, now,
+                                          ref_addrs);
+            ASSERT_EQ(addrs, ref_addrs) << where;
+            break;
+          default: {
+            std::vector<std::uint64_t> payload(count);
+            for (auto &w : payload)
+                w = rng.next();
+            got = proc.scatterFromPort(dst, dst_first, count, now,
+                                       payload.data());
+            want = ref.scatterFromPort(dst, dst_first, count, now,
+                                       payload.data());
+            break;
+          }
+        }
+        ASSERT_EQ(got, want) << where;
+        now += got + rng.nextBelow(50);
+        if (rng.nextBelow(16) == 0) {
+            Cycles fence = node.memory().fence(now);
+            ASSERT_EQ(fence, mirror.memory().fence(now)) << where;
+            now += fence;
+        }
+    }
+    for (Addr a = 0; a < walks_end; a += 8)
+        ASSERT_EQ(node.ram().readWord(a), mirror.ram().readWord(a))
+            << c.machine << " seed " << c.seed << " word at " << a;
+    expectSameMemoryStats(node.memory(), mirror.memory(),
+                          std::string(c.machine) + " seed " +
+                              std::to_string(c.seed));
+}
+
+std::vector<KernelOracleCase>
+kernelOracleCases()
+{
+    std::vector<KernelOracleCase> cases;
+    for (const char *machine : {"t3d", "paragon"})
+        for (std::uint64_t seed = 1; seed <= 6; ++seed)
+            cases.push_back({machine, seed});
+    return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Machines, KernelOracle, testing::ValuesIn(kernelOracleCases()),
+    [](const testing::TestParamInfo<KernelOracleCase> &info) {
+        return std::string(info.param.machine) + "_seed" +
+               std::to_string(info.param.seed);
+    });
 
 } // namespace
