@@ -11,6 +11,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "core/expr.h"
 
@@ -23,7 +24,7 @@ namespace ct::core {
  */
 struct ResourceConstraint
 {
-    std::string name;    ///< label used in reports
+    std::string_view name; ///< label used in reports (a literal)
     double demandFactor; ///< how many times the operation loads it
     util::MBps limit;    ///< available aggregate bandwidth
 };

@@ -293,24 +293,4 @@ AnalyticBackend::breakEvenLoss(const TransferProgram &a,
     return bisectCrossing(diff, 0.0, 0.95);
 }
 
-std::optional<double>
-AnalyticBackend::breakEvenCongestion(const TransferProgram &a,
-                                     const TransferProgram &b,
-                                     const FaultEnvironment &env,
-                                     double maxCongestion) const
-{
-    if (maxCongestion <= 1.0)
-        return std::nullopt;
-    auto diff = [&](double c) -> std::optional<double> {
-        FaultEnvironment at = env;
-        at.congestion = c;
-        std::optional<util::MBps> ra = faultedRate(a, at);
-        std::optional<util::MBps> rb = faultedRate(b, at);
-        if (!ra || !rb)
-            return std::nullopt;
-        return *ra - *rb;
-    };
-    return bisectCrossing(diff, 1.0, maxCongestion);
-}
-
 } // namespace ct::core

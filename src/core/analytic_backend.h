@@ -125,17 +125,6 @@ class AnalyticBackend
     breakEvenLoss(const TransferProgram &a, const TransferProgram &b,
                   const FaultEnvironment &env) const;
 
-    /**
-     * Congestion factor at which @p a and @p b rate equal under
-     * @p env (env.congestion ignored, loss held fixed). nullopt when
-     * the surfaces never cross on [1, @p maxCongestion].
-     */
-    std::optional<double>
-    breakEvenCongestion(const TransferProgram &a,
-                        const TransferProgram &b,
-                        const FaultEnvironment &env,
-                        double maxCongestion = 16.0) const;
-
     const ThroughputTable &table() const { return table_; }
     const ExecutionProfile &profile() const { return profile_; }
 

@@ -1,5 +1,6 @@
 #include "basic_transfer.h"
 
+#include <algorithm>
 #include <climits>
 #include <cmath>
 
@@ -11,13 +12,6 @@ bool
 isNetworkOp(TransferOp op)
 {
     return op == TransferOp::NetData || op == TransferOp::NetAddrData;
-}
-
-bool
-isProcessorOp(TransferOp op)
-{
-    return op == TransferOp::LocalCopy || op == TransferOp::LoadSend ||
-           op == TransferOp::ReceiveStore;
 }
 
 std::string
@@ -104,6 +98,33 @@ netAddrData()
             AccessPattern::fixed()};
 }
 
+namespace {
+
+/** First sample of sorted @p samples whose key is not below @p key. */
+template <typename Samples, typename K>
+auto
+firstNotBelow(Samples &samples, const K &key)
+{
+    return std::lower_bound(
+        samples.begin(), samples.end(), key,
+        [](const auto &sample, const K &k) { return sample.first < k; });
+}
+
+/** Record @p value under @p key in sorted @p samples, replacing an
+ *  earlier sample of the same key. */
+template <typename Samples, typename K>
+void
+insertSorted(Samples &samples, const K &key, util::MBps value)
+{
+    auto it = firstNotBelow(samples, key);
+    if (it != samples.end() && it->first == key)
+        it->second = value;
+    else
+        samples.insert(it, {key, value});
+}
+
+} // namespace
+
 bool
 ThroughputTable::Key::operator<(const Key &other) const
 {
@@ -126,7 +147,7 @@ ThroughputTable::set(const BasicTransfer &t, util::MBps mbps)
     if (mbps <= 0.0)
         util::fatal("ThroughputTable::set: non-positive throughput for ",
                     t.name());
-    entries[Key{t.op, t.read, t.write}] = mbps;
+    insertSorted(entries, Key{t.op, t.read, t.write}, mbps);
 }
 
 void
@@ -139,14 +160,16 @@ ThroughputTable::setNetwork(TransferOp op, int congestion,
         util::fatal("ThroughputTable::setNetwork: congestion < 1");
     if (mbps <= 0.0)
         util::fatal("ThroughputTable::setNetwork: non-positive rate");
-    network[{static_cast<int>(op), congestion}] = mbps;
+    insertSorted(network, std::pair{static_cast<int>(op), congestion},
+                 mbps);
 }
 
 std::optional<util::MBps>
 ThroughputTable::exact(const BasicTransfer &t) const
 {
-    auto it = entries.find(Key{t.op, t.read, t.write});
-    if (it == entries.end())
+    Key key{t.op, t.read, t.write};
+    auto it = firstNotBelow(entries, key);
+    if (it == entries.end() || !(it->first == key))
         return std::nullopt;
     return it->second;
 }
@@ -158,13 +181,13 @@ ThroughputTable::lookupStrided(TransferOp op, std::uint32_t stride,
     // Walk the sampled (stride, throughput) curve for this op with the
     // non-varying side contiguous (or fixed for S/F/R/D ops), keeping
     // its first and last samples and the two that bracket @p stride.
-    // The map keeps one op's keys together (the fixed pattern sorts
-    // first), ordered by the varying pattern, so the curve arrives
-    // sorted by stride -- re-checked cheaply.
+    // The sorted samples keep one op's keys together (the fixed
+    // pattern sorts first), ordered by the varying pattern, so the
+    // curve arrives sorted by stride -- re-checked cheaply.
     using Sample = std::pair<std::uint32_t, util::MBps>;
     std::optional<Sample> first, last, below, above;
     const AccessPattern lowest = AccessPattern::fixed();
-    for (auto it = entries.lower_bound(Key{op, lowest, lowest});
+    for (auto it = firstNotBelow(entries, Key{op, lowest, lowest});
          it != entries.end() && it->first.op == op; ++it) {
         const Key &key = it->first;
         const AccessPattern &varying = vary_read ? key.read : key.write;
@@ -314,12 +337,12 @@ ThroughputTable::lookupNetwork(TransferOp op, double congestion) const
     if (congestion < 1.0)
         util::fatal("lookupNetwork: congestion < 1");
 
-    // One op's samples are one range of the map, sorted by
+    // One op's samples are one run of the vector, sorted by
     // congestion; keep its ends and the two that bracket @p congestion.
     using Sample = std::pair<int, util::MBps>;
     std::optional<Sample> first, last, below, above;
     int key = static_cast<int>(op);
-    for (auto it = network.lower_bound({key, INT_MIN});
+    for (auto it = firstNotBelow(network, std::pair{key, INT_MIN});
          it != network.end() && it->first.first == key; ++it) {
         Sample s{it->first.second, it->second};
         if (!first)
@@ -343,6 +366,11 @@ ThroughputTable::lookupNetwork(TransferOp op, double congestion) const
     // Geometric interpolation matches the ~1/c falloff.
     auto [c0, v0] = *below;
     auto [c1, v1] = *above;
+    // At a sampled congestion (the machines' default is one) t below
+    // is exactly 1 and pow(q, 1) is q: the same bits without the
+    // logarithms.
+    if (congestion == c1)
+        return v0 * (v1 / v0);
     double t = (std::log2(congestion) - std::log2(double(c0))) /
                (std::log2(double(c1)) - std::log2(double(c0)));
     return v0 * std::pow(v1 / v0, t);

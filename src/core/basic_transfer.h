@@ -7,9 +7,10 @@
 #ifndef CT_CORE_BASIC_TRANSFER_H
 #define CT_CORE_BASIC_TRANSFER_H
 
-#include <map>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/pattern.h"
 #include "util/units.h"
@@ -33,9 +34,6 @@ enum class TransferOp {
 
 /** True for Nd / Nadp. */
 bool isNetworkOp(TransferOp op);
-
-/** True for transfers executed by the main processor (C, S, R). */
-bool isProcessorOp(TransferOp op);
 
 /** Formula letter for an op: "C", "S", "F", "R", "D", "Nd", "Nadp". */
 std::string opName(TransferOp op);
@@ -82,6 +80,9 @@ BasicTransfer netAddrData();
  *
  * Network transfers are keyed by congestion factor instead of access
  * pattern; unsampled congestions interpolate geometrically.
+ *
+ * Samples are kept in sorted vectors: a lookup binary-searches one
+ * contiguous array, and an op's strided curve is one contiguous run.
  */
 class ThroughputTable
 {
@@ -111,9 +112,6 @@ class ThroughputTable
     const std::string &machineName() const { return name; }
     void setMachineName(std::string n) { name = std::move(n); }
 
-    /** Number of recorded intra-node samples. */
-    std::size_t sampleCount() const { return entries.size(); }
-
     /** Same name and the same samples, compared exactly. */
     bool operator==(const ThroughputTable &other) const = default;
 
@@ -139,8 +137,10 @@ class ThroughputTable
     std::optional<util::MBps> exact(const BasicTransfer &t) const;
 
     std::string name = "unnamed";
-    std::map<Key, util::MBps> entries;
-    std::map<std::pair<int, int>, util::MBps> network;
+    /** Sorted by Key, one sample per key. */
+    std::vector<std::pair<Key, util::MBps>> entries;
+    /** Sorted by (op, congestion), one sample per pair. */
+    std::vector<std::pair<std::pair<int, int>, util::MBps>> network;
 };
 
 } // namespace ct::core

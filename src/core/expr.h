@@ -17,8 +17,11 @@
 #ifndef CT_CORE_EXPR_H
 #define CT_CORE_EXPR_H
 
+#include <array>
+#include <initializer_list>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,13 +60,35 @@ class TransferExpr
     /** Build a leaf network node with an explicit congestion factor. */
     static ExprPtr leaf(BasicTransfer t, double congestion);
 
+    /**
+     * One part of a composition written as a list: a subtree, or a
+     * basic transfer that becomes a leaf. The leaves a list names as
+     * transfers share one allocation, so a style's program allocates
+     * per composite node, not per leaf.
+     */
+    class Part
+    {
+      public:
+        Part(ExprPtr subtree) : expr(std::move(subtree)) {}
+        Part(const BasicTransfer &leaf) : transfer(leaf), isLeaf(true)
+        {}
+
+      private:
+        friend class TransferExpr;
+        ExprPtr expr;
+        BasicTransfer transfer;
+        bool isLeaf = false;
+    };
+
     /** Sequential composition of two or more parts. */
-    static ExprPtr seq(std::vector<ExprPtr> parts);
+    static ExprPtr seq(std::span<const ExprPtr> parts);
+    static ExprPtr seq(std::initializer_list<Part> parts);
     static ExprPtr seq(ExprPtr a, ExprPtr b);
     static ExprPtr seq(ExprPtr a, ExprPtr b, ExprPtr c);
 
     /** Parallel composition of two or more parts. */
-    static ExprPtr par(std::vector<ExprPtr> parts);
+    static ExprPtr par(std::span<const ExprPtr> parts);
+    static ExprPtr par(std::initializer_list<Part> parts);
     static ExprPtr par(ExprPtr a, ExprPtr b);
     static ExprPtr par(ExprPtr a, ExprPtr b, ExprPtr c);
 
@@ -79,7 +104,12 @@ class TransferExpr
     }
 
     /** Children of a Seq/Par node; empty for leaves. */
-    const std::vector<ExprPtr> &children() const { return parts; }
+    std::span<const ExprPtr> children() const
+    {
+        if (partCount > kInlineParts)
+            return moreParts;
+        return std::span<const ExprPtr>(inlineParts).first(partCount);
+    }
 
     /**
      * End-to-end read pattern: how the composite reads the source
@@ -112,14 +142,30 @@ class TransferExpr
     explicit TransferExpr(Private) {}
 
   private:
+    /** A leaf of a shared leaf block (see Part). */
+    struct LeafSlot;
+
     static std::shared_ptr<TransferExpr> node(ExprKind kind);
+    static ExprPtr compose(ExprKind kind, std::span<const ExprPtr> parts);
+    static ExprPtr compose(ExprKind kind,
+                           std::initializer_list<Part> parts);
+    /** A composite node over @p count children, checked. */
+    static std::shared_ptr<TransferExpr>
+    composite(ExprKind kind, std::size_t count);
 
     std::string formatInner(bool parenthesize) const;
+
+    /** Children kept in the node itself: every style's nodes fit, so
+     *  building a node is one allocation. */
+    static constexpr std::size_t kInlineParts = 5;
 
     ExprKind kindValue = ExprKind::Leaf;
     BasicTransfer leafTransfer;
     std::optional<double> congestion;
-    std::vector<ExprPtr> parts;
+    std::array<ExprPtr, kInlineParts> inlineParts;
+    /** All children, when there are more than kInlineParts. */
+    std::vector<ExprPtr> moreParts;
+    std::size_t partCount = 0;
 };
 
 } // namespace ct::core

@@ -1,23 +1,9 @@
 #include "pattern.h"
 
-#include <tuple>
-
 #include "util/logging.h"
 #include "util/string_util.h"
 
 namespace ct::core {
-
-AccessPattern
-AccessPattern::fixed()
-{
-    return {PatternKind::Fixed, 0, 0};
-}
-
-AccessPattern
-AccessPattern::contiguous()
-{
-    return {PatternKind::Contiguous, 1, 1};
-}
 
 AccessPattern
 AccessPattern::strided(std::uint32_t stride_words,
@@ -31,12 +17,6 @@ AccessPattern::strided(std::uint32_t stride_words,
     if (stride_words == block_words)
         return contiguous();
     return {PatternKind::Strided, stride_words, block_words};
-}
-
-AccessPattern
-AccessPattern::indexed()
-{
-    return {PatternKind::Indexed, 0, 0};
 }
 
 std::optional<AccessPattern>
@@ -81,16 +61,6 @@ AccessPattern::label() const
         return "w";
     }
     util::panic("AccessPattern::label: bad kind");
-}
-
-bool
-PatternLess::operator()(const AccessPattern &a,
-                        const AccessPattern &b) const
-{
-    return std::tuple(static_cast<int>(a.kind()), a.stride(),
-                      a.block()) <
-           std::tuple(static_cast<int>(b.kind()), b.stride(),
-                      b.block());
 }
 
 } // namespace ct::core

@@ -46,10 +46,16 @@ class AccessPattern
     AccessPattern() = default;
 
     /** The fixed pattern `0`. */
-    static AccessPattern fixed();
+    static constexpr AccessPattern fixed()
+    {
+        return {PatternKind::Fixed, 0, 0};
+    }
 
     /** The contiguous pattern `1`. */
-    static AccessPattern contiguous();
+    static constexpr AccessPattern contiguous()
+    {
+        return {PatternKind::Contiguous, 1, 1};
+    }
 
     /**
      * A constant-stride pattern moving blocks of @p block_words
@@ -61,7 +67,10 @@ class AccessPattern
                                  std::uint32_t block_words = 1);
 
     /** The indexed pattern `w`. */
-    static AccessPattern indexed();
+    static constexpr AccessPattern indexed()
+    {
+        return {PatternKind::Indexed, 0, 0};
+    }
 
     /**
      * Parse a pattern label: "0", "1", "w" (or "omega"), a decimal
@@ -95,8 +104,8 @@ class AccessPattern
     bool operator==(const AccessPattern &other) const = default;
 
   private:
-    AccessPattern(PatternKind kind, std::uint32_t stride,
-                  std::uint32_t block)
+    constexpr AccessPattern(PatternKind kind, std::uint32_t stride,
+                            std::uint32_t block)
         : kindValue(kind), strideWords(stride), blockWords(block)
     {}
 
@@ -108,7 +117,14 @@ class AccessPattern
 /** Orders patterns for use as map keys: by kind, stride, block. */
 struct PatternLess
 {
-    bool operator()(const AccessPattern &a, const AccessPattern &b) const;
+    bool operator()(const AccessPattern &a, const AccessPattern &b) const
+    {
+        if (a.kind() != b.kind())
+            return a.kind() < b.kind();
+        if (a.stride() != b.stride())
+            return a.stride() < b.stride();
+        return a.block() < b.block();
+    }
 };
 
 } // namespace ct::core

@@ -11,6 +11,25 @@
 
 namespace ct::core {
 
+namespace {
+
+/**
+ * Sort @p candidates fastest first by @p rate, ties in their current
+ * order: what std::stable_sort does, without the temporary buffer it
+ * allocates. Insertion sort, since there is one candidate per style.
+ */
+template <typename T, typename Rate>
+void
+sortFastestFirst(std::vector<T> &candidates, Rate rate)
+{
+    for (std::size_t i = 1; i < candidates.size(); ++i)
+        for (std::size_t j = i;
+             j > 0 && rate(candidates[j - 1]) < rate(candidates[j]); --j)
+            std::swap(candidates[j - 1], candidates[j]);
+}
+
+} // namespace
+
 std::vector<PlannedStrategy>
 plan(const PlanQuery &query)
 {
@@ -23,8 +42,8 @@ plan(const PlanQuery &query)
     std::vector<PlannedStrategy> result;
     result.reserve(styles.size());
     for (const StyleInfo &info : styles) {
-        auto program = buildProgram(query.machine, info.key,
-                                    query.read, query.write);
+        auto program =
+            buildProgram(info, query.machine, query.read, query.write);
         if (!program)
             continue;
         auto model = backend.costModel(*program, congestion);
@@ -38,11 +57,8 @@ plan(const PlanQuery &query)
                     query.read.label(), "Q", query.write.label(),
                     " on ", caps.name);
 
-    std::stable_sort(result.begin(), result.end(),
-                     [](const PlannedStrategy &a,
-                        const PlannedStrategy &b) {
-                         return a.estimate > b.estimate;
-                     });
+    sortFastestFirst(result,
+                     [](const PlannedStrategy &p) { return p.estimate; });
     return result;
 }
 
@@ -67,10 +83,8 @@ planForSize(const std::vector<PlannedStrategy> &plans,
                 result.push_back({p.program.style, info.key,
                                   p.model.throughputAt(message_bytes),
                                   p.model});
-    std::stable_sort(result.begin(), result.end(),
-                     [](const SizedPlan &a, const SizedPlan &b) {
-                         return a.effective > b.effective;
-                     });
+    sortFastestFirst(result,
+                     [](const SizedPlan &p) { return p.effective; });
     return result;
 }
 

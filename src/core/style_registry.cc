@@ -1,6 +1,8 @@
 #include "style_registry.h"
 
+#include <array>
 #include <mutex>
+#include <string_view>
 #include <utility>
 
 #include "util/logging.h"
@@ -18,43 +20,41 @@ using B = BufferBinding;
 ExprPtr
 contiguousLeg(const MachineCaps &caps)
 {
-    ExprPtr sender = caps.hasFetchSend
-                         ? E::leaf(fetchSend(P::contiguous()))
-                         : E::leaf(loadSend(P::contiguous()));
-    return E::par(sender, E::leaf(netData()),
-                  E::leaf(receiveDeposit(P::contiguous())));
+    return E::par({caps.hasFetchSend ? fetchSend(P::contiguous())
+                                     : loadSend(P::contiguous()),
+                   netData(), receiveDeposit(P::contiguous())});
 }
 
 /** Stage form of the contiguous leg, feeding from @p feedBuffer. */
-void
-appendContiguousLeg(const MachineCaps &caps, B feedBuffer, B landBuffer,
-                    std::vector<ProgramStage> &stages)
+std::array<ProgramStage, 3>
+contiguousLegStages(const MachineCaps &caps, B feedBuffer, B landBuffer)
 {
-    if (caps.hasFetchSend)
-        stages.push_back({fetchSend(P::contiguous()), R::SenderEngine,
-                          feedBuffer, B::NetworkPort});
-    else
-        stages.push_back({loadSend(P::contiguous()), R::SenderCpu,
-                          feedBuffer, B::NetworkPort});
-    stages.push_back(
-        {netData(), R::Wire, B::NetworkPort, B::NetworkPort});
-    stages.push_back({receiveDeposit(P::contiguous()),
-                      R::ReceiverEngine, B::NetworkPort, landBuffer});
+    ProgramStage feed =
+        caps.hasFetchSend
+            ? ProgramStage{fetchSend(P::contiguous()), R::SenderEngine,
+                           feedBuffer, B::NetworkPort}
+            : ProgramStage{loadSend(P::contiguous()), R::SenderCpu,
+                           feedBuffer, B::NetworkPort};
+    return {feed,
+            {netData(), R::Wire, B::NetworkPort, B::NetworkPort},
+            {receiveDeposit(P::contiguous()), R::ReceiverEngine,
+             B::NetworkPort, landBuffer}};
 }
 
-std::vector<ResourceConstraint>
-packingConstraints(const MachineCaps &caps)
+/**
+ * Buffer packing stores every word twice on each node (pack at the
+ * sender, unpack at the receiver); with all nodes sending and
+ * receiving simultaneously the aggregate store traffic must fit in
+ * the store-only memory bandwidth: 2 x |xQy| <= |0C1|.
+ */
+ResourceConstraint
+packingConstraint(const MachineCaps &caps)
 {
-    // Buffer packing stores every word twice on each node (pack at
-    // the sender, unpack at the receiver); with all nodes sending and
-    // receiving simultaneously the aggregate store traffic must fit
-    // in the store-only memory bandwidth: 2 x |xQy| <= |0C1|.
-    return {{"2x store traffic <= |0C1|", 2.0,
-             caps.storeOnlyBandwidth}};
+    return {"2x store traffic <= |0C1|", 2.0, caps.storeOnlyBandwidth};
 }
 
 TransferProgram
-baseProgram(Style style, const std::string &key, MachineId id,
+baseProgram(Style style, std::string_view key, MachineId id,
             AccessPattern x, AccessPattern y,
             const SoftwareCosts &costs)
 {
@@ -68,6 +68,9 @@ baseProgram(Style style, const std::string &key, MachineId id,
     return p;
 }
 
+// The builders below size each program's stage list once and keep
+// the constraint label a literal: a plan miss builds every style.
+
 std::optional<TransferProgram>
 buildBufferPacking(MachineId id, AccessPattern x, AccessPattern y,
                    const SoftwareCosts &costs)
@@ -76,22 +79,22 @@ buildBufferPacking(MachineId id, AccessPattern x, AccessPattern y,
     TransferProgram p =
         baseProgram(Style::BufferPacking, "buffer-packing", id, x, y,
                     costs);
-    // xQy = xC1 o (feed || Nd || 0D1) o 1Cy. The copies are kept
-    // even for contiguous x and y: the library interface forces
-    // them (§3.4).
-    p.expr = E::seq(E::leaf(localCopy(x, P::contiguous())),
-                    contiguousLeg(caps),
-                    E::leaf(localCopy(P::contiguous(), y)));
-    p.stages.push_back({localCopy(x, P::contiguous()), R::SenderCpu,
-                        B::SourceArray, B::PackBuffer});
-    appendContiguousLeg(caps, B::PackBuffer, B::ReceiveBuffer,
-                        p.stages);
-    p.stages.push_back({localCopy(P::contiguous(), y), R::ReceiverCpu,
-                        B::ReceiveBuffer, B::DestArray});
-    p.constraints = packingConstraints(caps);
+    // xQy = xC1 o (feed || Nd || 0D1) o 1Cy ("gather copy,
+    // contiguous block transfer, scatter copy"). The copies are kept
+    // even for contiguous x and y: the library interface forces them
+    // (§3.4).
+    p.expr = E::seq({localCopy(x, P::contiguous()), contiguousLeg(caps),
+                     localCopy(P::contiguous(), y)});
+    auto leg = contiguousLegStages(caps, B::PackBuffer, B::ReceiveBuffer);
+    p.stages = {{localCopy(x, P::contiguous()), R::SenderCpu,
+                 B::SourceArray, B::PackBuffer},
+                leg[0],
+                leg[1],
+                leg[2],
+                {localCopy(P::contiguous(), y), R::ReceiverCpu,
+                 B::ReceiveBuffer, B::DestArray}};
+    p.constraints = {packingConstraint(caps)};
     p.stagingBuffers = 1;
-    p.description = "gather copy, contiguous block transfer, "
-                    "scatter copy";
     return p;
 }
 
@@ -105,29 +108,27 @@ buildPvm(MachineId id, AccessPattern x, AccessPattern y,
     // Buffer packing plus one extra copy into a system buffer on
     // each side (§5.1.1); the per-message constant overhead is a
     // latency effect outside the throughput model.
-    p.expr = E::seq({E::leaf(localCopy(x, P::contiguous())),
-                     E::leaf(localCopy(P::contiguous(),
-                                       P::contiguous())),
+    p.expr = E::seq({localCopy(x, P::contiguous()),
+                     localCopy(P::contiguous(), P::contiguous()),
                      contiguousLeg(caps),
-                     E::leaf(localCopy(P::contiguous(),
-                                       P::contiguous())),
-                     E::leaf(localCopy(P::contiguous(), y))});
-    p.stages.push_back({localCopy(x, P::contiguous()), R::SenderCpu,
-                        B::SourceArray, B::PackBuffer});
-    p.stages.push_back({localCopy(P::contiguous(), P::contiguous()),
-                        R::SenderCpu, B::PackBuffer,
-                        B::SenderSystemBuffer});
-    appendContiguousLeg(caps, B::SenderSystemBuffer,
-                        B::ReceiverSystemBuffer, p.stages);
-    p.stages.push_back({localCopy(P::contiguous(), P::contiguous()),
-                        R::ReceiverCpu, B::ReceiverSystemBuffer,
-                        B::ReceiveBuffer});
-    p.stages.push_back({localCopy(P::contiguous(), y), R::ReceiverCpu,
-                        B::ReceiveBuffer, B::DestArray});
-    p.constraints = packingConstraints(caps);
+                     localCopy(P::contiguous(), P::contiguous()),
+                     localCopy(P::contiguous(), y)});
+    auto leg = contiguousLegStages(caps, B::SenderSystemBuffer,
+                                   B::ReceiverSystemBuffer);
+    p.stages = {{localCopy(x, P::contiguous()), R::SenderCpu,
+                 B::SourceArray, B::PackBuffer},
+                {localCopy(P::contiguous(), P::contiguous()),
+                 R::SenderCpu, B::PackBuffer, B::SenderSystemBuffer},
+                leg[0],
+                leg[1],
+                leg[2],
+                {localCopy(P::contiguous(), P::contiguous()),
+                 R::ReceiverCpu, B::ReceiverSystemBuffer,
+                 B::ReceiveBuffer},
+                {localCopy(P::contiguous(), y), R::ReceiverCpu,
+                 B::ReceiveBuffer, B::DestArray}};
+    p.constraints = {packingConstraint(caps)};
     p.stagingBuffers = 2;
-    p.description = "buffer packing with additional system-buffer "
-                    "copies";
     return p;
 }
 
@@ -140,11 +141,11 @@ buildChained(MachineId id, AccessPattern x, AccessPattern y,
         baseProgram(Style::Chained, "chained", id, x, y, costs);
     bool contiguous = x.isContiguous() && y.isContiguous();
     if (contiguous) {
+        // Direct contiguous chained transfer:
         // 1Q'1 = 1S0 || Nd || (0D1 or 0R1).
         if (caps.depositContiguous) {
-            p.expr = E::par(E::leaf(loadSend(P::contiguous())),
-                            E::leaf(netData()),
-                            E::leaf(receiveDeposit(P::contiguous())));
+            p.expr = E::par({loadSend(P::contiguous()), netData(),
+                             receiveDeposit(P::contiguous())});
             p.stages = {{loadSend(P::contiguous()), R::SenderCpu,
                          B::SourceArray, B::NetworkPort},
                         {netData(), R::Wire, B::NetworkPort,
@@ -153,9 +154,8 @@ buildChained(MachineId id, AccessPattern x, AccessPattern y,
                          R::ReceiverEngine, B::NetworkPort,
                          B::DestArray}};
         } else if (caps.coProcReceive) {
-            p.expr = E::par(E::leaf(loadSend(P::contiguous())),
-                            E::leaf(netData()),
-                            E::leaf(receiveStore(P::contiguous())));
+            p.expr = E::par({loadSend(P::contiguous()), netData(),
+                             receiveStore(P::contiguous())});
             p.stages = {{loadSend(P::contiguous()), R::SenderCpu,
                          B::SourceArray, B::NetworkPort},
                         {netData(), R::Wire, B::NetworkPort,
@@ -166,10 +166,10 @@ buildChained(MachineId id, AccessPattern x, AccessPattern y,
         } else {
             return std::nullopt;
         }
-        p.description = "direct contiguous chained transfer";
         return p;
     }
-    // xQ'y = xS0 || Nadp || (0Dy or 0Ry).
+    // Remote stores chained through the deposit path (address-data
+    // pairs): xQ'y = xS0 || Nadp || (0Dy or 0Ry).
     bool engineRecv = false;
     if (caps.depositAnyPattern)
         engineRecv = true;
@@ -179,10 +179,9 @@ buildChained(MachineId id, AccessPattern x, AccessPattern y,
         engineRecv = true;
     else
         return std::nullopt;
-    ExprPtr recv = engineRecv ? E::leaf(receiveDeposit(y))
-                              : E::leaf(receiveStore(y));
-    p.expr =
-        E::par(E::leaf(loadSend(x)), E::leaf(netAddrData()), recv);
+    p.expr = E::par({loadSend(x), netAddrData(),
+                     engineRecv ? receiveDeposit(y) : receiveStore(y)});
+    p.stages.reserve(4);
     p.stages.push_back({loadSend(x), R::SenderCpu, B::SourceArray,
                         B::NetworkPort});
     if (y.isIndexed()) {
@@ -201,8 +200,6 @@ buildChained(MachineId id, AccessPattern x, AccessPattern y,
     else
         p.stages.push_back({receiveStore(y), R::ReceiverCpu,
                             B::NetworkPort, B::DestArray});
-    p.description = "remote stores chained through the deposit "
-                    "path (address-data pairs)";
     return p;
 }
 
@@ -217,15 +214,14 @@ buildDmaDirect(MachineId id, AccessPattern x, AccessPattern y,
         return std::nullopt;
     TransferProgram p =
         baseProgram(Style::DmaDirect, "dma-direct", id, x, y, costs);
-    p.expr = E::par(E::leaf(fetchSend(P::contiguous())),
-                    E::leaf(netData()),
-                    E::leaf(receiveDeposit(P::contiguous())));
+    // A DMA-fed contiguous block transfer.
+    p.expr = E::par({fetchSend(P::contiguous()), netData(),
+                     receiveDeposit(P::contiguous())});
     p.stages = {{fetchSend(P::contiguous()), R::SenderEngine,
                  B::SourceArray, B::NetworkPort},
                 {netData(), R::Wire, B::NetworkPort, B::NetworkPort},
                 {receiveDeposit(P::contiguous()), R::ReceiverEngine,
                  B::NetworkPort, B::DestArray}};
-    p.description = "DMA-fed contiguous block transfer";
     return p;
 }
 
@@ -354,33 +350,33 @@ findStyle(const std::string &key)
     return nullptr;
 }
 
-namespace {
-
 std::optional<TransferProgram>
-runBuilder(const StyleInfo *info, MachineId id, AccessPattern x,
-           AccessPattern y)
+buildProgram(const StyleInfo &info, MachineId id, AccessPattern x,
+             AccessPattern y)
 {
-    if (!info)
-        return std::nullopt;
     if (x.isFixed() || y.isFixed())
         util::fatal("buildProgram: xQy patterns must touch memory");
-    return info->build(id, x, y);
+    return info.build(id, x, y);
 }
-
-} // namespace
 
 std::optional<TransferProgram>
 buildProgram(MachineId id, Style style, AccessPattern x,
              AccessPattern y)
 {
-    return runBuilder(findStyle(style), id, x, y);
+    const StyleInfo *info = findStyle(style);
+    if (!info)
+        return std::nullopt;
+    return buildProgram(*info, id, x, y);
 }
 
 std::optional<TransferProgram>
 buildProgram(MachineId id, const std::string &key, AccessPattern x,
              AccessPattern y)
 {
-    return runBuilder(findStyle(key), id, x, y);
+    const StyleInfo *info = findStyle(key);
+    if (!info)
+        return std::nullopt;
+    return buildProgram(*info, id, x, y);
 }
 
 std::string

@@ -67,6 +67,12 @@ std::optional<TransferProgram> buildProgram(MachineId id,
                                             AccessPattern x,
                                             AccessPattern y);
 
+/** Same, for a registry entry the caller already holds. */
+std::optional<TransferProgram> buildProgram(const StyleInfo &info,
+                                            MachineId id,
+                                            AccessPattern x,
+                                            AccessPattern y);
+
 } // namespace ct::core
 
 #endif // CT_CORE_STYLE_REGISTRY_H

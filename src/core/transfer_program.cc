@@ -124,7 +124,6 @@ TransferProgram
 withReliability(TransferProgram program)
 {
     program.reliable = true;
-    program.description += " behind the reliable transport";
     return program;
 }
 

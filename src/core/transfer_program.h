@@ -129,8 +129,6 @@ struct TransferProgram
     /** Wrapped by the reliable transport (see withReliability()). */
     bool reliable = false;
 
-    std::string description;
-
     /** Formula rendering of the algebra view, e.g.
      *  "1C1 o (1F0 || Nd || 0D1) o 1C64". */
     std::string format() const;

@@ -204,10 +204,6 @@ class ResilienceController
      *  tighten/relax trigger). */
     double smoothedRetransmitRate() const { return retransEwma; }
 
-    /** Smoothed ack round-trip estimate in cycles (0 = no samples
-     *  yet). */
-    double smoothedRtt() const { return rttEwma; }
-
     int styleSwitches() const { return switches; }
 
     /** Driver notification that a checkpoint was recorded, resetting

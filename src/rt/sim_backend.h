@@ -94,7 +94,6 @@ class SimBackend
      * made so far. 0 (the default) means unlimited.
      */
     void setEventBudget(std::uint64_t budget) { eventBudget = budget; }
-    std::uint64_t eventBudgetCap() const { return eventBudget; }
 
     /**
      * Worker threads for the conservative parallel engine. 0 or 1

@@ -1,17 +1,54 @@
 #include "svc/json.h"
 
-#include <cctype>
+#include <array>
 #include <charconv>
 #include <cstdio>
+#include <set>
 
 namespace ct::svc {
 
 namespace {
 
+/** The decoded text of a string body whose escapes the parser
+ *  already checked. */
+std::string
+decodeString(std::string_view raw)
+{
+    std::string out;
+    out.reserve(raw.size());
+    for (std::size_t i = 0; i < raw.size(); ++i) {
+        char c = raw[i];
+        if (c != '\\' || i + 1 == raw.size()) {
+            out += c;
+            continue;
+        }
+        switch (raw[++i]) {
+        case 'n': out += '\n'; break;
+        case 't': out += '\t'; break;
+        case 'r': out += '\r'; break;
+        default: out += raw[i]; break; // '"', '\\', '/'
+        }
+    }
+    return out;
+}
+
+/** isspace() and isdigit() of the "C" locale, inline. */
+bool
+isJsonSpace(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+bool
+isDigit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
 /** Cursor over one request line, with position-stamped errors. */
 struct Cursor
 {
-    const std::string &s;
+    std::string_view s;
     std::size_t i = 0;
     std::string *error;
 
@@ -24,8 +61,7 @@ struct Cursor
 
     void skipWs()
     {
-        while (i < s.size() &&
-               std::isspace(static_cast<unsigned char>(s[i])))
+        while (i < s.size() && isJsonSpace(s[i]))
             ++i;
     }
 
@@ -38,13 +74,15 @@ struct Cursor
         return true;
     }
 
-    bool parseString(std::string &out)
+    /** View a string's body in place; escapes are checked, not
+     *  decoded. */
+    bool parseString(std::string_view &out, bool &escaped)
     {
         skipWs();
         if (i >= s.size() || s[i] != '"')
             return fail("expected '\"'");
-        ++i;
-        out.clear();
+        std::size_t start = ++i;
+        escaped = false;
         while (i < s.size() && s[i] != '"') {
             char c = s[i];
             if (c == '\\') {
@@ -52,57 +90,59 @@ struct Cursor
                     return fail("dangling escape");
                 char e = s[i + 1];
                 switch (e) {
-                case '"': out += '"'; break;
-                case '\\': out += '\\'; break;
-                case '/': out += '/'; break;
-                case 'n': out += '\n'; break;
-                case 't': out += '\t'; break;
-                case 'r': out += '\r'; break;
+                case '"':
+                case '\\':
+                case '/':
+                case 'n':
+                case 't':
+                case 'r': break;
                 default:
                     return fail(std::string("unsupported escape \\") +
                                 e);
                 }
+                escaped = true;
                 i += 2;
                 continue;
             }
             if (static_cast<unsigned char>(c) < 0x20)
                 return fail("raw control character in string");
-            out += c;
             ++i;
         }
         if (i >= s.size())
             return fail("unterminated string");
+        out = s.substr(start, i - start);
         ++i; // closing quote
         return true;
     }
 
-    bool parseValue(JsonValue &out)
+    bool parseValue(JsonField &out)
     {
         skipWs();
         if (i >= s.size())
             return fail("expected a value");
         char c = s[i];
         if (c == '"') {
-            out.kind = JsonValue::Kind::String;
-            return parseString(out.str);
+            out.kind = JsonKind::String;
+            return parseString(out.text, out.textEscaped);
         }
         if (c == '{' || c == '[')
             return fail("nested objects/arrays are not part of the "
                         "request grammar");
-        if (s.compare(i, 4, "true") == 0) {
-            out.kind = JsonValue::Kind::Bool;
+        std::string_view rest = s.substr(i);
+        if (rest.starts_with("true")) {
+            out.kind = JsonKind::Bool;
             out.boolean = true;
             i += 4;
             return true;
         }
-        if (s.compare(i, 5, "false") == 0) {
-            out.kind = JsonValue::Kind::Bool;
+        if (rest.starts_with("false")) {
+            out.kind = JsonKind::Bool;
             out.boolean = false;
             i += 5;
             return true;
         }
-        if (s.compare(i, 4, "null") == 0) {
-            out.kind = JsonValue::Kind::Null;
+        if (rest.starts_with("null")) {
+            out.kind = JsonKind::Null;
             i += 4;
             return true;
         }
@@ -111,8 +151,7 @@ struct Cursor
         std::size_t start = i;
         auto digits = [&] {
             std::size_t from = i;
-            while (i < s.size() &&
-                   std::isdigit(static_cast<unsigned char>(s[i])))
+            while (i < s.size() && isDigit(s[i]))
                 ++i;
             return i > from;
         };
@@ -132,19 +171,63 @@ struct Cursor
             i = start;
             return fail("malformed value");
         }
-        out.kind = JsonValue::Kind::Number;
-        out.str = s.substr(start, i - start);
+        out.kind = JsonKind::Number;
+        out.text = s.substr(start, i - start);
         return true;
     }
 };
 
+/** Whether two keys are equal once decoded. */
+bool
+sameKey(const JsonField &a, const JsonField &b)
+{
+    if (!a.keyEscaped && !b.keyEscaped)
+        return a.key == b.key;
+    return a.keyString() == b.keyString();
+}
+
 } // namespace
+
+std::string
+JsonField::keyString() const
+{
+    return keyEscaped ? decodeString(key) : std::string(key);
+}
+
+std::string
+JsonField::str() const
+{
+    return textEscaped ? decodeString(text) : std::string(text);
+}
+
+const JsonField *
+JsonObject::find(std::string_view name) const
+{
+    for (const JsonField &f : *this)
+        if (f.keyEscaped ? f.keyString() == name : f.key == name)
+            return &f;
+    return nullptr;
+}
+
+void
+JsonObject::push(const JsonField &field)
+{
+    if (count < kInline) {
+        inlineFields[count++] = field;
+        return;
+    }
+    if (count == kInline)
+        spilled.assign(inlineFields.begin(), inlineFields.end());
+    spilled.push_back(field);
+    ++count;
+}
 
 std::optional<JsonObject>
 parseFlatJson(const std::string &line, std::string *error)
 {
     Cursor cur{line, 0, error};
-    JsonObject obj;
+    std::optional<JsonObject> parsed(std::in_place);
+    JsonObject &obj = *parsed;
     if (!cur.eat('{')) {
         cur.fail("expected '{'");
         return std::nullopt;
@@ -156,23 +239,36 @@ parseFlatJson(const std::string &line, std::string *error)
             cur.fail("trailing garbage after object");
             return std::nullopt;
         }
-        return obj;
+        return parsed;
     }
+    // Decoded keys of an object past its inline fields, which keeps
+    // the duplicate check O(n log n) on a line of many fields.
+    std::set<std::string, std::less<>> many;
     for (;;) {
-        std::string key;
-        if (!cur.parseString(key))
+        JsonField field;
+        if (!cur.parseString(field.key, field.keyEscaped))
             return std::nullopt;
         if (!cur.eat(':')) {
             cur.fail("expected ':'");
             return std::nullopt;
         }
-        JsonValue value;
-        if (!cur.parseValue(value))
+        if (!cur.parseValue(field))
             return std::nullopt;
-        if (!obj.emplace(key, std::move(value)).second) {
-            cur.fail("duplicate key \"" + key + "\"");
+        bool duplicate = false;
+        if (obj.size() < JsonObject::kInline) {
+            for (const JsonField &f : obj)
+                duplicate = duplicate || sameKey(f, field);
+        } else {
+            if (many.empty())
+                for (const JsonField &f : obj)
+                    many.insert(f.keyString());
+            duplicate = !many.insert(field.keyString()).second;
+        }
+        if (duplicate) {
+            cur.fail("duplicate key \"" + field.keyString() + "\"");
             return std::nullopt;
         }
+        obj.push(field);
         if (cur.eat(','))
             continue;
         if (cur.eat('}'))
@@ -185,34 +281,47 @@ parseFlatJson(const std::string &line, std::string *error)
         cur.fail("trailing garbage after object");
         return std::nullopt;
     }
-    return obj;
+    return parsed;
 }
 
 namespace {
 
+/** Bytes a JSON string carries unescaped. */
+constexpr std::array<bool, 256> kClean = [] {
+    std::array<bool, 256> clean{};
+    for (int c = 0x20; c < 256; ++c)
+        clean[c] = c != '"' && c != '\\';
+    return clean;
+}();
+
 /** Append @p s to @p out with JSON string escaping (quotes,
- *  backslashes, control chars). */
+ *  backslashes, control chars), runs that need none in one piece. */
 void
 appendEscaped(std::string &out, std::string_view s)
 {
-    for (char c : s) {
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        char c = s[i];
+        if (kClean[static_cast<unsigned char>(c)])
+            continue;
+        out.append(s.data() + run, i - run);
+        run = i + 1;
         switch (c) {
         case '"': out += "\\\""; break;
         case '\\': out += "\\\\"; break;
         case '\n': out += "\\n"; break;
         case '\t': out += "\\t"; break;
         case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else
-                out += c;
+        default: {
+            char buf[8];
+            std::snprintf(buf, sizeof buf, "\\u%04x",
+                          static_cast<unsigned>(
+                              static_cast<unsigned char>(c)));
+            out += buf;
+        }
         }
     }
+    out.append(s.data() + run, s.size() - run);
 }
 
 /** Append the decimal digits of @p v. */
@@ -238,10 +347,16 @@ appendFixed(std::string &out, double v)
                            .ptr);
 }
 
+JsonWriter::JsonWriter(std::size_t capacity)
+{
+    body.reserve(capacity);
+    body += '{';
+}
+
 void
 JsonWriter::key(std::string_view name)
 {
-    if (!body.empty())
+    if (body.size() > 1)
         body += ',';
     body += '"';
     appendEscaped(body, name);
@@ -251,11 +366,7 @@ JsonWriter::key(std::string_view name)
 JsonWriter &
 JsonWriter::field(std::string_view name, std::string_view v)
 {
-    key(name);
-    body += '"';
-    appendEscaped(body, v);
-    body += '"';
-    return *this;
+    return openString(name).stringPiece(v).closeString();
 }
 
 JsonWriter &
@@ -291,17 +402,60 @@ JsonWriter::fixed(std::string_view name, double v)
 }
 
 JsonWriter &
-JsonWriter::raw(std::string_view name, std::string_view json)
+JsonWriter::splice(std::string_view fields)
+{
+    if (fields.empty())
+        return *this;
+    if (body.size() > 1)
+        body += ',';
+    body += fields;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::openString(std::string_view name)
 {
     key(name);
-    body += json;
+    body += '"';
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::stringPiece(std::string_view piece)
+{
+    appendEscaped(body, piece);
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::fixedPiece(double v)
+{
+    appendFixed(body, v);
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::closeString()
+{
+    body += '"';
     return *this;
 }
 
 std::string
 JsonWriter::str() const
 {
-    return "{" + body + "}";
+    std::string out;
+    out.reserve(body.size() + 1);
+    out += body;
+    out += '}';
+    return out;
+}
+
+std::string
+JsonWriter::take() &&
+{
+    body += '}';
+    return std::move(body);
 }
 
 } // namespace ct::svc

@@ -20,6 +20,22 @@ PlanCache::stamp(const std::string &key, const std::string &payload)
     return state ^ 0xFFFFFFFFu;
 }
 
+void
+PlanCache::unlink(Entry &e)
+{
+    (e.newer ? e.newer->older : newest) = e.older;
+    (e.older ? e.older->newer : oldest) = e.newer;
+    e.newer = e.older = nullptr;
+}
+
+void
+PlanCache::pushNewest(Entry &e)
+{
+    e.older = newest;
+    (newest ? newest->newer : oldest) = &e;
+    newest = &e;
+}
+
 std::optional<std::string>
 PlanCache::lookup(const std::string &key)
 {
@@ -29,17 +45,19 @@ PlanCache::lookup(const std::string &key)
         ++counters.misses;
         return std::nullopt;
     }
-    if (stamp(key, it->second.payload) != it->second.crc) {
+    Entry &e = it->second;
+    if (stamp(key, e.payload) != e.crc) {
         // A corrupt hit is a miss, never data: drop the entry so the
         // recomputed answer replaces it.
         ++counters.corruptHits;
-        recency.erase(it->second.pos);
+        unlink(e);
         entries.erase(it);
         return std::nullopt;
     }
-    recency.splice(recency.begin(), recency, it->second.pos);
+    unlink(e);
+    pushNewest(e);
     ++counters.hits;
-    return it->second.payload;
+    return e.payload;
 }
 
 void
@@ -51,19 +69,26 @@ PlanCache::insert(const std::string &key, std::string payload)
     if (it != entries.end()) {
         // Overwrite in place (refreshing a stale entry); the write
         // is a use, so the entry also becomes the most recent.
-        it->second.payload = std::move(payload);
-        it->second.crc = crc;
-        recency.splice(recency.begin(), recency, it->second.pos);
+        Entry &e = it->second;
+        e.payload = std::move(payload);
+        e.crc = crc;
+        unlink(e);
+        pushNewest(e);
         ++counters.insertions;
         return;
     }
     if (entries.size() >= cap) {
-        entries.erase(recency.back());
-        recency.pop_back();
+        Entry &victim = *oldest;
+        unlink(victim);
+        entries.erase(entries.find(*victim.key));
         ++counters.evictions;
     }
-    recency.push_front(key);
-    entries.emplace(key, Entry{std::move(payload), crc, recency.begin()});
+    it = entries.try_emplace(key).first;
+    Entry &e = it->second;
+    e.payload = std::move(payload);
+    e.crc = crc;
+    e.key = &it->first;
+    pushNewest(e);
     ++counters.insertions;
 }
 

@@ -27,14 +27,15 @@
  * lookup writes, since a hit moves its entry to the front; lookups
  * copy the payload out under the lock; the service's unit of work is
  * a whole simulation, so the cache lock is never the bottleneck).
- * Lookup, insert, eviction and the corrupt-entry drop are O(1).
+ * Lookup, insert, eviction and the corrupt-entry drop are O(1). The
+ * recency list is threaded through the entries themselves, so an
+ * insertion allocates only its map node and its key.
  */
 
 #ifndef CT_SVC_PLAN_CACHE_H
 #define CT_SVC_PLAN_CACHE_H
 
 #include <cstdint>
-#include <list>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -89,8 +90,11 @@ class PlanCache
     {
         std::string payload;
         std::uint32_t crc = 0;
-        /** This entry's key in `recency`. */
-        std::list<std::string>::iterator pos;
+        /** This entry's key: its map node's, which no rehash moves. */
+        const std::string *key = nullptr;
+        /** Neighbours in recency order; null past either end. */
+        Entry *newer = nullptr;
+        Entry *older = nullptr;
     };
 
     /** Stamp covering the key too, so a payload swapped between two
@@ -98,11 +102,17 @@ class PlanCache
     static std::uint32_t stamp(const std::string &key,
                                const std::string &payload);
 
+    /** Take @p e out of the recency list. */
+    void unlink(Entry &e);
+    /** Make @p e the most recently used entry. */
+    void pushNewest(Entry &e);
+
     mutable std::mutex mu;
     std::size_t cap;
     std::unordered_map<std::string, Entry> entries;
-    /** Keys, most recently used first; the back is evicted next. */
-    std::list<std::string> recency;
+    /** Ends of the recency list: the oldest is evicted next. */
+    Entry *newest = nullptr;
+    Entry *oldest = nullptr;
     PlanCacheStats counters;
 };
 

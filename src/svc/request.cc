@@ -51,35 +51,48 @@ fail(std::string *error, const std::string &msg)
     return false;
 }
 
-/** Read a non-negative integer field; false + diagnostic otherwise. */
+/** The request grammar's keys; a request field's slot is its index. */
+enum Key { Id, OpKey, Machine, Xqy, Words, Bytes, Budget, Faults,
+           Chaos, kKeys };
+constexpr std::string_view kKeyNames[kKeys] = {
+    "id", "op", "machine", "xqy", "words", "bytes", "budget", "faults",
+    "chaos"};
+
+/** Read integer field @p key when present; false + diagnostic when
+ *  it is not a non-negative integer. */
 bool
-readUint(const JsonObject &obj, const char *key, std::uint64_t &out,
+readUint(const JsonField *field, Key key, std::uint64_t &out,
          std::string *error)
 {
-    auto it = obj.find(key);
-    if (it == obj.end())
+    if (!field)
         return true; // optional; caller checks presence separately
-    const JsonValue &v = it->second;
-    if (v.kind != JsonValue::Kind::Number ||
-        !util::parseCount(v.str, 0, UINT64_MAX, out).empty())
-        return fail(error, std::string("field '") + key +
+    if (field->kind != JsonKind::Number ||
+        !util::parseCount(field->text, 0, UINT64_MAX, out).empty())
+        return fail(error, "field '" + std::string(kKeyNames[key]) +
                                "' must be a non-negative integer");
     return true;
 }
 
-/** Point @p out at a string field's text; false when present but
- *  not a string. */
+/**
+ * Point @p out at string field @p key's text when present: in place,
+ * or decoded into @p decoded when it holds an escape. False when
+ * present but not a string.
+ */
 bool
-readString(const JsonObject &obj, const char *key, std::string_view &out,
-           std::string *error)
+readString(const JsonField *field, Key key, std::string_view &out,
+           std::string &decoded, std::string *error)
 {
-    auto it = obj.find(key);
-    if (it == obj.end())
+    if (!field)
         return true;
-    if (it->second.kind != JsonValue::Kind::String)
-        return fail(error, std::string("field '") + key +
+    if (field->kind != JsonKind::String)
+        return fail(error, "field '" + std::string(kKeyNames[key]) +
                                "' must be a string");
-    out = it->second.str;
+    if (field->textEscaped) {
+        decoded = field->str();
+        out = decoded;
+    } else {
+        out = field->text;
+    }
     return true;
 }
 
@@ -94,20 +107,39 @@ Request::tryParse(const std::string &line, std::string *error,
     auto parsed = parseFlatJson(line, error);
     if (!parsed)
         return std::nullopt;
-    const JsonObject &obj = *parsed;
+
+    // One pass over the fields: each known key to its slot (the
+    // parser already refused duplicates), and of the unknown keys the
+    // first in sorted order, the one a rejection names.
+    const JsonField *slot[kKeys] = {};
+    std::optional<std::string> unknown;
+    for (const JsonField &f : *parsed) {
+        std::size_t k = 0;
+        while (k < kKeys && (f.keyEscaped || f.key != kKeyNames[k]))
+            ++k;
+        if (k < kKeys) {
+            slot[k] = &f;
+            continue;
+        }
+        std::string name = f.keyString();
+        if (!unknown || name < *unknown)
+            unknown = std::move(name);
+    }
 
     Request req;
-    if (obj.find("id") == obj.end()) {
+    if (!slot[Id]) {
         fail(error, "missing required field 'id'");
         return std::nullopt;
     }
-    if (!readUint(obj, "id", req.id, error))
+    if (!readUint(slot[Id], Id, req.id, error))
         return std::nullopt;
     if (id_out)
         *id_out = req.id;
 
+    std::string decoded_op, decoded_machine, decoded_xqy,
+        decoded_faults, decoded_chaos;
     std::string_view op;
-    if (!readString(obj, "op", op, error))
+    if (!readString(slot[OpKey], OpKey, op, decoded_op, error))
         return std::nullopt;
     if (op.empty()) {
         fail(error, "missing required field 'op'");
@@ -129,56 +161,47 @@ Request::tryParse(const std::string &line, std::string *error,
 
     // Reject unknown keys loudly before interpreting anything else:
     // a typo like "budgte" must not silently run without a deadline.
-    static const char *const known[] = {"id",    "op",     "machine",
-                                        "xqy",   "words",  "bytes",
-                                        "budget", "faults", "chaos"};
-    for (const auto &[key, value] : obj) {
-        (void)value;
-        bool ok = false;
-        for (const char *k : known)
-            if (key == k)
-                ok = true;
-        if (!ok) {
-            fail(error, "unknown field '" + key + "'");
-            return std::nullopt;
-        }
+    if (unknown) {
+        fail(error, "unknown field '" + *unknown + "'");
+        return std::nullopt;
     }
 
     std::string_view machine, xqy, faults, chaos;
-    if (!readString(obj, "machine", machine, error) ||
-        !readString(obj, "xqy", xqy, error) ||
-        !readString(obj, "faults", faults, error) ||
-        !readString(obj, "chaos", chaos, error) ||
-        !readUint(obj, "words", req.words, error) ||
-        !readUint(obj, "bytes", req.bytes, error) ||
-        !readUint(obj, "budget", req.budget, error))
+    if (!readString(slot[Machine], Machine, machine, decoded_machine,
+                    error) ||
+        !readString(slot[Xqy], Xqy, xqy, decoded_xqy, error) ||
+        !readString(slot[Faults], Faults, faults, decoded_faults,
+                    error) ||
+        !readString(slot[Chaos], Chaos, chaos, decoded_chaos, error) ||
+        !readUint(slot[Words], Words, req.words, error) ||
+        !readUint(slot[Bytes], Bytes, req.bytes, error) ||
+        !readUint(slot[Budget], Budget, req.budget, error))
         return std::nullopt;
 
     // Fields that only make sense for some ops are rejected on the
     // others instead of being ignored. The diagnostic is built only
     // when a field is rejected.
-    auto rejectField = [&](const char *key, const char *why) {
-        if (obj.find(key) == obj.end())
+    auto rejectField = [&](Key key, const char *why) {
+        if (!slot[key])
             return false;
-        fail(error, std::string("field '") + key +
+        fail(error, "field '" + std::string(kKeyNames[key]) +
                         "' does not apply to op '" + opName(req.op) +
                         "'" + why);
         return true;
     };
     if (req.op == Op::Health || req.op == Op::Validate) {
-        for (const char *key :
-             {"machine", "xqy", "words", "bytes", "budget", "faults",
-              "chaos"})
+        for (Key key :
+             {Machine, Xqy, Words, Bytes, Budget, Faults, Chaos})
             if (rejectField(key, ""))
                 return std::nullopt;
         return req;
     }
     if (req.op == Op::Plan) {
-        for (const char *key : {"words", "budget", "faults", "chaos"})
+        for (Key key : {Words, Budget, Faults, Chaos})
             if (rejectField(key, " (planning is analytic)"))
                 return std::nullopt;
     }
-    if (req.op == Op::Sim && rejectField("bytes", " (use words)"))
+    if (req.op == Op::Sim && rejectField(Bytes, " (use words)"))
         return std::nullopt;
 
     // machine + xqy are required for plan and sim.
@@ -251,7 +274,7 @@ peekRequestId(const std::string &line)
 {
     std::uint64_t id = 0;
     if (auto parsed = parseFlatJson(line, nullptr))
-        readUint(*parsed, "id", id, nullptr);
+        readUint(parsed->find(kKeyNames[Id]), Id, id, nullptr);
     return id;
 }
 

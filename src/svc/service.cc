@@ -25,11 +25,29 @@ namespace ct::svc {
 
 namespace {
 
+/** Room reserved for a response envelope: id, op, status and
+ *  fidelity at their longest. */
+constexpr std::size_t kEnvelopeBytes = 96;
+/** Room reserved for a payload: a plan or sim answer's fields fit. */
+constexpr std::size_t kPayloadBytes = 256;
+
 /** Wire spelling of a machine id ("t3d" / "paragon"). */
 const char *
 wireMachineName(core::MachineId id)
 {
     return id == core::MachineId::T3d ? "t3d" : "paragon";
+}
+
+/** The query's "machine" and canonical "xqy" fields, e.g. "16Qw". */
+JsonWriter &
+queryFields(JsonWriter &w, const Request &request)
+{
+    return w.field("machine", wireMachineName(request.machine))
+        .openString("xqy")
+        .stringPiece(request.x.label())
+        .stringPiece("Q")
+        .stringPiece(request.y.label())
+        .closeString();
 }
 
 char
@@ -242,12 +260,12 @@ PlanService::submit(const std::string &line)
         resp.id = peekRequestId(line);
         resp.status = Status::Rejected;
         resp.fidelity = Fidelity::None;
-        JsonWriter w;
+        JsonWriter w(kEnvelopeBytes);
         w.field("id", resp.id)
             .field("status", statusName(resp.status))
             .field("fidelity", fidelityName(resp.fidelity))
             .field("error", "overloaded");
-        resp.line = w.str();
+        resp.line = std::move(w).take();
         complete(index, std::move(resp));
         return;
     }
@@ -374,12 +392,12 @@ PlanService::handleLine(const std::string &line)
         resp.id = id;
         resp.status = Status::Error;
         resp.fidelity = Fidelity::None;
-        JsonWriter w;
+        JsonWriter w(kEnvelopeBytes + error.size());
         w.field("id", id)
             .field("status", statusName(resp.status))
             .field("fidelity", fidelityName(resp.fidelity))
             .field("error", error);
-        resp.line = w.str();
+        resp.line = std::move(w).take();
         return resp;
     }
     requestsByOp[static_cast<int>(req->op)].inc();
@@ -419,21 +437,14 @@ PlanService::finish(const Request &request, Status status,
     resp.id = request.id;
     resp.status = status;
     resp.fidelity = fidelity;
-    JsonWriter w;
+    // The envelope's fields, then the payload's, in one allocation.
+    JsonWriter w(kEnvelopeBytes + fragment.size());
     w.field("id", request.id)
         .field("op", opName(request.op))
         .field("status", statusName(status))
-        .field("fidelity", fidelityName(fidelity));
-    // The envelope's fields, then the payload's, in one allocation.
-    const std::string &envelope = w.fragment();
-    resp.line.reserve(envelope.size() + fragment.size() + 3);
-    resp.line += '{';
-    resp.line += envelope;
-    if (!fragment.empty()) {
-        resp.line += ',';
-        resp.line += fragment;
-    }
-    resp.line += '}';
+        .field("fidelity", fidelityName(fidelity))
+        .splice(fragment);
+    resp.line = std::move(w).take();
     return resp;
 }
 
@@ -455,23 +466,17 @@ PlanService::handlePlan(const Request &request)
     // re-ranked from the same rated programs.
     auto plans = core::plan({request.machine, request.x, request.y, 0.0});
 
-    std::string xqy = request.x.label();
-    xqy += 'Q';
-    xqy += request.y.label();
-    JsonWriter w;
-    w.field("machine", wireMachineName(request.machine))
-        .field("xqy", xqy)
-        .field("best", plans.front().program.styleKey);
+    JsonWriter w(kPayloadBytes);
+    queryFields(w, request).field("best", plans.front().program.styleKey);
     w.fixed("best_mbps", plans.front().estimate);
-    std::string styles;
+    w.openString("styles");
     for (const core::PlannedStrategy &p : plans) {
-        if (!styles.empty())
-            styles += ',';
-        styles += p.program.styleKey;
-        styles += '=';
-        appendFixed(styles, p.estimate);
+        if (&p != &plans.front())
+            w.stringPiece(",");
+        w.stringPiece(p.program.styleKey).stringPiece("=").fixedPiece(
+            p.estimate);
     }
-    w.field("styles", styles);
+    w.closeString();
     if (request.bytes > 0) {
         auto sized = core::planForSize(plans, request.bytes);
         w.field("message_bytes", request.bytes);
@@ -516,9 +521,8 @@ PlanService::handleSim(const Request &request)
     core::PlannedStrategy best = core::bestPlan(query);
     const core::TransferProgram &base = best.program;
 
-    JsonWriter w;
-    w.field("machine", wireMachineName(request.machine))
-        .field("xqy", request.x.label() + "Q" + request.y.label())
+    JsonWriter w(kPayloadBytes);
+    queryFields(w, request)
         .field("words", request.words)
         .field("style", base.styleKey)
         .field("budget", budget);
@@ -615,7 +619,7 @@ PlanService::handleValidate(const Request &request)
 ServiceResponse
 PlanService::handleHealth(const Request &request)
 {
-    JsonWriter w;
+    JsonWriter w(kPayloadBytes);
     w.field("workers", opts.workers)
         .field("queue_capacity",
                static_cast<std::uint64_t>(opts.queueCapacity))

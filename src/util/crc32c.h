@@ -1,12 +1,14 @@
 /**
  * @file
- * Software CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected form
- * 0x82F63B78) over byte streams, slicing-by-8, with the tables
- * generated at compile time. Used as the packet payload checksum of
- * the reliable transport and the plan cache's entry stamp: unlike a
- * word sum, a CRC detects reordered words and offsetting-pair
- * corruptions, and CRC32C specifically guarantees detection of any
- * single burst error up to 32 bits.
+ * CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected form
+ * 0x82F63B78) over byte streams: slicing-by-8 with the tables
+ * generated at compile time, or, on x86-64 hosts with SSE4.2, the
+ * crc32 instruction, which computes the same function eight bytes at
+ * a time. Used as the packet payload checksum of the reliable
+ * transport and the plan cache's entry stamp: unlike a word sum, a
+ * CRC detects reordered words and offsetting-pair corruptions, and
+ * CRC32C specifically guarantees detection of any single burst error
+ * up to 32 bits.
  */
 
 #ifndef CT_UTIL_CRC32C_H
@@ -15,6 +17,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 namespace ct::util {
 
@@ -45,14 +48,12 @@ makeCrc32cTables()
 
 inline constexpr Crc32cTables crc32cTables = makeCrc32cTables();
 
-} // namespace detail
-
-/** Fold @p byte_count bytes of @p data into a running CRC state. */
+/** crc32cUpdate() through the tables, on any host. */
 inline std::uint32_t
-crc32cUpdate(std::uint32_t state, const void *data,
-             std::size_t byte_count)
+crc32cUpdateTables(std::uint32_t state, const void *data,
+                   std::size_t byte_count)
 {
-    const detail::Crc32cTables &t = detail::crc32cTables;
+    const Crc32cTables &t = crc32cTables;
     const auto *bytes = static_cast<const unsigned char *>(data);
     for (; byte_count >= 8; bytes += 8, byte_count -= 8) {
         // Assembled little-endian byte by byte, so the result does not
@@ -78,6 +79,44 @@ crc32cUpdate(std::uint32_t state, const void *data,
     for (; byte_count > 0; ++bytes, --byte_count)
         state = (state >> 8) ^ t[0][(state ^ *bytes) & 0xFFu];
     return state;
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#define CT_CRC32C_SSE42 1
+/** crc32cUpdate() through SSE4.2's crc32 instruction; call only where
+ *  the host has it. */
+[[gnu::target("sse4.2")]] inline std::uint32_t
+crc32cUpdateSse42(std::uint32_t state, const void *data,
+                  std::size_t byte_count)
+{
+    const auto *bytes = static_cast<const unsigned char *>(data);
+    for (; byte_count >= 8; bytes += 8, byte_count -= 8) {
+        // x86 is little-endian: the block holds the bytes in order.
+        std::uint64_t block;
+        std::memcpy(&block, bytes, 8);
+        state = static_cast<std::uint32_t>(
+            __builtin_ia32_crc32di(state, block));
+    }
+    for (; byte_count > 0; ++bytes, --byte_count)
+        state = __builtin_ia32_crc32qi(state, *bytes);
+    return state;
+}
+#endif
+
+} // namespace detail
+
+/** Fold @p byte_count bytes of @p data into a running CRC state. */
+inline std::uint32_t
+crc32cUpdate(std::uint32_t state, const void *data,
+             std::size_t byte_count)
+{
+#ifdef CT_CRC32C_SSE42
+    // Also correct before static constructors have run.
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("sse4.2"))
+        return detail::crc32cUpdateSse42(state, data, byte_count);
+#endif
+    return detail::crc32cUpdateTables(state, data, byte_count);
 }
 
 /** CRC32C of one buffer (init and final xor handled internally). */

@@ -11,17 +11,23 @@
  * simulator's word path (DESIGN.md §11): once a node is warm, moving
  * words through its memory system allocates nothing; and its packet
  * path: a warm layer run allocates per packet, flow group, RAM page
- * and endpoint, never per word or per hop.
+ * and endpoint, never per word or per hop. And the planning
+ * service's request path: a warm request allocates a handful of
+ * times, a plan miss a few dozen, never per field or per node of a
+ * program's expression.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "core/planner.h"
 #include "rt/chained_layer.h"
@@ -30,6 +36,7 @@
 #include "rt/workload.h"
 #include "sim/machine.h"
 #include "sim/node.h"
+#include "svc/service.h"
 #include "util/rng.h"
 
 namespace {
@@ -461,6 +468,84 @@ TEST(ScaleFootprint, PacketPathAllocatesPerPacketNotPerWordOrHop)
             }
         }
     }
+}
+
+/** The storm workload's plan lines (hostbench/storm.cc): both
+ *  machines, its twelve patterns squared, four message sizes. */
+std::vector<std::string>
+stormPlanLines()
+{
+    static const char *const patterns[] = {
+        "1", "2", "3", "4", "8", "16", "32", "64", "256", "1024", "w",
+        "16.2"};
+    std::vector<std::string> lines;
+    std::uint64_t id = 1000;
+    for (const char *machine : {"t3d", "paragon"})
+        for (const char *x : patterns)
+            for (const char *y : patterns)
+                for (std::uint64_t bytes : {0, 512, 8192, 131072}) {
+                    std::string line =
+                        "{\"id\":" + std::to_string(id++) +
+                        ",\"op\":\"plan\",\"machine\":\"" + machine +
+                        "\",\"xqy\":\"" + x + "Q" + y + "\"";
+                    if (bytes)
+                        line += ",\"bytes\":" + std::to_string(bytes);
+                    lines.push_back(line + "}");
+                }
+    return lines;
+}
+
+/** operator new calls of one handleLine() call, its response freed. */
+std::uint64_t
+requestAllocations(svc::PlanService &service, const std::string &line)
+{
+    AllocWindow window;
+    service.handleLine(line);
+    return window.calls();
+}
+
+TEST(RequestAllocations, WarmRequestsAllocateAlmostNothing)
+{
+    // A request is one pass over its line (docs/SERVICE.md): the
+    // parser views the line in place, the plan cache is probed under
+    // one key, and the response renders into one pre-sized buffer. A
+    // warm plan hit may allocate its key, the copy of the cached
+    // answer it takes out of the cache and its response line; a
+    // health check less. A plan miss builds and rates every style's
+    // program, renders the answer and stores it: at most 40 calls.
+    const std::uint64_t kHitBudget = 3, kMissBudget = 40;
+    svc::ServiceOptions opts;
+    opts.workers = 0;
+    svc::PlanService service(opts, [](const svc::ServiceResponse &) {});
+    const std::string health = R"({"id":1,"op":"health"})";
+    // Warm the process-wide statics the first requests build (the
+    // style registry, the paper tables) on lines measured below only
+    // after their own first call.
+    service.handleLine(health);
+    service.handleLine(
+        R"({"id":2,"op":"plan","machine":"t3d","xqy":"5Q7"})");
+    service.handleLine(
+        R"({"id":3,"op":"plan","machine":"paragon","xqy":"5Q7"})");
+
+    std::uint64_t health_calls = requestAllocations(service, health);
+    std::uint64_t worst_miss = 0, worst_hit = 0;
+    for (const std::string &line : stormPlanLines()) {
+        std::uint64_t miss = requestAllocations(service, line);
+        std::uint64_t hit = requestAllocations(service, line);
+        EXPECT_LE(miss, kMissBudget) << line;
+        EXPECT_LE(hit, kHitBudget) << line;
+        worst_miss = std::max(worst_miss, miss);
+        worst_hit = std::max(worst_hit, hit);
+    }
+    std::fprintf(stderr,
+                 "health %llu, worst plan hit %llu, worst plan miss %llu "
+                 "allocations\n",
+                 static_cast<unsigned long long>(health_calls),
+                 static_cast<unsigned long long>(worst_hit),
+                 static_cast<unsigned long long>(worst_miss));
+    EXPECT_LE(health_calls, kHitBudget);
+    const svc::PlanCacheStats stats = service.cacheStats();
+    EXPECT_EQ(stats.hits, stats.misses - 2); // the warm-up misses
 }
 
 TEST(ScaleFootprint, DimsForNodesSplitsNearEvenly)

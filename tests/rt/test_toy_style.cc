@@ -44,7 +44,6 @@ buildToy(core::MachineId id, P x, P y)
             core::receiveDeposit(P::contiguous())));
     p.costs = {9000, 0, 8000};
     p.stagingBuffers = 0;
-    p.description = "toy contiguous chained style";
     return p;
 }
 

@@ -88,6 +88,32 @@ TEST(Crc32c, MatchesReferenceAtEveryLengthAndOffset)
     }
 }
 
+TEST(Crc32c, EveryImplementationMatchesReference)
+{
+    // crc32cUpdate() takes one implementation per host; check the
+    // table path everywhere, and the instruction path where it runs.
+    const std::vector<unsigned char> buf = randomBytes(300 + 8, 23);
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t len = 0; len <= 300; ++len) {
+            const unsigned char *start = buf.data() + offset;
+            const std::uint32_t want =
+                referenceUpdate(0xFFFFFFFFu, start, len);
+            ASSERT_EQ(ct::util::detail::crc32cUpdateTables(0xFFFFFFFFu,
+                                                           start, len),
+                      want)
+                << "offset " << offset << " length " << len;
+#ifdef CT_CRC32C_SSE42
+            if (__builtin_cpu_supports("sse4.2")) {
+                ASSERT_EQ(ct::util::detail::crc32cUpdateSse42(
+                              0xFFFFFFFFu, start, len),
+                          want)
+                    << "offset " << offset << " length " << len;
+            }
+#endif
+        }
+    }
+}
+
 TEST(Crc32c, ChainedUpdatesMatchOneShot)
 {
     // payloadSum() chains words then addresses and PlanCache::stamp
