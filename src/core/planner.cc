@@ -96,39 +96,6 @@ planForSize(MachineId machine, AccessPattern x, AccessPattern y,
                        message_bytes);
 }
 
-util::Bytes
-styleCrossoverBytes(MachineId machine, AccessPattern x,
-                    AccessPattern y, Style a, Style b)
-{
-    // The models do not depend on the message size.
-    std::vector<SizedPlan> plans = planForSize(machine, x, y, 0);
-    auto model = [&](Style style) -> const MessageCostModel & {
-        for (const SizedPlan &p : plans)
-            if (p.style == style)
-                return p.model;
-        util::fatal("styleCrossoverBytes: style unavailable");
-    };
-    const MessageCostModel &ma = model(a);
-    const MessageCostModel &mb = model(b);
-    // Effective rates are monotone; they cross at most once. Solve
-    // secondsFor equality by bisection over a generous range.
-    auto diff = [&](double n) {
-        return ma.throughputAt(static_cast<util::Bytes>(n)) -
-               mb.throughputAt(static_cast<util::Bytes>(n));
-    };
-    double lo = 8.0, hi = 1e9;
-    if (diff(lo) * diff(hi) > 0.0)
-        return 0; // one style dominates everywhere
-    for (int it = 0; it < 200; ++it) {
-        double mid = (lo + hi) / 2.0;
-        if (diff(lo) * diff(mid) <= 0.0)
-            hi = mid;
-        else
-            lo = mid;
-    }
-    return static_cast<util::Bytes>((lo + hi) / 2.0);
-}
-
 std::string
 canonicalQueryKey(const char *op, MachineId machine,
                   const AccessPattern &x, const AccessPattern &y,

@@ -88,13 +88,6 @@ std::vector<SizedPlan> planForSize(MachineId machine, AccessPattern x,
                                    util::Bytes message_bytes);
 
 /**
- * The message size at which @p a and @p b deliver equal effective
- * throughput, or 0 when one dominates at every size.
- */
-util::Bytes styleCrossoverBytes(MachineId machine, AccessPattern x,
-                                AccessPattern y, Style a, Style b);
-
-/**
  * Canonical memoization key for a planning or simulation query.
  * Equivalent queries -- however their patterns, machine name or
  * fault/chaos specs were originally spelled -- must map to the same

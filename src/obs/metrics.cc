@@ -1,7 +1,6 @@
 #include "metrics.h"
 
 #include <algorithm>
-#include <bit>
 #include <ostream>
 #include <sstream>
 
@@ -19,73 +18,11 @@ kindName(MetricKind kind)
         return "counter";
     case MetricKind::Gauge:
         return "gauge";
-    case MetricKind::Histogram:
-        return "histogram";
     }
     return "?";
 }
 
-/** Bucket index: log2 of the value (value 0 -> bucket 0). */
-int
-bucketOf(std::uint64_t v)
-{
-    return v == 0 ? 0 : 64 - std::countl_zero(v) - 1;
-}
-
 } // namespace
-
-void
-Histogram::record(std::uint64_t v)
-{
-    if (!cell)
-        return;
-    cell->count.fetch_add(1, std::memory_order_relaxed);
-    cell->sum.fetch_add(v, std::memory_order_relaxed);
-    cell->buckets[bucketOf(v)].fetch_add(1,
-                                         std::memory_order_relaxed);
-    // min/max via CAS loops; contention is negligible at sim rates.
-    std::uint64_t cur = cell->min.load(std::memory_order_relaxed);
-    while (v < cur &&
-           !cell->min.compare_exchange_weak(
-               cur, v, std::memory_order_relaxed))
-        ;
-    cur = cell->max.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !cell->max.compare_exchange_weak(
-               cur, v, std::memory_order_relaxed))
-        ;
-}
-
-HistogramSnapshot
-Histogram::snapshot() const
-{
-    HistogramSnapshot s;
-    s.buckets.assign(HistogramCell::kBuckets, 0);
-    if (!cell)
-        return s;
-    s.count = cell->count.load(std::memory_order_relaxed);
-    s.sum = cell->sum.load(std::memory_order_relaxed);
-    std::uint64_t mn = cell->min.load(std::memory_order_relaxed);
-    s.min = s.count == 0 ? 0 : mn;
-    s.max = cell->max.load(std::memory_order_relaxed);
-    for (int i = 0; i < HistogramCell::kBuckets; ++i)
-        s.buckets[static_cast<std::size_t>(i)] =
-            cell->buckets[i].load(std::memory_order_relaxed);
-    return s;
-}
-
-void
-Histogram::reset()
-{
-    if (!cell)
-        return;
-    cell->count.store(0, std::memory_order_relaxed);
-    cell->sum.store(0, std::memory_order_relaxed);
-    cell->min.store(UINT64_MAX, std::memory_order_relaxed);
-    cell->max.store(0, std::memory_order_relaxed);
-    for (auto &b : cell->buckets)
-        b.store(0, std::memory_order_relaxed);
-}
 
 MetricsRegistry::Cell &
 MetricsRegistry::getOrCreate(const std::string &name, MetricKind kind)
@@ -120,12 +57,6 @@ Gauge
 MetricsRegistry::gauge(const std::string &name)
 {
     return Gauge(&getOrCreate(name, MetricKind::Gauge).gauge);
-}
-
-Histogram
-MetricsRegistry::histogram(const std::string &name)
-{
-    return Histogram(&getOrCreate(name, MetricKind::Histogram).hist);
 }
 
 bool
@@ -190,7 +121,6 @@ MetricsRegistry::reset()
     for (Cell &cell : cells) {
         cell.counter.store(0, std::memory_order_relaxed);
         cell.gauge.store(0, std::memory_order_relaxed);
-        Histogram(&cell.hist).reset();
     }
 }
 
@@ -210,25 +140,17 @@ MetricsRegistry::writeJson(std::ostream &os) const
             os << (first ? "\n" : ",\n") << "    \"" << name
                << "\": ";
             first = false;
-            if (kind == MetricKind::Counter) {
+            if (kind == MetricKind::Counter)
                 os << cell->counter.load(std::memory_order_relaxed);
-            } else if (kind == MetricKind::Gauge) {
+            else
                 os << cell->gauge.load(std::memory_order_relaxed);
-            } else {
-                HistogramSnapshot s =
-                    Histogram(&cell->hist).snapshot();
-                os << "{\"count\": " << s.count
-                   << ", \"sum\": " << s.sum << ", \"min\": " << s.min
-                   << ", \"max\": " << s.max << "}";
-            }
         }
         os << (first ? "}" : "\n  }");
     };
     os << "{\n";
     emitGroup(MetricKind::Counter, "counters", true);
     emitGroup(MetricKind::Gauge, "gauges", false);
-    emitGroup(MetricKind::Histogram, "histograms", false);
-    os << "\n}\n";
+    os << ",\n  \"histograms\": {}\n}\n";
 }
 
 std::string

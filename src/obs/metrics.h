@@ -1,7 +1,7 @@
 /**
  * @file
- * Central metrics registry: named counters, gauges and histograms
- * with cheap handles. Components register their metrics once (the
+ * Central metrics registry: named counters and gauges with cheap
+ * handles. Components register their metrics once (the
  * registry get-or-creates by name, so a re-run reuses the same cell)
  * and bump them through handles on the hot path; reports, the
  * `--metrics-out` dump and the bench summary all read the same cells,
@@ -33,35 +33,7 @@
 namespace ct::obs {
 
 /** What a registered name refers to. */
-enum class MetricKind { Counter, Gauge, Histogram };
-
-/** Power-of-two bucket histogram state (value -> bucket log2). */
-struct HistogramCell
-{
-    static constexpr int kBuckets = 64;
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<std::uint64_t> sum{0};
-    std::atomic<std::uint64_t> min{UINT64_MAX};
-    std::atomic<std::uint64_t> max{0};
-    std::atomic<std::uint64_t> buckets[kBuckets]{};
-};
-
-/** Plain-value snapshot of one histogram. */
-struct HistogramSnapshot
-{
-    std::uint64_t count = 0;
-    std::uint64_t sum = 0;
-    std::uint64_t min = 0; ///< 0 when count == 0
-    std::uint64_t max = 0;
-    std::vector<std::uint64_t> buckets; ///< kBuckets entries
-
-    double mean() const
-    {
-        return count == 0 ? 0.0
-                          : static_cast<double>(sum) /
-                                static_cast<double>(count);
-    }
-};
+enum class MetricKind { Counter, Gauge };
 
 /** Monotonic counter handle. */
 class Counter
@@ -128,28 +100,8 @@ class Gauge
     std::atomic<std::int64_t> *cell = nullptr;
 };
 
-/** Histogram handle. */
-class Histogram
-{
-  public:
-    Histogram() = default;
-
-    void record(std::uint64_t v);
-
-    HistogramSnapshot snapshot() const;
-
-    void reset();
-
-    explicit operator bool() const { return cell != nullptr; }
-
-  private:
-    friend class MetricsRegistry;
-    explicit Histogram(HistogramCell *cell) : cell(cell) {}
-    HistogramCell *cell = nullptr;
-};
-
 /**
- * The registry. counter()/gauge()/histogram() get-or-create by name;
+ * The registry. counter()/gauge() get-or-create by name;
  * registering an existing name with a different kind is a fatal
  * configuration error (names are unique across kinds).
  */
@@ -162,7 +114,6 @@ class MetricsRegistry
 
     Counter counter(const std::string &name);
     Gauge gauge(const std::string &name);
-    Histogram histogram(const std::string &name);
 
     /** True if @p name is registered (any kind). */
     bool has(const std::string &name) const;
@@ -185,8 +136,9 @@ class MetricsRegistry
 
     /**
      * JSON object dump:
-     *   {"counters": {...}, "gauges": {...},
-     *    "histograms": {"name": {"count":..,"sum":..,...}}}
+     *   {"counters": {...}, "gauges": {...}, "histograms": {}}
+     * The histograms group is always empty; it stays so that every
+     * metrics file keeps its bytes.
      */
     void writeJson(std::ostream &os) const;
     std::string toJson() const;
@@ -198,7 +150,6 @@ class MetricsRegistry
         MetricKind kind;
         std::atomic<std::uint64_t> counter{0};
         std::atomic<std::int64_t> gauge{0};
-        HistogramCell hist;
     };
 
     Cell &getOrCreate(const std::string &name, MetricKind kind);

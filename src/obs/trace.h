@@ -3,7 +3,7 @@
  * Structured tracing keyed off the simulator's virtual clock. A
  * Tracer records typed events -- complete spans (stage executions,
  * resource occupancy with explicit begin time and duration) and
- * instants (packet drop, retransmission, checkpoint, repair) -- into
+ * instants (packet drop, retransmission, policy decision) -- into
  * a fixed-capacity ring buffer, so tracing a long run costs bounded
  * memory and the newest events always survive.
  *
@@ -24,7 +24,8 @@
  *   cat "op"        span  one whole communication operation
  *   cat "net"       inst  drop / corrupt / dup / delay / reroute ...
  *   cat "transport" inst  retransmit / nack / abandon / degrade ...
- *   cat "ckpt"      inst  checkpoint / repair / interrupted
+ *   cat "policy"    inst  controller actions / retry-exhausted /
+ *                         degrade-to-packing
  */
 
 #ifndef CT_OBS_TRACE_H

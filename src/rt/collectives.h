@@ -34,8 +34,6 @@ struct CollectiveResult
     int lostNodes = 0;
     /** Words not delivered because an endpoint node was/went dead. */
     std::uint64_t lostWords = 0;
-    /** First round this call executed (checkpointed resumption). */
-    int resumedFromRound = 0;
 
     util::MBps
     perNodeMBps(const sim::Machine &machine) const

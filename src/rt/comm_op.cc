@@ -7,39 +7,6 @@
 
 namespace ct::rt {
 
-OwnerMap
-OwnerMap::identity(int nodes)
-{
-    // Self-ownership is the map's default; nothing to materialize.
-    OwnerMap map;
-    map.nodes = nodes;
-    return map;
-}
-
-OwnerMap
-OwnerMap::fromMachine(sim::Machine &machine)
-{
-    const sim::Topology &topo = machine.topology();
-    sim::Cycles now = machine.events().now();
-    int nodes = machine.nodeCount();
-    OwnerMap map;
-    map.nodes = nodes;
-    if (!topo.anyOutages())
-        return map; // everyone alive: the identity map
-    for (int n = 0; n < nodes; ++n) {
-        NodeId candidate = n;
-        int probed = 0;
-        while (!topo.nodeAlive(candidate, now)) {
-            candidate = (candidate + 1) % nodes;
-            if (++probed > nodes)
-                util::fatal("OwnerMap: no live node left");
-        }
-        if (candidate != n)
-            map.moved[n] = candidate;
-    }
-    return map;
-}
-
 Bytes
 CommOp::totalBytes() const
 {
@@ -59,16 +26,6 @@ CommOp::maxBytesPerSender() const
     for (const auto &[node, bytes] : per_sender)
         best = std::max(best, bytes);
     return best;
-}
-
-int
-CommOp::activeSenders() const
-{
-    std::map<NodeId, Bytes> per_sender;
-    for (const auto &flow : flows)
-        if (flow.words > 0)
-            per_sender[flow.src] += flow.words;
-    return static_cast<int>(per_sender.size());
 }
 
 std::vector<sim::TrafficDemand>

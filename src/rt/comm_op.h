@@ -10,7 +10,6 @@
 #ifndef CT_RT_COMM_OP_H
 #define CT_RT_COMM_OP_H
 
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -56,66 +55,8 @@ struct CommOp
     /** Largest payload sent by any single node. */
     Bytes maxBytesPerSender() const;
 
-    /** Number of nodes that send at least one word. */
-    int activeSenders() const;
-
     /** Traffic demands for congestion analysis. */
     std::vector<sim::TrafficDemand> demands() const;
-};
-
-/**
- * Block-ownership remap for failure-aware redistribution. When a
- * node dies, the next live node (in cyclic order) takes over its
- * block ownership: data that should have landed on the dead node is
- * redirected to a spill buffer on the takeover node, so the
- * redistribution still completes and no surviving data is lost.
- */
-struct OwnerMap
-{
-    /** Node count the map covers (0 until bound to a machine). */
-    int nodes = 0;
-
-    /**
-     * Only the nodes whose ownership moved (dead node -> takeover
-     * node); a node absent from this map owns itself. Storing just
-     * the exceptions keeps the map O(lost nodes), not O(capacity) --
-     * the healthy identity map for an 8192-node machine is empty.
-     */
-    std::map<NodeId, NodeId> moved;
-
-    /** Every node owns itself (the healthy mapping). */
-    static OwnerMap identity(int nodes);
-
-    /**
-     * Derive the map from @p machine's liveness at the current event
-     * time: dead nodes hand their blocks to the next live node in
-     * cyclic order. Fatal when no node is left alive.
-     */
-    static OwnerMap fromMachine(sim::Machine &machine);
-
-    NodeId of(NodeId n) const
-    {
-        auto it = moved.find(n);
-        return it == moved.end() ? n : it->second;
-    }
-
-    bool alive(NodeId n) const { return of(n) == n; }
-
-    /** Number of nodes whose ownership moved. */
-    int lostNodes() const { return static_cast<int>(moved.size()); }
-
-    /** True until bound to a machine (no node count yet). */
-    bool empty() const { return nodes == 0; }
-
-    bool operator==(const OwnerMap &other) const
-    {
-        return nodes == other.nodes && moved == other.moved;
-    }
-
-    bool operator!=(const OwnerMap &other) const
-    {
-        return !(*this == other);
-    }
 };
 
 /**

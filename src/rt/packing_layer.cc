@@ -401,15 +401,4 @@ PackingLayer::run(sim::Machine &machine, const CommOp &op)
     return result;
 }
 
-PackingLayer
-makePvmLayer(Cycles sender_overhead, Cycles receiver_overhead)
-{
-    PackingOptions opts;
-    opts.systemBufferCopies = true;
-    opts.senderMessageOverhead = sender_overhead;
-    opts.receiverMessageOverhead = receiver_overhead;
-    opts.layerName = "pvm";
-    return PackingLayer(opts);
-}
-
 } // namespace ct::rt

@@ -57,15 +57,6 @@ class PackingLayer : public MessageLayer
     PackingOptions opts;
 };
 
-/**
- * The PVM-style layer used for Figure 1 and the Table 6 footnote:
- * packing plus system-buffer copies plus per-message overhead. The
- * overhead default corresponds to the tens-of-microseconds message
- * latency of Cray PVM3.
- */
-PackingLayer makePvmLayer(Cycles sender_overhead = 4000,
-                          Cycles receiver_overhead = 2000);
-
 } // namespace ct::rt
 
 #endif // CT_RT_PACKING_LAYER_H

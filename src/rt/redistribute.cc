@@ -82,131 +82,6 @@ RedistributionWorkload::create(sim::Machine &machine,
     return w;
 }
 
-Addr
-RedistributionWorkload::spillFor(sim::Machine &machine, NodeId dead,
-                                 const OwnerMap &owners)
-{
-    NodeId takeover = owners.of(dead);
-    auto it = spillBase.find(dead);
-    if (it != spillBase.end() && it->second.first == takeover)
-        return it->second.second;
-    std::uint64_t count =
-        std::max<std::uint64_t>(1, toDist.localCount(dead));
-    Addr base = machine.node(takeover).ram().alloc(count * 8);
-    spillBase[dead] = {takeover, base};
-    return base;
-}
-
-CommOp
-RedistributionWorkload::stepOp(sim::Machine &machine, int step,
-                               const OwnerMap &owners,
-                               std::uint64_t *lost_words)
-{
-    return buildStep(machine, step, owners, lost_words, nullptr);
-}
-
-CommOp
-RedistributionWorkload::repairOp(sim::Machine &machine, int step,
-                                 const OwnerMap &before,
-                                 const OwnerMap &owners,
-                                 std::uint64_t *lost_words)
-{
-    return buildStep(machine, step, owners, lost_words, &before);
-}
-
-CommOp
-RedistributionWorkload::buildStep(sim::Machine &machine, int step,
-                                  const OwnerMap &owners,
-                                  std::uint64_t *lost_words,
-                                  const OwnerMap *changed_since)
-{
-    int nodes = fromDist.nodes();
-    if (step < 0 || step >= nodes)
-        util::fatal("RedistributionWorkload::stepOp: bad step ",
-                    step);
-    CommOp op;
-    op.name = commOp.name + " step " + std::to_string(step) +
-              (changed_since ? " repair" : "");
-    for (int p = 0; p < nodes; ++p) {
-        int q = (p + step) % nodes;
-        if (changed_since && owners.of(q) == changed_since->of(q))
-            continue; // receiver unaffected; already delivered
-        auto moved = core::redistributionIndices(fromDist, toDist, p,
-                                                 q);
-        if (moved.empty())
-            continue;
-        if (!owners.alive(p)) {
-            // The sender died and its un-sent data with it.
-            if (lost_words)
-                *lost_words += moved.size();
-            continue;
-        }
-        NodeId dst = owners.of(q);
-        Addr dst_base =
-            owners.alive(q)
-                ? dstBase[static_cast<std::size_t>(q)]
-                : spillFor(machine, q, owners);
-
-        std::vector<std::uint64_t> src_locals, dst_locals;
-        src_locals.reserve(moved.size());
-        dst_locals.reserve(moved.size());
-        for (std::uint64_t g : moved) {
-            src_locals.push_back(fromDist.localIndexOf(g));
-            dst_locals.push_back(toDist.localIndexOf(g));
-        }
-
-        Flow flow;
-        flow.src = p;
-        flow.dst = dst;
-        flow.words = moved.size();
-        flow.srcWalk = walkForIndices(
-            src_locals, srcBase[static_cast<std::size_t>(p)],
-            machine.node(p));
-        flow.dstWalk =
-            walkForIndices(dst_locals, dst_base, machine.node(dst));
-        flow.dstWalkOnSender =
-            flow.dstWalk.pattern.isIndexed()
-                ? walkForIndices(dst_locals, dst_base,
-                                 machine.node(p))
-                : flow.dstWalk;
-        op.flows.push_back(flow);
-    }
-    return op;
-}
-
-std::uint64_t
-RedistributionWorkload::verify(sim::Machine &machine,
-                               const OwnerMap &owners) const
-{
-    std::uint64_t mismatches = 0;
-    for (std::uint64_t g = 0; g < toDist.elements(); ++g) {
-        int q = toDist.ownerOf(g);
-        int p = fromDist.ownerOf(g);
-        if (p == q)
-            continue; // stays local; no flow moved it
-        if (!owners.alive(p))
-            continue; // source data died with its node
-        std::uint64_t got;
-        if (owners.alive(q)) {
-            got = machine.node(q).ram().readWord(
-                dstBase[static_cast<std::size_t>(q)] +
-                toDist.localIndexOf(g) * 8);
-        } else {
-            auto it = spillBase.find(q);
-            if (it == spillBase.end()) {
-                ++mismatches; // never redirected anywhere
-                continue;
-            }
-            got = machine.node(it->second.first)
-                      .ram()
-                      .readWord(it->second.second +
-                                toDist.localIndexOf(g) * 8);
-        }
-        mismatches += got != g + 1;
-    }
-    return mismatches;
-}
-
 void
 RedistributionWorkload::fillInput(sim::Machine &machine) const
 {

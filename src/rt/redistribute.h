@@ -11,8 +11,6 @@
 #ifndef CT_RT_REDISTRIBUTE_H
 #define CT_RT_REDISTRIBUTE_H
 
-#include <map>
-
 #include "core/distribution.h"
 #include "rt/comm_op.h"
 
@@ -38,44 +36,6 @@ class RedistributionWorkload
     /** Check dst[g] == g + 1 for every element; returns mismatches. */
     std::uint64_t verify(sim::Machine &machine) const;
 
-    /** Number of rotation steps of the full schedule (= node count). */
-    int totalSteps() const { return fromDist.nodes(); }
-
-    /**
-     * Flow set of rotation step @p step (0-based) re-planned under
-     * @p owners: flows whose receiver is dead are redirected to the
-     * takeover node's spill buffer for that receiver; flows whose
-     * sender is dead are dropped (the data lived in dead RAM) and
-     * their words accumulated into @p lost_words. Spill buffers are
-     * allocated lazily on first use. The checkpointed driver runs
-     * steps one at a time through this.
-     */
-    CommOp stepOp(sim::Machine &machine, int step,
-                  const OwnerMap &owners,
-                  std::uint64_t *lost_words = nullptr);
-
-    /**
-     * Re-delivery op for the already-completed step @p step after an
-     * ownership change: flows whose receiver's owner differs between
-     * @p before and @p owners were delivered into RAM that has since
-     * died (or into a spill buffer whose host died), so they are
-     * re-sent from the still-intact sources into the new owner's
-     * spill buffer. Flows whose sender is now dead too are
-     * unrecoverable and counted into @p lost_words. Empty when the
-     * step touched no affected receiver.
-     */
-    CommOp repairOp(sim::Machine &machine, int step,
-                    const OwnerMap &before, const OwnerMap &owners,
-                    std::uint64_t *lost_words = nullptr);
-
-    /**
-     * Failure-aware verify under @p owners: elements redirected to a
-     * takeover node are checked in its spill buffer; elements whose
-     * source node lost its data are skipped. Returns mismatches.
-     */
-    std::uint64_t verify(sim::Machine &machine,
-                         const OwnerMap &owners) const;
-
     const CommOp &op() const { return commOp; }
     const core::Distribution &from() const { return fromDist; }
     const core::Distribution &to() const { return toDist; }
@@ -88,24 +48,10 @@ class RedistributionWorkload
     dominantPatterns() const;
 
   private:
-    /** Spill buffer on @p owners.of(dead) for @p dead's blocks;
-     *  reallocated if the previous takeover node died too. */
-    Addr spillFor(sim::Machine &machine, NodeId dead,
-                  const OwnerMap &owners);
-
-    /** Shared builder of stepOp/repairOp: when @p changed_since is
-     *  set, only flows whose receiver's owner moved are emitted. */
-    CommOp buildStep(sim::Machine &machine, int step,
-                     const OwnerMap &owners,
-                     std::uint64_t *lost_words,
-                     const OwnerMap *changed_since);
-
     core::Distribution fromDist = core::Distribution::block(1, 1);
     core::Distribution toDist = core::Distribution::block(1, 1);
     std::vector<Addr> srcBase;
     std::vector<Addr> dstBase;
-    /** Dead destination node -> (takeover node, spill base). */
-    std::map<NodeId, std::pair<NodeId, Addr>> spillBase;
     CommOp commOp;
 };
 

@@ -122,132 +122,6 @@ Redistribution2dWorkload::create(sim::Machine &machine,
     return w;
 }
 
-Addr
-Redistribution2dWorkload::spillFor(sim::Machine &machine,
-                                   NodeId dead,
-                                   const OwnerMap &owners)
-{
-    NodeId takeover = owners.of(dead);
-    auto it = spillBase.find(dead);
-    if (it != spillBase.end() && it->second.first == takeover)
-        return it->second.second;
-    std::uint64_t count =
-        std::max<std::uint64_t>(1, toDist.localWords(dead));
-    Addr base = machine.node(takeover).ram().alloc(count * 8);
-    spillBase[dead] = {takeover, base};
-    return base;
-}
-
-CommOp
-Redistribution2dWorkload::stepOp(sim::Machine &machine, int step,
-                                 const OwnerMap &owners,
-                                 std::uint64_t *lost_words)
-{
-    return buildStep(machine, step, owners, lost_words, nullptr);
-}
-
-CommOp
-Redistribution2dWorkload::repairOp(sim::Machine &machine, int step,
-                                   const OwnerMap &before,
-                                   const OwnerMap &owners,
-                                   std::uint64_t *lost_words)
-{
-    return buildStep(machine, step, owners, lost_words, &before);
-}
-
-CommOp
-Redistribution2dWorkload::buildStep(sim::Machine &machine, int step,
-                                    const OwnerMap &owners,
-                                    std::uint64_t *lost_words,
-                                    const OwnerMap *changed_since)
-{
-    int nodes = fromDist.nodes();
-    if (step < 0 || step >= nodes)
-        util::fatal("Redistribution2dWorkload::stepOp: bad step ",
-                    step);
-    CommOp op;
-    op.name = commOp.name + " step " + std::to_string(step) +
-              (changed_since ? " repair" : "");
-    for (int p = 0; p < nodes; ++p) {
-        int q = (p + step) % nodes;
-        if (changed_since && owners.of(q) == changed_since->of(q))
-            continue; // receiver unaffected; already delivered
-        auto pair = core::redistribution2dIndices(fromDist, toDist, p,
-                                                  q, transposed);
-        if (pair.srcOffsets.empty())
-            continue;
-        if (!owners.alive(p)) {
-            // The sender died and its un-sent data with it.
-            if (lost_words)
-                *lost_words += pair.srcOffsets.size();
-            continue;
-        }
-        NodeId dst = owners.of(q);
-        Addr dst_base =
-            owners.alive(q)
-                ? dstBase[static_cast<std::size_t>(q)]
-                : spillFor(machine, q, owners);
-        auto runs = splitAffineRuns(pair.srcOffsets, pair.dstOffsets);
-        for (auto [start, len] : runs) {
-            Flow flow;
-            flow.src = p;
-            flow.dst = dst;
-            flow.words = len;
-            flow.srcWalk = runWalk(
-                pair.srcOffsets, start, len,
-                srcBase[static_cast<std::size_t>(p)],
-                machine.node(p));
-            flow.dstWalk = runWalk(pair.dstOffsets, start, len,
-                                   dst_base, machine.node(dst));
-            flow.dstWalkOnSender =
-                flow.dstWalk.pattern.isIndexed()
-                    ? runWalk(pair.dstOffsets, start, len, dst_base,
-                              machine.node(p))
-                    : flow.dstWalk;
-            op.flows.push_back(flow);
-        }
-    }
-    return op;
-}
-
-std::uint64_t
-Redistribution2dWorkload::verify(sim::Machine &machine,
-                                 const OwnerMap &owners) const
-{
-    std::uint64_t mismatches = 0;
-    for (std::uint64_t i = 0; i < toDist.rows(); ++i) {
-        for (std::uint64_t j = 0; j < toDist.cols(); ++j) {
-            std::uint64_t si = transposed ? j : i;
-            std::uint64_t sj = transposed ? i : j;
-            int sender = fromDist.ownerOf(si, sj);
-            int receiver = toDist.ownerOf(i, j);
-            if (sender == receiver)
-                continue; // local part never crossed the network
-            if (!owners.alive(sender))
-                continue; // source data died with its node
-            std::uint64_t want = si * fromDist.cols() + sj + 1;
-            std::uint64_t got;
-            if (owners.alive(receiver)) {
-                got = machine.node(receiver).ram().readWord(
-                    dstBase[static_cast<std::size_t>(receiver)] +
-                    toDist.localOffsetOf(i, j) * 8);
-            } else {
-                auto it = spillBase.find(receiver);
-                if (it == spillBase.end()) {
-                    ++mismatches; // never redirected anywhere
-                    continue;
-                }
-                got = machine.node(it->second.first)
-                          .ram()
-                          .readWord(it->second.second +
-                                    toDist.localOffsetOf(i, j) * 8);
-            }
-            mismatches += got != want;
-        }
-    }
-    return mismatches;
-}
-
 void
 Redistribution2dWorkload::fillInput(sim::Machine &machine) const
 {

@@ -13,8 +13,6 @@
 #ifndef CT_RT_REDISTRIBUTE2D_H
 #define CT_RT_REDISTRIBUTE2D_H
 
-#include <map>
-
 #include "core/distribution2d.h"
 #include "rt/comm_op.h"
 
@@ -47,33 +45,6 @@ class Redistribution2dWorkload
     /** Check every element of B; returns mismatches. */
     std::uint64_t verify(sim::Machine &machine) const;
 
-    /** Number of rotation steps of the full schedule (= node count). */
-    int totalSteps() const { return fromDist.nodes(); }
-
-    /**
-     * Flow set of rotation step @p step re-planned under @p owners:
-     * dead receivers are redirected to the takeover node's spill
-     * buffer, dead senders' words are dropped into @p lost_words.
-     * See RedistributionWorkload::stepOp.
-     */
-    CommOp stepOp(sim::Machine &machine, int step,
-                  const OwnerMap &owners,
-                  std::uint64_t *lost_words = nullptr);
-
-    /**
-     * Re-delivery op for a completed step after an ownership change:
-     * flows whose receiver's owner differs between @p before and
-     * @p owners are re-sent into the new owner's spill buffer. See
-     * RedistributionWorkload::repairOp.
-     */
-    CommOp repairOp(sim::Machine &machine, int step,
-                    const OwnerMap &before, const OwnerMap &owners,
-                    std::uint64_t *lost_words = nullptr);
-
-    /** Failure-aware verify under @p owners (spill-buffer aware). */
-    std::uint64_t verify(sim::Machine &machine,
-                         const OwnerMap &owners) const;
-
     const CommOp &op() const { return commOp; }
 
     /** Patterns of the largest flow (the compiler's xQy view). */
@@ -81,17 +52,6 @@ class Redistribution2dWorkload
     dominantPatterns() const;
 
   private:
-    /** Spill buffer on @p owners.of(dead) for @p dead's blocks. */
-    Addr spillFor(sim::Machine &machine, NodeId dead,
-                  const OwnerMap &owners);
-
-    /** Shared builder of stepOp/repairOp: when @p changed_since is
-     *  set, only flows whose receiver's owner moved are emitted. */
-    CommOp buildStep(sim::Machine &machine, int step,
-                     const OwnerMap &owners,
-                     std::uint64_t *lost_words,
-                     const OwnerMap *changed_since);
-
     core::Distribution2d fromDist{core::DimSpec::whole(1),
                                   core::DimSpec::whole(1)};
     core::Distribution2d toDist{core::DimSpec::whole(1),
@@ -99,8 +59,6 @@ class Redistribution2dWorkload
     bool transposed = false;
     std::vector<Addr> srcBase;
     std::vector<Addr> dstBase;
-    /** Dead destination node -> (takeover node, spill base). */
-    std::map<NodeId, std::pair<NodeId, Addr>> spillBase;
     CommOp commOp;
 };
 

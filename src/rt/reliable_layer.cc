@@ -241,7 +241,7 @@ struct Transport
      * swallows every (re)transmission and a partitioned route has no
      * live path, so in both cases further retries are pointless:
      * drop the channel's pending traffic and let the operation wind
-     * down (a checkpointed driver re-plans around the loss).
+     * down.
      * Returns true when the channel was written off.
      */
     bool
@@ -486,19 +486,6 @@ ReliableLayer::name() const
     return "reliable+" + inner->name();
 }
 
-void
-ReliableLayer::setOptions(const ReliableOptions &options)
-{
-    if (options.maxRetries < 0)
-        util::fatal("ReliableLayer: maxRetries must be >= 0");
-    if (options.backoff < 1.0)
-        util::fatal("ReliableLayer: backoff must be >= 1");
-    if (options.retransmitTimeout == 0)
-        util::fatal("ReliableLayer: retransmitTimeout must be "
-                    "positive");
-    opts = options;
-}
-
 RunResult
 ReliableLayer::run(sim::Machine &machine, const CommOp &op)
 {
@@ -564,13 +551,6 @@ makeReliableChained(ReliableOptions options)
 {
     return std::make_unique<ReliableLayer>(
         std::make_unique<ChainedLayer>(), options);
-}
-
-std::unique_ptr<ReliableLayer>
-makeReliablePacking(ReliableOptions options)
-{
-    return std::make_unique<ReliableLayer>(
-        std::make_unique<PackingLayer>(), options);
 }
 
 } // namespace ct::rt

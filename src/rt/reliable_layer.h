@@ -75,8 +75,8 @@ struct ReliableStats
     /** Degradation transitions to the packing fallback this run. */
     std::uint64_t degradations = 0;
     /** Pending packets dropped because an endpoint node died. The
-     *  watchdog clears them so the run can wind down; a checkpointed
-     *  driver re-plans the lost traffic around the dead node. */
+     *  watchdog clears them so the run can wind down; verification
+     *  excludes the flows of a dead endpoint. */
     std::uint64_t deadEndpointDrops = 0;
     /** Pending packets written off because no live route existed
      *  (the channel is route-suspect: partition or dead port). */
@@ -115,10 +115,6 @@ class ReliableLayer : public MessageLayer
 
     const ReliableOptions &options() const { return opts; }
 
-    /** Replace the transport tunables (between runs; an adaptive
-     *  controller retunes timeout and retry budget per round). */
-    void setOptions(const ReliableOptions &options);
-
   private:
     std::unique_ptr<MessageLayer> inner;
     ReliableOptions opts;
@@ -128,10 +124,6 @@ class ReliableLayer : public MessageLayer
 /** Convenience: reliable transport over a default chained layer. */
 std::unique_ptr<ReliableLayer>
 makeReliableChained(ReliableOptions options = {});
-
-/** Convenience: reliable transport over a default packing layer. */
-std::unique_ptr<ReliableLayer>
-makeReliablePacking(ReliableOptions options = {});
 
 } // namespace ct::rt
 

@@ -235,7 +235,7 @@ ResilienceController::observe(const RoundObservation &obs)
         }
     }
 
-    // Checkpoint pressure: a node-loss signal (dead-endpoint drops,
+    // Forced checkpoints: a node-loss signal (dead-endpoint drops,
     // or fresh reroutes from a link death) projects the repair cost
     // as everything since the last checkpoint; once that exceeds the
     // one-round cost of taking a checkpoint, force one now.

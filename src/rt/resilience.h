@@ -206,12 +206,6 @@ class ResilienceController
 
     int styleSwitches() const { return switches; }
 
-    /** Driver notification that a checkpoint was recorded, resetting
-     *  the projected-repair accumulator. */
-    void checkpointTaken() { unCheckpointedWords = 0; }
-
-    const ResilienceOptions &options() const { return opts; }
-
     const core::AnalyticBackend &backend() const { return analytic; }
 
   private:
@@ -272,8 +266,7 @@ struct AdaptiveResult
  * controller may flip the style or retune the transport for the next
  * round. Decision points are emitted as cat "policy" tracer instants.
  * Sources are seeded once up front and the whole op is verified at
- * the end (flows with a dead endpoint excluded, as a checkpointed
- * driver would re-plan them).
+ * the end (flows with a dead endpoint excluded).
  */
 AdaptiveResult runAdaptiveExchange(sim::Machine &machine,
                                    const CommOp &op,

@@ -208,38 +208,6 @@ walkForIndices(const std::vector<std::uint64_t> &locals,
     util::panic("walkForIndices: unexpected pattern");
 }
 
-Flow
-makeTypedFlow(sim::Machine &machine, NodeId src, NodeId dst,
-              const core::Datatype &src_type,
-              const core::Datatype &dst_type)
-{
-    if (src_type.size() != dst_type.size())
-        util::fatal("makeTypedFlow: type signatures differ (",
-                    src_type.size(), " vs ", dst_type.size(),
-                    " words)");
-    if (src_type.hasOverlap() || dst_type.hasOverlap())
-        util::fatal("makeTypedFlow: overlapping datatype");
-
-    Flow flow;
-    flow.src = src;
-    flow.dst = dst;
-    flow.words = src_type.size();
-    Addr src_base =
-        machine.node(src).ram().alloc(src_type.extent() * 8);
-    Addr dst_base =
-        machine.node(dst).ram().alloc(dst_type.extent() * 8);
-    flow.srcWalk = walkForIndices(src_type.offsets(), src_base,
-                                  machine.node(src));
-    flow.dstWalk = walkForIndices(dst_type.offsets(), dst_base,
-                                  machine.node(dst));
-    flow.dstWalkOnSender =
-        flow.dstWalk.pattern.isIndexed()
-            ? walkForIndices(dst_type.offsets(), dst_base,
-                             machine.node(src))
-            : flow.dstWalk;
-    return flow;
-}
-
 CommOp
 pairExchange(sim::Machine &machine, AccessPattern x, AccessPattern y,
              std::uint64_t words, std::uint64_t seed)

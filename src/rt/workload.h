@@ -9,7 +9,7 @@
 #ifndef CT_RT_WORKLOAD_H
 #define CT_RT_WORKLOAD_H
 
-#include "core/datatype.h"
+#include "core/pattern.h"
 #include "rt/comm_op.h"
 #include "util/rng.h"
 
@@ -114,16 +114,6 @@ Flow makeFlow(sim::Machine &machine, NodeId src, NodeId dst,
  */
 sim::PatternWalk walkForIndices(const std::vector<std::uint64_t> &locals,
                                 Addr array_base, sim::Node &index_home);
-
-/**
- * Build a flow that transmits one instance of @p src_type from
- * @p src into the layout @p dst_type on @p dst (MPI-style typed
- * send/receive; the type signatures must carry the same word count).
- * Arrays large enough for each type's extent are allocated.
- */
-Flow makeTypedFlow(sim::Machine &machine, NodeId src, NodeId dst,
-                   const core::Datatype &src_type,
-                   const core::Datatype &dst_type);
 
 /**
  * Pairwise exchange: nodes are grouped in pairs (0,1), (2,3), ...;

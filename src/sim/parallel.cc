@@ -114,7 +114,7 @@ ParallelEngine::runWindow()
         std::int32_t part = node->part;
         if (part < 0) {
             untagged = true;
-            seeds.push_back(Seed{node, -1, 0, 0});
+            seeds.push_back(Seed{node, -1, 0, 0, {}});
             continue;
         }
         auto idx = static_cast<std::size_t>(part);

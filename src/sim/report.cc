@@ -180,44 +180,4 @@ formatReport(const MachineReport &r)
     return os.str();
 }
 
-std::string
-csvHeader()
-{
-    return "nodes,load_hits,load_misses,invalidations,dram_reads,"
-           "dram_writes,row_hits,row_misses,wbq_stores,wbq_coalesced,"
-           "wbq_stall_cycles,bus_transactions,bus_switches,"
-           "bus_wait_cycles,deposit_packets,deposit_words,"
-           "deposit_busy_cycles,network_packets,payload_bytes,"
-           "wire_bytes,fault_drops,fault_corruptions,"
-           "fault_duplicates,fault_delays,engine_stalls,"
-           "engine_failures,engine_refusals,rerouted_packets,"
-           "rerouted_links,unroutable_packets,dead_node_packets,"
-           "link_failures,downed_links,downed_nodes,"
-           "peak_pending_events,truncated_run";
-}
-
-std::string
-toCsv(const MachineReport &r)
-{
-    std::ostringstream os;
-    os << r.nodes << ',' << r.loadHits << ',' << r.loadMisses << ','
-       << r.cacheInvalidations << ',' << r.dramReads << ','
-       << r.dramWrites << ',' << r.rowHits << ',' << r.rowMisses
-       << ',' << r.wbqStores << ',' << r.wbqCoalesced << ','
-       << r.wbqStallCycles << ',' << r.busTransactions << ','
-       << r.busOwnerSwitches << ',' << r.busWaitCycles << ','
-       << r.depositPackets << ',' << r.depositWords << ','
-       << r.depositBusyCycles << ',' << r.networkPackets << ','
-       << r.payloadBytes << ',' << r.wireBytes << ',' << r.faultDrops
-       << ',' << r.faultCorruptions << ',' << r.faultDuplicates << ','
-       << r.faultDelays << ',' << r.engineStalls << ','
-       << r.engineFailures << ',' << r.engineRefusals << ','
-       << r.reroutedPackets << ',' << r.reroutedLinks << ','
-       << r.unroutablePackets << ',' << r.deadNodePackets << ','
-       << r.linkFailures << ',' << r.downedLinks << ','
-       << r.downedNodes << ',' << r.peakPendingEvents << ','
-       << (r.truncatedRun ? 1 : 0);
-    return os.str();
-}
-
 } // namespace ct::sim

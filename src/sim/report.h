@@ -96,10 +96,6 @@ MachineReport collectReport(Machine &machine);
 /** Multi-line human-readable rendering. */
 std::string formatReport(const MachineReport &report);
 
-/** One-line CSV (matching csvHeader()). */
-std::string toCsv(const MachineReport &report);
-std::string csvHeader();
-
 } // namespace ct::sim
 
 #endif // CT_SIM_REPORT_H

@@ -33,12 +33,6 @@ split(std::string_view s, char sep)
 }
 
 bool
-startsWith(std::string_view s, std::string_view prefix)
-{
-    return s.substr(0, prefix.size()) == prefix;
-}
-
-bool
 isAllDigits(std::string_view s)
 {
     if (s.empty())

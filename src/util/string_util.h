@@ -23,9 +23,6 @@ std::string_view trim(std::string_view s);
 /** Split on a single character; keeps empty fields. */
 std::vector<std::string> split(std::string_view s, char sep);
 
-/** True if @p s begins with @p prefix. */
-bool startsWith(std::string_view s, std::string_view prefix);
-
 /** True if every character is an ASCII decimal digit (and non-empty). */
 bool isAllDigits(std::string_view s);
 

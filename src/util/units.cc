@@ -1,7 +1,5 @@
 #include "units.h"
 
-#include <cmath>
-
 #include "logging.h"
 
 namespace ct::util {
@@ -13,15 +11,6 @@ toMBps(Bytes bytes, Cycles cycles, double clock_hz)
         fatal("toMBps: zero cycle count");
     double seconds = static_cast<double>(cycles) / clock_hz;
     return static_cast<double>(bytes) / 1e6 / seconds;
-}
-
-Cycles
-cyclesFor(Bytes bytes, MBps mbps, double clock_hz)
-{
-    if (mbps <= 0.0)
-        fatal("cyclesFor: non-positive throughput");
-    double seconds = static_cast<double>(bytes) / (mbps * 1e6);
-    return static_cast<Cycles>(std::llround(seconds * clock_hz));
 }
 
 double

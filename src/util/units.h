@@ -30,9 +30,6 @@ inline constexpr Bytes wordBytes = 8;
 /** Convert a byte count moved in a cycle count at a clock to MB/s. */
 MBps toMBps(Bytes bytes, Cycles cycles, double clock_hz);
 
-/** Cycles needed to move @p bytes at @p mbps under clock @p clock_hz. */
-Cycles cyclesFor(Bytes bytes, MBps mbps, double clock_hz);
-
 /** Seconds represented by @p cycles at @p clock_hz. */
 double toSeconds(Cycles cycles, double clock_hz);
 

@@ -91,7 +91,7 @@ TEST(TraceExport, EmptyTracerStillValidChromeJson)
 TEST(TraceExport, ArgsOmittedWhenUnset)
 {
     Tracer t(4);
-    t.instant("ckpt", "repair", 2, 10);
+    t.instant("transport", "retransmit", 2, 10);
     std::ostringstream os;
     t.writeJsonLines(os, 1.0);
     EXPECT_NE(os.str().find("\"args\": {}"), std::string::npos);

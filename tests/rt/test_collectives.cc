@@ -3,6 +3,7 @@
 #include "rt/chained_layer.h"
 #include "rt/collectives.h"
 #include "rt/packing_layer.h"
+#include "rt/reliable_layer.h"
 
 namespace {
 
@@ -139,6 +140,65 @@ TEST(CollectivesDeath, ZeroShift)
     ChainedLayer layer;
     EXPECT_EXIT((void)shift(m, layer, 64, 0),
                 testing::ExitedWithCode(1), "must move");
+}
+
+// -------------------------------------------------------------------
+// Acceptance: allToAll on a 4x4x4 torus with one link downed mid-run
+// completes with correct payloads and reports the detour.
+// -------------------------------------------------------------------
+TEST(OutageRecovery, AllToAllSurvivesMidRunLinkFailureOn4x4x4)
+{
+    const std::uint64_t words = 8;
+
+    // Dry run on a healthy machine to learn the makespan, so the
+    // outage can be planted squarely mid-run.
+    sim::Machine healthy(sim::t3dConfig({4, 4, 4}));
+    auto probe = makeReliableChained();
+    auto clean = allToAll(healthy, *probe, words);
+    ASSERT_GT(clean.makespan, 0u);
+    EXPECT_EQ(clean.reroutedLinks, 0u);
+    EXPECT_EQ(clean.lostNodes, 0);
+    EXPECT_EQ(clean.lostWords, 0u);
+
+    // Link 0 is node 0's +x channel, on the dimension-order route of
+    // every 0 -> (1..2, *, *) flow; kill it a third of the way in.
+    auto cfg = sim::t3dConfig({4, 4, 4});
+    cfg.faults = sim::FaultSpec::parse(
+        "link_down=0@" + std::to_string(clean.makespan / 3));
+    sim::Machine m(cfg);
+    auto layer = makeReliableChained();
+    // allToAll verifies delivery internally (fatal on corruption), so
+    // returning at all means every payload landed bit-exactly.
+    auto r = allToAll(m, *layer, words);
+    EXPECT_GE(r.reroutedLinks, 1u);
+    EXPECT_GE(m.network().stats().reroutedPackets, 1u);
+    EXPECT_EQ(r.lostNodes, 0);
+    EXPECT_EQ(r.lostWords, 0u);
+    // The detour costs time, never data.
+    EXPECT_GE(r.makespan, clean.makespan);
+}
+
+TEST(OutageRecovery, CollectivesSkipDeadNodes)
+{
+    auto cfg = sim::t3dConfig({2, 2, 2});
+    cfg.faults = sim::FaultSpec::parse("node_down=2@0");
+    sim::Machine m(cfg);
+    auto layer = makeReliableChained();
+
+    auto a2a = allToAll(m, *layer, 32);
+    EXPECT_EQ(a2a.lostNodes, 1);
+    EXPECT_GT(a2a.lostWords, 0u);
+
+    // A node dead at the start is excluded from the broadcast span
+    // entirely, so nothing is sent to it (and nothing lost).
+    auto bc = broadcast(m, *layer, 64);
+    EXPECT_EQ(bc.lostNodes, 1);
+    EXPECT_EQ(bc.lostWords, 0u);
+
+    auto sh = shift(m, *layer, 64);
+    EXPECT_EQ(sh.lostNodes, 1);
+    // The dead node neither sends to 3 nor receives from 1.
+    EXPECT_EQ(sh.lostWords, 128u);
 }
 
 } // namespace

@@ -21,7 +21,6 @@ TEST(CommOp, TotalsAndSenders)
                                 P::contiguous(), 80, rng));
     EXPECT_EQ(op.totalBytes(), (100u + 50u + 80u) * 8u);
     EXPECT_EQ(op.maxBytesPerSender(), 150u * 8u);
-    EXPECT_EQ(op.activeSenders(), 2);
     auto demands = op.demands();
     ASSERT_EQ(demands.size(), 3u);
     EXPECT_EQ(demands[0].bytes, 800u);
@@ -116,34 +115,6 @@ TEST(FlowGroups, EmptyFlowsSkipped)
     empty.words = 0;
     op.flows.push_back(empty);
     EXPECT_TRUE(groupFlows(op).empty());
-}
-
-TEST(OwnerMap, HealthyIdentityStoresNoEntries)
-{
-    // The healthy 8192-node map is O(lost nodes) == empty, not an
-    // 8192-entry table (DESIGN.md §16).
-    OwnerMap map = OwnerMap::identity(8192);
-    EXPECT_EQ(map.nodes, 8192);
-    EXPECT_EQ(map.lostNodes(), 0);
-    EXPECT_TRUE(map.moved.empty());
-    EXPECT_EQ(map.of(0), 0);
-    EXPECT_EQ(map.of(8191), 8191);
-    EXPECT_TRUE(map.alive(4096));
-    EXPECT_FALSE(map.empty());
-    EXPECT_TRUE(OwnerMap().empty()); // unbound: no node count yet
-}
-
-TEST(OwnerMap, FromMachineStoresOnlyMovedNodes)
-{
-    sim::Machine m(sim::t3dConfig({2, 2, 2}));
-    EXPECT_EQ(OwnerMap::fromMachine(m), OwnerMap::identity(8));
-    m.topology().downNode(3, 0);
-    OwnerMap map = OwnerMap::fromMachine(m);
-    EXPECT_EQ(map.lostNodes(), 1);
-    EXPECT_EQ(map.of(3), 4); // next live node takes over
-    EXPECT_FALSE(map.alive(3));
-    EXPECT_EQ(map.of(2), 2);
-    EXPECT_NE(map, OwnerMap::identity(8));
 }
 
 TEST(ActiveSet, MapsOnlyTouchedNodesToDenseSlots)

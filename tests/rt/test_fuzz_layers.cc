@@ -3,14 +3,18 @@
  * Randomized end-to-end property tests: arbitrary communication
  * operations -- random flow sets with random pattern pairs, word
  * counts and node pairs -- must always deliver bit-exactly through
- * every layer on every machine, and the layers' makespans must stay
- * ordered (pvm >= packing, both > 0).
+ * every layer on every machine, also behind the reliable transport on
+ * a lossy wire, and the layers' makespans must stay ordered
+ * (pvm >= packing, both > 0).
  */
 
 #include <gtest/gtest.h>
 
+#include "core/style_registry.h"
 #include "rt/chained_layer.h"
 #include "rt/packing_layer.h"
+#include "rt/reliable_layer.h"
+#include "rt/sim_backend.h"
 #include "rt/workload.h"
 
 namespace {
@@ -121,11 +125,47 @@ TEST_P(LayerFuzz, PvmNeverFasterThanPacking)
     sim::Machine m2(sim::t3dConfig({2, 2, 1}));
     auto op2 = randomOp(m2, rng2);
     seedSources(m2, op2);
-    auto pvm = makePvmLayer();
-    auto rv = pvm.run(m2, op2);
+    // The PVM layer production runs: the registry's pvm program.
+    auto pvm = lowerProgram(*core::buildProgram(
+        core::MachineId::T3d, "pvm", P::contiguous(), P::contiguous()));
+    auto rv = pvm->run(m2, op2);
 
     // Same seed -> same operation; PVM adds copies and overhead.
     EXPECT_GE(rv.makespan, rp.makespan);
+}
+
+TEST_P(LayerFuzz, PvmDeliversOnBothMachines)
+{
+    util::Rng rng(GetParam() * 77 + 5);
+    for (auto id : {core::MachineId::T3d, core::MachineId::Paragon}) {
+        sim::Machine m(id == core::MachineId::T3d
+                           ? sim::t3dConfig({2, 2, 1})
+                           : sim::paragonConfig({4, 1}));
+        auto op = randomOp(m, rng);
+        seedSources(m, op);
+        auto pvm = lowerProgram(*core::buildProgram(
+            id, "pvm", P::contiguous(), P::contiguous()));
+        auto r = pvm->run(m, op);
+        EXPECT_EQ(verifyDelivery(m, op), 0u);
+        EXPECT_GT(r.makespan, 0u);
+    }
+}
+
+TEST_P(LayerFuzz, ReliablePackingDeliversUnderDrops)
+{
+    util::Rng rng(GetParam() * 77 + 6);
+    auto cfg = sim::paragonConfig({4, 1});
+    cfg.faults = sim::FaultSpec::parse(
+        "drop=0.2,seed=" + std::to_string(GetParam() + 1));
+    sim::Machine m(cfg);
+    auto op = randomOp(m, rng);
+    seedSources(m, op);
+    ReliableLayer layer(std::make_unique<PackingLayer>());
+    auto r = layer.run(m, op);
+    EXPECT_EQ(verifyDelivery(m, op), 0u);
+    EXPECT_GT(layer.stats().retransmits, 0u);
+    EXPECT_EQ(layer.stats().abandoned, 0u);
+    EXPECT_FALSE(r.degraded);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LayerFuzz,

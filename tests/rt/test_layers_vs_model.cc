@@ -160,7 +160,7 @@ TEST(SizedCrossover, SimulatorConfirmsTheDirection)
     auto packing_large = measured<PackingLayer>(
         core::MachineId::T3d, P::contiguous(), P::contiguous(),
         1 << 15);
-    // 64 words = 512 B sits below the predicted ~1.3 KB crossover;
+    // 64 words = 512 B sits below the predicted 1,550 B crossover;
     // 32K words sits far above it.
     EXPECT_GT(packing_small, chained_small * 0.8);
     EXPECT_GT(chained_large, packing_large * 1.5);

@@ -160,8 +160,9 @@ TEST(ParallelIdentity, ReliableFallsBackToSerial)
         if (threads > 1) {
             const sim::ParallelEngine *eng = m.parallelEngine();
             EXPECT_NE(eng, nullptr);
-            if (eng)
+            if (eng) {
                 EXPECT_EQ(eng->stats().parallelEvents, 0u);
+            }
         }
         return std::to_string(result.makespan) + "/" +
                std::to_string(m.events().eventsExecuted());

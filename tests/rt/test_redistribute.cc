@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "core/style_registry.h"
 #include "rt/chained_layer.h"
 #include "rt/packing_layer.h"
 #include "rt/redistribute.h"
+#include "rt/reliable_layer.h"
+#include "rt/sim_backend.h"
 
 namespace {
 
@@ -73,6 +78,35 @@ TEST_P(RedistributeDelivery, PackingBitExact)
     EXPECT_EQ(w.verify(m), 0u);
 }
 
+TEST_P(RedistributeDelivery, PvmBitExact)
+{
+    auto [from, to] = GetParam();
+    sim::Machine m(sim::t3dConfig({2, 2, 1}));
+    auto w = RedistributionWorkload::create(m, from, to);
+    w.fillInput(m);
+    auto pvm = lowerProgram(*core::buildProgram(
+        core::MachineId::T3d, "pvm", core::AccessPattern::contiguous(),
+        core::AccessPattern::contiguous()));
+    pvm->run(m, w.op());
+    EXPECT_EQ(w.verify(m), 0u);
+}
+
+TEST_P(RedistributeDelivery, ReliableChainedBitExactUnderDrops)
+{
+    auto [from, to] = GetParam();
+    auto cfg = sim::t3dConfig({2, 2, 1});
+    cfg.faults = sim::FaultSpec::parse("drop=0.05,seed=42");
+    sim::Machine m(cfg);
+    auto w = RedistributionWorkload::create(m, from, to);
+    w.fillInput(m);
+    auto layer = makeReliableChained();
+    auto r = layer->run(m, w.op());
+    EXPECT_EQ(w.verify(m), 0u);
+    EXPECT_GT(layer->stats().retransmits, 0u);
+    EXPECT_EQ(layer->stats().abandoned, 0u);
+    EXPECT_FALSE(r.degraded);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Pairs, RedistributeDelivery,
     testing::Values(
@@ -100,6 +134,31 @@ TEST(Redistribute, ChainedBeatsPackingForBlockToCyclic)
     ChainedLayer chained;
     PackingLayer packing;
     EXPECT_GT(rate(chained), rate(packing));
+}
+
+TEST(Redistribute, VerifyCountsEveryWrongWord)
+{
+    sim::Machine m(sim::t3dConfig({2, 2, 1}));
+    auto w = RedistributionWorkload::create(m, D::block(256, 4),
+                                            D::cyclic(256, 4));
+    w.fillInput(m);
+    // Nothing has moved yet: every element that changes owner is
+    // still missing (64 of the 256 keep theirs: g / 64 == g % 4).
+    EXPECT_EQ(w.verify(m), 192u);
+    ChainedLayer layer;
+    layer.run(m, w.op());
+    ASSERT_EQ(w.verify(m), 0u);
+    // Clobber two delivered words of the first flow between nodes.
+    auto flow_it = std::find_if(
+        w.op().flows.begin(), w.op().flows.end(),
+        [](const Flow &f) { return f.src != f.dst; });
+    ASSERT_NE(flow_it, w.op().flows.end());
+    const Flow &flow = *flow_it;
+    ASSERT_GE(flow.words, 2u);
+    auto &ram = m.node(flow.dst).ram();
+    for (std::uint64_t i : {std::uint64_t{0}, flow.words - 1})
+        ram.writeWord(flow.dstWalk.elementAddr(ram, i), 0);
+    EXPECT_EQ(w.verify(m), 2u);
 }
 
 TEST(RedistributeDeath, MismatchedSizes)

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "core/style_registry.h"
 #include "rt/chained_layer.h"
 #include "rt/packing_layer.h"
 #include "rt/redistribute2d.h"
+#include "rt/reliable_layer.h"
+#include "rt/sim_backend.h"
 
 namespace {
 
@@ -135,5 +140,92 @@ TEST(Redistribute2d, NameDescribesTheAssignment)
                                               rowBlock(32, 4), true);
     EXPECT_EQ(w.op().name, "(BLOCK, *) = transpose (BLOCK, *)");
 }
+
+TEST(Redistribute2d, VerifyCountsEveryWrongWord)
+{
+    sim::Machine m(sim::t3dConfig({2, 2, 1}));
+    auto w = Redistribution2dWorkload::create(m, rowBlock(32, 4),
+                                              rowBlock(32, 4), true);
+    w.fillInput(m);
+    // Nothing has moved yet: every element that changes owner is
+    // still missing (the 4 diagonal 8x8 blocks keep theirs).
+    EXPECT_EQ(w.verify(m), 32u * 32u - 4u * 8u * 8u);
+    ChainedLayer layer;
+    layer.run(m, w.op());
+    ASSERT_EQ(w.verify(m), 0u);
+    // Clobber one delivered word of the first flow between nodes.
+    auto flow_it = std::find_if(
+        w.op().flows.begin(), w.op().flows.end(),
+        [](const Flow &f) { return f.src != f.dst; });
+    ASSERT_NE(flow_it, w.op().flows.end());
+    const Flow &flow = *flow_it;
+    auto &ram = m.node(flow.dst).ram();
+    ram.writeWord(flow.dstWalk.elementAddr(ram, 0), 0);
+    EXPECT_EQ(w.verify(m), 1u);
+}
+
+// Every layout through the PVM layer and behind the reliable
+// transport on a lossy wire, beside the chained and packing runs
+// above.
+struct Layout2d
+{
+    const char *name;
+    Distribution2d from;
+    Distribution2d to;
+    bool transpose;
+};
+
+class Redistribute2dDelivery : public testing::TestWithParam<Layout2d>
+{};
+
+TEST_P(Redistribute2dDelivery, PvmBitExact)
+{
+    const Layout2d &layout = GetParam();
+    sim::Machine m(sim::paragonConfig({4, 1}));
+    auto w = Redistribution2dWorkload::create(m, layout.from, layout.to,
+                                              layout.transpose);
+    w.fillInput(m);
+    auto pvm = lowerProgram(*core::buildProgram(
+        core::MachineId::Paragon, "pvm", core::AccessPattern::contiguous(),
+        core::AccessPattern::contiguous()));
+    pvm->run(m, w.op());
+    EXPECT_EQ(w.verify(m), 0u);
+}
+
+TEST_P(Redistribute2dDelivery, ReliableChainedBitExactUnderDrops)
+{
+    const Layout2d &layout = GetParam();
+    auto cfg = sim::t3dConfig({2, 2, 1});
+    cfg.faults = sim::FaultSpec::parse("drop=0.05,seed=42");
+    sim::Machine m(cfg);
+    auto w = Redistribution2dWorkload::create(m, layout.from, layout.to,
+                                              layout.transpose);
+    w.fillInput(m);
+    auto layer = makeReliableChained();
+    auto r = layer->run(m, w.op());
+    EXPECT_EQ(w.verify(m), 0u);
+    EXPECT_GT(layer->stats().retransmits, 0u);
+    EXPECT_EQ(layer->stats().abandoned, 0u);
+    EXPECT_FALSE(r.degraded);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, Redistribute2dDelivery,
+    testing::Values(
+        Layout2d{"RowBlocksTransposed", rowBlock(32, 4), rowBlock(32, 4),
+                 true},
+        Layout2d{"RowBlocksToColumnBlocks", rowBlock(32, 4),
+                 {DimSpec::whole(32), DimSpec::dist(D::block(32, 4))},
+                 false},
+        Layout2d{"CyclicRowsToBlockRows",
+                 {DimSpec::dist(D::cyclic(32, 4)), DimSpec::whole(32)},
+                 rowBlock(32, 4), false},
+        Layout2d{"GridToRowBlocks",
+                 {DimSpec::dist(D::block(32, 2)),
+                  DimSpec::dist(D::block(32, 2))},
+                 rowBlock(32, 4), false}),
+    [](const testing::TestParamInfo<Layout2d> &info) {
+        return std::string(info.param.name);
+    });
 
 } // namespace

@@ -215,7 +215,8 @@ TEST(ReliableLayer, PackingOnADeadEngineDoesNotDegrade)
     ASSERT_TRUE(m.node(0).depositEngine().adpFailed() ||
                 m.node(1).depositEngine().adpFailed());
 
-    auto packing = makeReliablePacking();
+    auto packing =
+        std::make_unique<ReliableLayer>(std::make_unique<PackingLayer>());
     RunResult result = packing->run(m, op);
     EXPECT_FALSE(result.degraded);
     EXPECT_FALSE(packing->stats().degraded);
@@ -291,7 +292,8 @@ TEST(ReliableLayer, WatchdogDropsPendingToDeadEndpoint)
 TEST(ReliableLayer, NameAdvertisesWrapping)
 {
     auto chained = makeReliableChained();
-    auto packing = makeReliablePacking();
+    auto packing =
+        std::make_unique<ReliableLayer>(std::make_unique<PackingLayer>());
     EXPECT_EQ(chained->name().rfind("reliable+", 0), 0u);
     EXPECT_EQ(packing->name().rfind("reliable+", 0), 0u);
     EXPECT_NE(chained->name(), packing->name());

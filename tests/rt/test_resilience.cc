@@ -206,8 +206,9 @@ TEST(ResilienceController, FlipsExactlyWhenAnalyticBreakEvenPredicts)
         EXPECT_EQ(actual, expect) << "seed " << seed;
         // The T3D surface never favors packing again: one flip, max.
         EXPECT_LE(ctl.styleSwitches(), 1) << "seed " << seed;
-        if (!expect.empty())
+        if (!expect.empty()) {
             EXPECT_EQ(ctl.styleKey(), "chained") << "seed " << seed;
+        }
     }
 }
 

@@ -40,13 +40,6 @@ TEST(Split, TrailingSeparator)
     EXPECT_EQ(v[1], "");
 }
 
-TEST(StartsWith, Basics)
-{
-    EXPECT_TRUE(startsWith("Nadp@2", "Nadp"));
-    EXPECT_FALSE(startsWith("Nd", "Nadp"));
-    EXPECT_TRUE(startsWith("abc", ""));
-}
-
 TEST(IsAllDigits, Basics)
 {
     EXPECT_TRUE(isAllDigits("0123"));

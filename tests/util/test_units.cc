@@ -12,14 +12,6 @@ TEST(Units, ToMBpsBasic)
     EXPECT_DOUBLE_EQ(toMBps(93'000'000, 150'000'000, 150e6), 93.0);
 }
 
-TEST(Units, CyclesForInvertsToMBps)
-{
-    double clock = 150e6;
-    Bytes bytes = 8'000'000;
-    Cycles c = cyclesFor(bytes, 25.0, clock);
-    EXPECT_NEAR(toMBps(bytes, c, clock), 25.0, 0.01);
-}
-
 TEST(Units, ToSeconds)
 {
     EXPECT_DOUBLE_EQ(toSeconds(150'000'000, 150e6), 1.0);
@@ -35,12 +27,6 @@ TEST(UnitsDeath, ZeroCycles)
 {
     EXPECT_EXIT((void)toMBps(1, 0, 1e6), testing::ExitedWithCode(1),
                 "zero cycle");
-}
-
-TEST(UnitsDeath, NonPositiveThroughput)
-{
-    EXPECT_EXIT((void)cyclesFor(1, 0.0, 1e6),
-                testing::ExitedWithCode(1), "non-positive");
 }
 
 } // namespace

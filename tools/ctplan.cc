@@ -352,7 +352,8 @@ runSim(const Invocation &inv)
         // The resilience controller drives the reliable transport,
         // whose cancellable retransmit timers are not window-safe.
         m.setParallelEnabled(false);
-        rt::ResilienceController controller(cfg, x, y);
+        rt::ResilienceOptions options;
+        rt::ResilienceController controller(cfg, x, y, options);
         rt::AdaptiveResult ar =
             rt::runAdaptiveExchange(m, op, controller, inv.rounds);
 
@@ -365,7 +366,7 @@ runSim(const Invocation &inv)
                     inv.chaos.summary().c_str());
         std::printf("  layer           adaptive (%s -> %s), "
                     "%d rounds%s\n",
-                    controller.options().initialStyle.c_str(),
+                    options.initialStyle.c_str(),
                     ar.finalStyle.c_str(), ar.rounds,
                     ar.degraded ? "  [DEGRADED to packing]" : "");
         std::printf("  goodput         %.2f MB/s per node\n",
