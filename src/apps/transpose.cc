@@ -1,8 +1,17 @@
 #include "transpose.h"
 
+#include <ostream>
+
 #include "util/logging.h"
 
 namespace ct::apps {
+
+void
+PrintTo(TransposeVariant variant, std::ostream *os)
+{
+    *os << (variant == TransposeVariant::StridedStores ? "StridedStores"
+                                                       : "StridedLoads");
+}
 
 TransposeWorkload
 TransposeWorkload::create(Machine &machine,

@@ -15,6 +15,8 @@
 #ifndef CT_APPS_TRANSPOSE_H
 #define CT_APPS_TRANSPOSE_H
 
+#include <iosfwd>
+
 #include "rt/comm_op.h"
 
 namespace ct::apps {
@@ -29,6 +31,10 @@ enum class TransposeVariant {
     StridedStores, ///< 1Qn: read rows contiguously, store columns
     StridedLoads,  ///< nQ1: read columns strided, store rows
 };
+
+/** Writes the variant's name; gtest prints variant parameters with
+ *  it. */
+void PrintTo(TransposeVariant variant, std::ostream *os);
 
 /** Parameters of the transpose workload. */
 struct TransposeConfig

@@ -1,6 +1,7 @@
 #include "distribution.h"
 
 #include <algorithm>
+#include <ostream>
 
 #include "util/logging.h"
 
@@ -142,6 +143,12 @@ Distribution::name() const
         return "BLOCK-CYCLIC(" + std::to_string(k) + ")";
     }
     util::panic("Distribution::name: bad kind");
+}
+
+void
+PrintTo(const Distribution &d, std::ostream *os)
+{
+    *os << d.name() << " n=" << d.elements() << " p=" << d.nodes();
 }
 
 AccessPattern

@@ -13,6 +13,7 @@
 #define CT_CORE_DISTRIBUTION_H
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -77,6 +78,10 @@ class Distribution
     int p = 1;
     std::uint64_t k = 1; ///< block size
 };
+
+/** Writes name() and the size, e.g. "BLOCK-CYCLIC(4) n=64 p=4"; gtest
+ *  prints distribution parameters with it. */
+void PrintTo(const Distribution &d, std::ostream *os);
 
 /**
  * Classify a sorted list of local word indices into the access

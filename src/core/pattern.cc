@@ -1,5 +1,7 @@
 #include "pattern.h"
 
+#include <ostream>
+
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -61,6 +63,12 @@ AccessPattern::label() const
         return "w";
     }
     util::panic("AccessPattern::label: bad kind");
+}
+
+void
+PrintTo(const AccessPattern &p, std::ostream *os)
+{
+    *os << p.label();
 }
 
 } // namespace ct::core

@@ -16,6 +16,7 @@
 #define CT_CORE_PATTERN_H
 
 #include <cstdint>
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -113,6 +114,10 @@ class AccessPattern
     std::uint32_t strideWords = 1;
     std::uint32_t blockWords = 1;
 };
+
+/** Writes label(); gtest prints pattern parameters with it, so the
+ *  names of parameterized tests are readable and stable. */
+void PrintTo(const AccessPattern &p, std::ostream *os);
 
 /** Orders patterns for use as map keys: by kind, stride, block. */
 struct PatternLess

@@ -67,8 +67,6 @@ class ChainedLayer : public MessageLayer
     sim::Cycles parallelLookahead(const sim::Machine &machine,
                                   const CommOp &op) const override;
 
-    const ChainedOptions &options() const { return opts; }
-
   private:
     ChainedOptions opts;
 };

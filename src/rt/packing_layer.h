@@ -51,8 +51,6 @@ class PackingLayer : public MessageLayer
      *  delay floor), so only same-timestamp events parallelize. */
     bool parallelSafe() const override { return true; }
 
-    const PackingOptions &options() const { return opts; }
-
   private:
     PackingOptions opts;
 };

@@ -98,10 +98,10 @@ std::uint64_t
 RedistributionWorkload::verify(sim::Machine &machine) const
 {
     std::uint64_t mismatches = 0;
+    // Elements that keep their owner are checked too: create() moves
+    // them by a p -> p flow like any other.
     for (std::uint64_t g = 0; g < toDist.elements(); ++g) {
         int q = toDist.ownerOf(g);
-        if (fromDist.ownerOf(g) == q)
-            continue; // stays local; no flow moved it
         std::uint64_t got = machine.node(q).ram().readWord(
             dstBase[static_cast<std::size_t>(q)] +
             toDist.localIndexOf(g) * 8);

@@ -37,8 +37,6 @@ class RedistributionWorkload
     std::uint64_t verify(sim::Machine &machine) const;
 
     const CommOp &op() const { return commOp; }
-    const core::Distribution &from() const { return fromDist; }
-    const core::Distribution &to() const { return toDist; }
 
     /**
      * The access-pattern pair (x, y) of the largest flow -- what a

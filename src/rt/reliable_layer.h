@@ -113,8 +113,6 @@ class ReliableLayer : public MessageLayer
     /** Counters of the most recent run. */
     const ReliableStats &stats() const { return counters; }
 
-    const ReliableOptions &options() const { return opts; }
-
   private:
     std::unique_ptr<MessageLayer> inner;
     ReliableOptions opts;

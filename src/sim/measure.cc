@@ -39,10 +39,11 @@ walkSpanBytes(const AccessPattern &p, std::uint64_t words)
  * Node config whose RAM is wide enough for the given walk spans.
  * The widening is address-space only: the bump allocator hands out
  * the same addresses whatever the capacity, so DRAM bank and cache
- * mappings -- and therefore timing -- are unchanged; sparse paging
- * plus the measurement residency window keep host memory O(1) in the
- * spans. This is what lets a stride sweep walk a footprint larger
- * than a node's physical RAM (fig4) without either kind of OOM.
+ * mappings -- and therefore timing -- are unchanged; the walks move
+ * zero payload, which leaves their pages virtual, so host memory is
+ * O(1) in the spans. This is what lets a stride sweep walk a
+ * footprint larger than a node's physical RAM (fig4) without either
+ * kind of OOM.
  */
 NodeConfig
 arenaConfig(const NodeConfig &cfg, std::initializer_list<Bytes> spans)
@@ -55,7 +56,12 @@ arenaConfig(const NodeConfig &cfg, std::initializer_list<Bytes> spans)
     return arena;
 }
 
-/** Allocate a walk of @p words elements with pattern @p p. */
+/**
+ * Allocate a walk of @p words elements with pattern @p p. Its payload
+ * stays zero: timing depends on the addresses a walk touches, never
+ * on the values it moves, so only an indexed walk's index array
+ * materializes node-RAM pages.
+ */
 PatternWalk
 makeWalk(Node &node, AccessPattern p, std::uint64_t words,
          util::Rng &rng)
@@ -77,42 +83,12 @@ makeWalk(Node &node, AccessPattern p, std::uint64_t words,
         auto perm = rng.permutation(words);
         for (std::uint64_t i = 0; i < words; ++i)
             ram.writeWord(idx + i * 8, perm[i]);
-        // The index array is re-read throughout the walk; keep it
-        // out of the residency window's recycling.
-        ram.pinRange(idx, words * 8);
         return indexedWalk(base, idx);
     }
       case core::PatternKind::Fixed:
         break;
     }
     util::fatal("makeWalk: pattern must touch memory");
-}
-
-/**
- * Fill one chunk of a walk with recognizable values. Measurements
- * fill each chunk right before the kernel consumes it (instead of
- * pre-filling the whole walk) so that, under the residency window,
- * every page is written, read, and recyclable -- host memory never
- * holds more than the window even for footprints beyond RAM. The
- * fill is data-plane only; it costs no simulated time.
- */
-void
-fillChunk(NodeRam &ram, const PatternWalk &walk, std::uint64_t first,
-          std::uint64_t count)
-{
-    withCursor(walk, first, [&](auto cur) {
-        for (std::uint64_t i = 0; i < count; ++i, cur.advance())
-            ram.writeWord(cur.elementAddr(ram), 0x1000 + first + i);
-    });
-}
-
-void
-recordStats(const NodeRam &ram, MeasureStats *stats)
-{
-    if (!stats)
-        return;
-    stats->peakResidentPages = ram.peakResidentPages();
-    stats->recycledPages = ram.recycledPages();
 }
 
 } // namespace
@@ -124,19 +100,18 @@ measureLocalCopy(const MachineConfig &cfg, core::AccessPattern x,
 {
     Node node(arenaConfig(cfg.node, {walkSpanBytes(x, words),
                                      walkSpanBytes(y, words)}));
-    node.ram().setResidencyLimit(measureResidentPages);
     util::Rng rng(12345);
     PatternWalk src = makeWalk(node, x, words, rng);
     PatternWalk dst = makeWalk(node, y, words, rng);
     Cycles elapsed = 0;
     for (std::uint64_t first = 0; first < words; first += chunkWords) {
         std::uint64_t count = std::min(chunkWords, words - first);
-        fillChunk(node.ram(), src, first, count);
         elapsed += node.processor().copy(src, dst, first, count,
                                          elapsed);
     }
     elapsed += node.processor().fence(elapsed);
-    recordStats(node.ram(), stats);
+    if (stats)
+        stats->residentPages = node.ram().residentPages();
     return util::toMBps(words * 8, elapsed, cfg.clockHz);
 }
 
@@ -145,7 +120,6 @@ measureLoadSend(const MachineConfig &cfg, core::AccessPattern x,
                 std::uint64_t words)
 {
     Node node(arenaConfig(cfg.node, {walkSpanBytes(x, words)}));
-    node.ram().setResidencyLimit(measureResidentPages);
     util::Rng rng(12345);
     PatternWalk src = makeWalk(node, x, words, rng);
     std::vector<std::uint64_t> sink;
@@ -153,7 +127,6 @@ measureLoadSend(const MachineConfig &cfg, core::AccessPattern x,
     Cycles elapsed = 0;
     for (std::uint64_t first = 0; first < words; first += chunkWords) {
         std::uint64_t count = std::min(chunkWords, words - first);
-        fillChunk(node.ram(), src, first, count);
         elapsed += node.processor().gatherToPort(src, first, count,
                                                  elapsed, sink);
         sink.clear();
@@ -179,15 +152,12 @@ measureReceiveStore(const MachineConfig &cfg, core::AccessPattern y,
     Node node(arenaConfig(cfg.node, {walkSpanBytes(y, words)}));
     if (!node.hasCoProcessor())
         return std::nullopt;
-    node.ram().setResidencyLimit(measureResidentPages);
     util::Rng rng(12345);
     PatternWalk dst = makeWalk(node, y, words, rng);
-    std::array<std::uint64_t, chunkWords> payload;
+    const std::array<std::uint64_t, chunkWords> payload{};
     Cycles elapsed = 0;
     for (std::uint64_t first = 0; first < words; first += chunkWords) {
         std::uint64_t count = std::min(chunkWords, words - first);
-        for (std::uint64_t i = 0; i < count; ++i)
-            payload[i] = 0x2000 + first + i;
         elapsed += node.coProcessor().scatterFromPort(
             dst, first, count, elapsed, payload.data());
     }
@@ -203,7 +173,6 @@ measureReceiveDeposit(const MachineConfig &cfg, core::AccessPattern y,
     DepositEngine &engine = node.depositEngine();
     if (!engine.enabled())
         return std::nullopt;
-    node.ram().setResidencyLimit(measureResidentPages);
     util::Rng rng(12345);
     PatternWalk dst = makeWalk(node, y, words, rng);
 
@@ -217,8 +186,6 @@ measureReceiveDeposit(const MachineConfig &cfg, core::AccessPattern y,
         pkt.framing =
             contiguous ? Framing::DataOnly : Framing::AddrDataPair;
         pkt.words.resize(count);
-        for (std::uint64_t i = 0; i < count; ++i)
-            pkt.words[i] = 0x3000 + first + i;
         // The addresses are data-plane only: no simulated index load.
         if (!contiguous) {
             pkt.addrs.resize(count);

@@ -26,22 +26,11 @@ namespace ct::sim {
 /** Default element count of one measurement (large vs the cache). */
 inline constexpr std::uint64_t measureWords = 1ull << 15;
 
-/**
- * Pages of node RAM a measurement keeps host-resident. Walk arenas
- * are address-space only: the sweep's footprint can exceed physical
- * node RAM (fig4 runs strides whose span is larger than a T3D node),
- * while host memory stays bounded by this window regardless of
- * stride or transfer size.
- */
-inline constexpr std::size_t measureResidentPages = 1024;
-
 /** Host-side footprint counters of one measurement run. */
 struct MeasureStats
 {
-    /** High-water mark of materialized node-RAM pages. */
-    std::size_t peakResidentPages = 0;
-    /** Pages recycled by the residency window. */
-    std::uint64_t recycledPages = 0;
+    /** Node-RAM pages the run materialized. */
+    std::size_t residentPages = 0;
 };
 
 /** Throughput of a local memory-to-memory copy xCy. */

@@ -7,6 +7,8 @@
 
 namespace ct::sim {
 
+alignas(64) const std::uint8_t NodeRam::zeroFrame[kPageBytes] = {};
+
 NodeRam::NodeRam(Bytes size_bytes, Bytes alloc_skew_bytes)
     : allocSkew(alloc_skew_bytes)
 {
@@ -34,36 +36,8 @@ NodeRam::reset()
 {
     next = 0;
     pages.clear();
-    recycleQueue.clear();
-    pinnedRanges.clear();
     for (TransEntry &entry : translations)
         entry = TransEntry{};
-}
-
-void
-NodeRam::setResidencyLimit(std::size_t max_pages)
-{
-    residencyLimit = max_pages;
-    if (residencyLimit)
-        evictToLimit();
-}
-
-void
-NodeRam::pinRange(Addr addr, Bytes bytes)
-{
-    if (bytes == 0)
-        return;
-    checkRange(addr, bytes);
-    Addr first = addr / kPageBytes;
-    Addr last = (addr + bytes - 1) / kPageBytes;
-    pinnedRanges.emplace_back(first, last);
-    // Pages already materialized inside the range may still sit on
-    // the recycle queue; mark them so a stale queue entry is skipped.
-    for (Addr page = first; page <= last; ++page) {
-        auto it = pages.find(page);
-        if (it != pages.end())
-            it->second.pinned = true;
-    }
 }
 
 void
@@ -73,83 +47,21 @@ NodeRam::outOfRange(Addr addr, Bytes bytes) const
                 " beyond size ", capacity);
 }
 
-bool
-NodeRam::isPinned(Addr page_index) const
-{
-    for (const auto &[first, last] : pinnedRanges)
-        if (page_index >= first && page_index <= last)
-            return true;
-    return false;
-}
-
-const std::uint8_t *
-NodeRam::peekPage(Addr page_index) const
+NodeRam::TransEntry &
+NodeRam::translate(Addr page_index) const
 {
     TransEntry &entry =
         translations[page_index & (kTransEntries - 1)];
-    if (entry.pageIndexPlusOne == page_index + 1)
-        return entry.data;
-    auto it = pages.find(page_index);
-    if (it == pages.end())
-        return nullptr;
-    entry.pageIndexPlusOne = page_index + 1;
-    entry.data = it->second.data.get();
-    return entry.data;
-}
-
-std::uint8_t *
-NodeRam::touchPage(Addr page_index)
-{
-    TransEntry &entry =
-        translations[page_index & (kTransEntries - 1)];
-    if (entry.pageIndexPlusOne == page_index + 1)
-        return entry.data;
-    auto [it, inserted] = pages.try_emplace(page_index);
-    Page &page = it->second;
-    if (inserted) {
-        page.data = std::make_unique<std::uint8_t[]>(kPageBytes);
-        page.pinned = isPinned(page_index);
-        if (!page.pinned)
-            recycleQueue.push_back(page_index);
-        if (residencyLimit)
-            evictToLimit();
-        if (pages.size() > peakResident)
-            peakResident = pages.size();
-        // evictToLimit may have recycled this very page only if the
-        // limit is zero-sized nonsense; guard by re-looking it up.
-        it = pages.find(page_index);
-        if (it == pages.end())
-            util::fatal("NodeRam: residency limit ", residencyLimit,
-                        " too small to hold the working page");
+    if (entry.pageIndexPlusOne != page_index + 1) {
+        auto it = pages.find(page_index);
+        entry.pageIndexPlusOne = page_index + 1;
+        // The zero frame is never written: every store through the
+        // cache compares against it first.
+        entry.data = it != pages.end()
+                         ? it->second.get()
+                         : const_cast<std::uint8_t *>(zeroFrame);
     }
-    entry.pageIndexPlusOne = page_index + 1;
-    entry.data = it->second.data.get();
-    return entry.data;
-}
-
-void
-NodeRam::evictToLimit()
-{
-    while (pages.size() > residencyLimit && !recycleQueue.empty()) {
-        Addr victim = recycleQueue.front();
-        recycleQueue.pop_front();
-        auto it = pages.find(victim);
-        // Stale entries: the page was pinned after materializing.
-        if (it == pages.end() || it->second.pinned)
-            continue;
-        pages.erase(it);
-        dropTranslation(victim);
-        ++recycled;
-    }
-}
-
-void
-NodeRam::dropTranslation(Addr page_index)
-{
-    TransEntry &entry =
-        translations[page_index & (kTransEntries - 1)];
-    if (entry.pageIndexPlusOne == page_index + 1)
-        entry = TransEntry{};
+    return entry;
 }
 
 void
@@ -160,11 +72,7 @@ NodeRam::readBytes(Addr addr, void *out, Bytes bytes) const
         Addr page_index = addr / kPageBytes;
         Bytes offset = addr % kPageBytes;
         Bytes chunk = std::min<Bytes>(bytes, kPageBytes - offset);
-        const std::uint8_t *page = peekPage(page_index);
-        if (page)
-            std::memcpy(dst, page + offset, chunk);
-        else
-            std::memset(dst, 0, chunk);
+        std::memcpy(dst, translate(page_index).data + offset, chunk);
         addr += chunk;
         dst += chunk;
         bytes -= chunk;
@@ -179,7 +87,18 @@ NodeRam::writeBytes(Addr addr, const void *in, Bytes bytes)
         Addr page_index = addr / kPageBytes;
         Bytes offset = addr % kPageBytes;
         Bytes chunk = std::min<Bytes>(bytes, kPageBytes - offset);
-        std::memcpy(touchPage(page_index) + offset, src, chunk);
+        TransEntry &entry = translate(page_index);
+        if (entry.data != zeroFrame) {
+            std::memcpy(entry.data + offset, src, chunk);
+        } else if (std::any_of(src, src + chunk,
+                               [](std::uint8_t b) { return b != 0; })) {
+            // The first nonzero store materializes the page; a zero
+            // store leaves it virtual, since it already reads zero.
+            auto &data = pages[page_index];
+            data = std::make_unique<std::uint8_t[]>(kPageBytes);
+            entry.data = data.get();
+            std::memcpy(entry.data + offset, src, chunk);
+        }
         addr += chunk;
         src += chunk;
         bytes -= chunk;

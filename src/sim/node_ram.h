@@ -5,12 +5,11 @@
  * bytes so that communication runs move real data and tests can check
  * end-to-end correctness bit-exactly.
  *
- * Storage is sparse and page-granular: a page materializes on first
- * write, reads of never-written pages return zero (the old calloc
- * semantics), and host memory tracks the bytes actually touched, not
- * the configured capacity. Measurement walks additionally bound their
- * residency with a fixed-capacity page window (streaming mode), so a
- * stride sweep's address footprint never turns into host memory.
+ * Storage is sparse and page-granular: a page materializes on its
+ * first nonzero store. Until then it is virtual -- reads return zero
+ * from one shared, immutable zero frame and zero stores change
+ * nothing -- so host memory tracks the pages that hold data, not the
+ * configured capacity or the addresses a walk merely touches.
  */
 
 #ifndef CT_SIM_NODE_RAM_H
@@ -18,11 +17,8 @@
 
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <memory>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "sim/addr.h"
 
@@ -58,29 +54,9 @@ class NodeRam
     double readDouble(Addr addr) const;
     void writeDouble(Addr addr, double value);
 
-    // Streaming (bounded-residency) mode -- used by measurement
-    // walks whose address footprint exceeds what should ever be
-    // host-resident. With a limit set, materialized pages are
-    // recycled FIFO once more than @p max_pages are live; a recycled
-    // page that is touched again reads as zero. Callers must
-    // therefore follow single-touch discipline (write an element,
-    // consume it, never revisit) or pin the ranges they re-read.
-
-    /** Cap live pages; 0 restores exact (unbounded) retention. */
-    void setResidencyLimit(std::size_t max_pages);
-
-    /** Exclude [addr, addr+bytes) from recycling (index arrays and
-     *  other ranges that are legitimately re-read). */
-    void pinRange(Addr addr, Bytes bytes);
-
-    /** Pages currently materialized. */
+    /** Pages currently materialized (those that took a nonzero
+     *  store). */
     std::size_t residentPages() const { return pages.size(); }
-
-    /** High-water mark of residentPages() since construction. */
-    std::size_t peakResidentPages() const { return peakResident; }
-
-    /** Pages recycled by the residency window so far. */
-    std::uint64_t recycledPages() const { return recycled; }
 
     /** Page granularity of the sparse store. */
     static constexpr Bytes pageBytes() { return kPageBytes; }
@@ -90,29 +66,21 @@ class NodeRam
     /** Direct-mapped page-translation cache entries (power of two). */
     static constexpr std::size_t kTransEntries = 256;
 
-    struct Page
-    {
-        std::unique_ptr<std::uint8_t[]> data;
-        bool pinned = false;
-    };
-
-    /** Cached page-index -> data translation (+1 so 0 = empty). */
+    /** Cached page-index -> data translation (+1 so 0 = empty). A
+     *  virtual page translates to zeroFrame. */
     struct TransEntry
     {
         Addr pageIndexPlusOne = 0;
         std::uint8_t *data = nullptr;
     };
 
-    /** Bounds check of [addr, addr + bytes) that stays exact when
-     *  addr + bytes would wrap past 2^64. */
-    void
-    checkRange(Addr addr, Bytes bytes) const
-    {
-        if (bytes > capacity || addr > capacity - bytes)
-            outOfRange(addr, bytes);
-    }
+    /** What every virtual page reads as. Read-only: every store
+     *  compares its page against it first, so it is never written
+     *  and NodeRams on any thread may share it. */
+    alignas(64) static const std::uint8_t zeroFrame[kPageBytes];
 
-    /** checkRange(addr, 8) as one compare, for the word accessors. */
+    /** Bounds check of [addr, addr + 8) as one compare that stays
+     *  exact when addr + 8 would wrap past 2^64. */
     void
     checkWord(Addr addr) const
     {
@@ -121,7 +89,6 @@ class NodeRam
     }
 
     [[noreturn]] void outOfRange(Addr addr, Bytes bytes) const;
-    bool isPinned(Addr page_index) const;
 
     /** Translation-cache probe; nullptr on miss. */
     std::uint8_t *
@@ -137,32 +104,20 @@ class NodeRam
     std::uint64_t readWordSlow(Addr addr) const;
     void writeWordSlow(Addr addr, std::uint64_t value);
 
-    /** Page data for @p page_index, or nullptr if not materialized. */
-    const std::uint8_t *peekPage(Addr page_index) const;
-
-    /** Page data for @p page_index, materializing (and possibly
-     *  recycling an old page) as needed. */
-    std::uint8_t *touchPage(Addr page_index);
-
-    void evictToLimit();
-    void dropTranslation(Addr page_index);
+    /** The translation-cache entry of @p page_index, filled on a
+     *  miss (with zeroFrame for a virtual page). */
+    TransEntry &translate(Addr page_index) const;
 
     void readBytes(Addr addr, void *out, Bytes bytes) const;
     void writeBytes(Addr addr, const void *in, Bytes bytes);
 
-    std::unordered_map<Addr, Page> pages;
-    /** Materialization order of unpinned pages (recycling FIFO). */
-    std::deque<Addr> recycleQueue;
-    std::vector<std::pair<Addr, Addr>> pinnedRanges;
+    std::unordered_map<Addr, std::unique_ptr<std::uint8_t[]>> pages;
     mutable TransEntry translations[kTransEntries];
     Bytes capacity = 0;
     /** First address at which a word no longer fits (0: none fits). */
     Addr wordEnd = 0;
     Bytes allocSkew = 0;
     Addr next = 0;
-    std::size_t residencyLimit = 0;
-    std::size_t peakResident = 0;
-    std::uint64_t recycled = 0;
 };
 
 inline std::uint64_t
@@ -184,9 +139,13 @@ NodeRam::writeWord(Addr addr, std::uint64_t value)
 {
     checkWord(addr);
     if (addr % kPageBytes <= kPageBytes - 8) {
-        // The cache only holds materialized pages, so a hit may be
-        // written in place.
-        if (std::uint8_t *page = cachedPage(addr / kPageBytes)) {
+        std::uint8_t *page = cachedPage(addr / kPageBytes);
+        if (page == zeroFrame) {
+            // A virtual page already reads zero; only a nonzero
+            // store materializes it (in the slow path).
+            if (value == 0)
+                return;
+        } else if (page) {
             std::memcpy(page + addr % kPageBytes, &value, 8);
             return;
         }

@@ -137,8 +137,6 @@ class PlanService
      *  Timestamps are wall microseconds since start(). */
     void setTracer(obs::Tracer *t) { tracer = t; }
 
-    const ServiceOptions &options() const { return opts; }
-
     /**
      * Handle one already-admitted request line synchronously on the
      * calling thread. Exposed for the degenerate --workers=0 mode

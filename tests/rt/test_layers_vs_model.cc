@@ -53,6 +53,12 @@ struct Case
     P y;
 };
 
+void
+PrintTo(const Case &c, std::ostream *os)
+{
+    *os << c.x.label() << 'Q' << c.y.label();
+}
+
 class ModelVsSim : public testing::TestWithParam<Case>
 {};
 

@@ -83,6 +83,12 @@ struct IdentityCase
     std::uint64_t words;
 };
 
+void
+PrintTo(const IdentityCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class ParallelIdentity : public testing::TestWithParam<IdentityCase>
 {};
 

@@ -142,9 +142,10 @@ TEST(Redistribute, VerifyCountsEveryWrongWord)
     auto w = RedistributionWorkload::create(m, D::block(256, 4),
                                             D::cyclic(256, 4));
     w.fillInput(m);
-    // Nothing has moved yet: every element that changes owner is
-    // still missing (64 of the 256 keep theirs: g / 64 == g % 4).
-    EXPECT_EQ(w.verify(m), 192u);
+    // Nothing has moved yet: every destination word is still missing,
+    // the 64 of the 256 that keep their owner (g / 64 == g % 4)
+    // included.
+    EXPECT_EQ(w.verify(m), 256u);
     ChainedLayer layer;
     layer.run(m, w.op());
     ASSERT_EQ(w.verify(m), 0u);
@@ -159,6 +160,25 @@ TEST(Redistribute, VerifyCountsEveryWrongWord)
     for (std::uint64_t i : {std::uint64_t{0}, flow.words - 1})
         ram.writeWord(flow.dstWalk.elementAddr(ram, i), 0);
     EXPECT_EQ(w.verify(m), 2u);
+}
+
+TEST(Redistribute, VerifyChecksElementsThatStayLocal)
+{
+    sim::Machine m(sim::t3dConfig({2, 2, 1}));
+    auto w = RedistributionWorkload::create(m, D::block(256, 4),
+                                            D::cyclic(256, 4));
+    w.fillInput(m);
+    ChainedLayer layer;
+    layer.run(m, w.op());
+    ASSERT_EQ(w.verify(m), 0u);
+    // Clobber one word a node delivered to itself.
+    auto flow_it = std::find_if(
+        w.op().flows.begin(), w.op().flows.end(),
+        [](const Flow &f) { return f.src == f.dst; });
+    ASSERT_NE(flow_it, w.op().flows.end());
+    auto &ram = m.node(flow_it->dst).ram();
+    ram.writeWord(flow_it->dstWalk.elementAddr(ram, 0), 0);
+    EXPECT_EQ(w.verify(m), 1u);
 }
 
 TEST(RedistributeDeath, MismatchedSizes)

@@ -175,6 +175,12 @@ struct Layout2d
     bool transpose;
 };
 
+void
+PrintTo(const Layout2d &layout, std::ostream *os)
+{
+    *os << layout.name;
+}
+
 class Redistribute2dDelivery : public testing::TestWithParam<Layout2d>
 {};
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "sim/node_ram.h"
 
 namespace {
@@ -66,32 +69,95 @@ TEST(NodeRam, SparseBackingCountsOnlyTouchedPages)
     EXPECT_EQ(ram.readWord(1ull << 39), 42u);
 }
 
-TEST(NodeRam, ResidencyLimitRecyclesFifo)
+TEST(NodeRam, ZeroStoreLeavesPageVirtual)
 {
-    NodeRam ram(1 << 24);
-    ram.setResidencyLimit(4);
-    constexpr Bytes page = NodeRam::pageBytes();
-    for (Addr p = 0; p < 16; ++p)
-        ram.writeWord(p * page, p + 1);
-    EXPECT_LE(ram.residentPages(), 4u);
-    EXPECT_EQ(ram.peakResidentPages(), 4u);
-    EXPECT_EQ(ram.recycledPages(), 12u);
-    // Recycled pages read as zero again; the newest survive.
-    EXPECT_EQ(ram.readWord(0), 0u);
-    EXPECT_EQ(ram.readWord(15 * page), 16u);
+    // A never-written page already reads zero, so storing zero to it
+    // must not materialize it.
+    NodeRam ram(1 << 20);
+    ram.writeWord(64, 0);
+    ram.writeWord(72, 0); // through the cached zero translation
+    ram.writeDouble(4096 + 8, 0.0);
+    EXPECT_EQ(ram.residentPages(), 0u);
+    EXPECT_EQ(ram.readWord(64), 0u);
+    // Zero overwriting a nonzero word of a materialized page is kept.
+    ram.writeWord(128, 5);
+    ram.writeWord(128, 0);
+    EXPECT_EQ(ram.residentPages(), 1u);
+    EXPECT_EQ(ram.readWord(128), 0u);
 }
 
-TEST(NodeRam, PinnedRangesSurviveRecycling)
+TEST(NodeRam, StraddlingWordMaterializesOnlyItsNonzeroHalf)
 {
-    NodeRam ram(1 << 24);
+    NodeRam ram(1 << 20);
     constexpr Bytes page = NodeRam::pageBytes();
-    ram.writeWord(0, 99); // materialized before the pin
-    ram.pinRange(0, 8);
-    ram.setResidencyLimit(2);
-    for (Addr p = 1; p < 32; ++p)
-        ram.writeWord(p * page, p);
-    EXPECT_EQ(ram.readWord(0), 99u);
-    EXPECT_GT(ram.recycledPages(), 0u);
+    // Little-endian bytes: the low four (zero) land at the end of
+    // page 0, the high four (nonzero) at the start of page 1.
+    ram.writeWord(page - 4, 0x1122334400000000ULL);
+    EXPECT_EQ(ram.residentPages(), 1u);
+    EXPECT_EQ(ram.readWord(page - 4), 0x1122334400000000ULL);
+    EXPECT_EQ(ram.readWord(page), 0x11223344u);
+    // The other way round: only page 2 (the low half) materializes.
+    ram.writeWord(3 * page - 4, 0x00000000aabbccddULL);
+    EXPECT_EQ(ram.residentPages(), 2u);
+    EXPECT_EQ(ram.readWord(3 * page - 4), 0x00000000aabbccddULL);
+    EXPECT_EQ(ram.readWord(3 * page), 0u);
+}
+
+TEST(NodeRam, ReadThenNonzeroWriteMaterializesPage)
+{
+    // The read caches the page's zero translation; the write after
+    // it must replace that translation, not store into the zero frame.
+    NodeRam ram(1 << 20);
+    constexpr Bytes page = NodeRam::pageBytes();
+    EXPECT_EQ(ram.readWord(5 * page + 16), 0u);
+    ram.writeWord(5 * page + 16, 77);
+    EXPECT_EQ(ram.residentPages(), 1u);
+    EXPECT_EQ(ram.readWord(5 * page + 16), 77u);
+    EXPECT_EQ(ram.readWord(5 * page + 24), 0u);
+    // The same through the bytes of a word straddling into the page.
+    EXPECT_EQ(ram.readWord(7 * page - 4), 0u);
+    ram.writeWord(7 * page - 4, ~0ULL);
+    EXPECT_EQ(ram.residentPages(), 3u);
+    EXPECT_EQ(ram.readWord(7 * page - 4), ~0ULL);
+}
+
+TEST(NodeRam, UnwrittenPageReadsZeroAfterOtherNodesWrite)
+{
+    // Every node's virtual pages share one zero frame, which farm
+    // workers read concurrently; no node's writes may show through
+    // it on another node or thread.
+    constexpr Bytes page = NodeRam::pageBytes();
+    constexpr Addr pages = 8;
+    NodeRam idle(1 << 20);
+    std::vector<std::thread> writers;
+    for (std::uint64_t t = 1; t <= 3; ++t) {
+        writers.emplace_back([=] {
+            for (std::uint64_t n = 0; n < 4; ++n) {
+                NodeRam ram(1 << 20);
+                for (Addr p = 0; p < pages; ++p) {
+                    // Cache the zero translation before writing.
+                    EXPECT_EQ(ram.readWord(p * page + 8), 0u);
+                    for (Addr off = 0; off < page; off += 8)
+                        ram.writeWord(p * page + off,
+                                      (t << 40) | (n << 32) | off | 1);
+                }
+                EXPECT_EQ(ram.residentPages(), pages);
+            }
+        });
+    }
+    std::uint64_t nonzero = 0;
+    for (int round = 0; round < 16; ++round)
+        for (Addr addr = 0; addr < pages * page; addr += 8)
+            nonzero += idle.readWord(addr) != 0;
+    for (std::thread &writer : writers)
+        writer.join();
+    EXPECT_EQ(nonzero, 0u);
+    EXPECT_EQ(idle.residentPages(), 0u);
+    for (Addr addr = 0; addr < pages * page; addr += 8)
+        ASSERT_EQ(idle.readWord(addr), 0u) << addr;
+    // A NodeRam built after the writes sees the same zeros.
+    NodeRam fresh(1 << 20);
+    EXPECT_EQ(fresh.readWord(3 * page + 8), 0u);
 }
 
 TEST(NodeRam, WritesSpanningPagesStayIntact)
@@ -126,8 +192,6 @@ TEST(NodeRamDeath, AccessWrappingPastAddressSpaceEnd)
     EXPECT_EXIT(ram.writeWord(top, 42), testing::ExitedWithCode(1),
                 "beyond size");
     EXPECT_EXIT((void)ram.readWord(top), testing::ExitedWithCode(1),
-                "beyond size");
-    EXPECT_EXIT(ram.pinRange(top, 8), testing::ExitedWithCode(1),
                 "beyond size");
 }
 

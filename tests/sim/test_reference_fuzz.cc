@@ -739,6 +739,12 @@ struct KernelOracleCase
     std::uint64_t seed;
 };
 
+void
+PrintTo(const KernelOracleCase &c, std::ostream *os)
+{
+    *os << c.machine << " seed " << c.seed;
+}
+
 class KernelOracle : public testing::TestWithParam<KernelOracleCase>
 {};
 
