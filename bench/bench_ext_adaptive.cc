@@ -16,9 +16,6 @@
  * doubles as a replay bit-identity gate.
  */
 
-#include <cstring>
-#include <vector>
-
 #include "bench_util.h"
 #include "rt/collectives.h"
 #include "rt/reliable_layer.h"
@@ -150,20 +147,6 @@ int
 main(int argc, char **argv)
 {
     registerAll();
-    // Emit a machine-readable JSON dump by default so CI can archive
-    // the adaptive-vs-static curves; any explicit --benchmark_out
-    // flag wins.
-    std::vector<char *> args(argv, argv + argc);
-    std::string out = "--benchmark_out=BENCH_adaptive.json";
-    std::string fmt = "--benchmark_out_format=json";
-    bool has_out = false;
-    for (int i = 1; i < argc; ++i)
-        has_out |=
-            std::strncmp(argv[i], "--benchmark_out", 15) == 0;
-    if (!has_out) {
-        args.push_back(out.data());
-        args.push_back(fmt.data());
-    }
-    int n = static_cast<int>(args.size());
-    return ct::bench::runBenchmarks(n, args.data(), "ext_adaptive");
+    return ct::bench::runBenchmarks(argc, argv, "ext_adaptive",
+                                    "BENCH_adaptive.json");
 }

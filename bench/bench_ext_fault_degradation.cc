@@ -11,7 +11,6 @@
  * sweep farm (BENCH_THREADS workers); each builds its own Machine.
  */
 
-#include <cstring>
 #include <vector>
 
 #include "bench_util.h"
@@ -122,20 +121,6 @@ int
 main(int argc, char **argv)
 {
     registerAll();
-    // Emit a machine-readable JSON dump by default so CI can archive
-    // the fault-degradation curves; any explicit --benchmark_out
-    // flag wins.
-    std::vector<char *> args(argv, argv + argc);
-    std::string out = "--benchmark_out=BENCH_fault.json";
-    std::string fmt = "--benchmark_out_format=json";
-    bool has_out = false;
-    for (int i = 1; i < argc; ++i)
-        has_out |=
-            std::strncmp(argv[i], "--benchmark_out", 15) == 0;
-    if (!has_out) {
-        args.push_back(out.data());
-        args.push_back(fmt.data());
-    }
-    int n = static_cast<int>(args.size());
-    return ct::bench::runBenchmarks(n, args.data(), "ext_fault_degradation");
+    return ct::bench::runBenchmarks(argc, argv, "ext_fault_degradation",
+                                    "BENCH_fault.json");
 }

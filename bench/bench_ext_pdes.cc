@@ -21,7 +21,6 @@
  */
 
 #include <chrono>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -169,19 +168,6 @@ int
 main(int argc, char **argv)
 {
     registerAll();
-    // Emit a machine-readable JSON dump by default so CI can archive
-    // the identity rows; any explicit --benchmark_out flag wins.
-    std::vector<char *> args(argv, argv + argc);
-    std::string out = "--benchmark_out=BENCH_pdes.json";
-    std::string fmt = "--benchmark_out_format=json";
-    bool has_out = false;
-    for (int i = 1; i < argc; ++i)
-        has_out |=
-            std::strncmp(argv[i], "--benchmark_out", 15) == 0;
-    if (!has_out) {
-        args.push_back(out.data());
-        args.push_back(fmt.data());
-    }
-    int n = static_cast<int>(args.size());
-    return ct::bench::runBenchmarks(n, args.data(), "ext_pdes");
+    return ct::bench::runBenchmarks(argc, argv, "ext_pdes",
+                                    "BENCH_pdes.json");
 }

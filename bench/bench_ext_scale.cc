@@ -28,7 +28,6 @@
  */
 
 #include <chrono>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -186,17 +185,6 @@ int
 main(int argc, char **argv)
 {
     registerAll();
-    std::vector<char *> args(argv, argv + argc);
-    std::string out = "--benchmark_out=BENCH_scale.json";
-    std::string fmt = "--benchmark_out_format=json";
-    bool has_out = false;
-    for (int i = 1; i < argc; ++i)
-        has_out |=
-            std::strncmp(argv[i], "--benchmark_out", 15) == 0;
-    if (!has_out) {
-        args.push_back(out.data());
-        args.push_back(fmt.data());
-    }
-    int n = static_cast<int>(args.size());
-    return ct::bench::runBenchmarks(n, args.data(), "ext_scale");
+    return ct::bench::runBenchmarks(argc, argv, "ext_scale",
+                                    "BENCH_scale.json");
 }

@@ -13,7 +13,6 @@
  * or timing state, which scheduling is allowed to vary.
  */
 
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -151,19 +150,6 @@ int
 main(int argc, char **argv)
 {
     registerAll();
-    // Emit a machine-readable JSON dump by default so CI can archive
-    // the serve-storm census; any explicit --benchmark_out flag wins.
-    std::vector<char *> args(argv, argv + argc);
-    std::string out = "--benchmark_out=BENCH_serve.json";
-    std::string fmt = "--benchmark_out_format=json";
-    bool has_out = false;
-    for (int i = 1; i < argc; ++i)
-        has_out |=
-            std::strncmp(argv[i], "--benchmark_out", 15) == 0;
-    if (!has_out) {
-        args.push_back(out.data());
-        args.push_back(fmt.data());
-    }
-    int n = static_cast<int>(args.size());
-    return ct::bench::runBenchmarks(n, args.data(), "ext_serve");
+    return ct::bench::runBenchmarks(argc, argv, "ext_serve",
+                                    "BENCH_serve.json");
 }

@@ -12,9 +12,6 @@
  * The same sweep is available as `ctplan validate`.
  */
 
-#include <cstring>
-#include <vector>
-
 #include "bench_util.h"
 
 #include "rt/validation.h"
@@ -71,22 +68,8 @@ int
 main(int argc, char **argv)
 {
     registerAll();
-    // Emit a machine-readable JSON dump by default so CI can archive
-    // the model-vs-simulator comparison; any explicit --benchmark_out
-    // flag wins.
-    std::vector<char *> args(argv, argv + argc);
-    std::string out = "--benchmark_out=BENCH_model_vs_sim.json";
-    std::string fmt = "--benchmark_out_format=json";
-    bool has_out = false;
-    for (int i = 1; i < argc; ++i)
-        has_out |=
-            std::strncmp(argv[i], "--benchmark_out", 15) == 0;
-    if (!has_out) {
-        args.push_back(out.data());
-        args.push_back(fmt.data());
-    }
-    int n = static_cast<int>(args.size());
-    ct::bench::runBenchmarks(n, args.data(), "model_vs_sim");
+    ct::bench::runBenchmarks(argc, argv, "model_vs_sim",
+                             "BENCH_model_vs_sim.json");
     // The regression gate: fail the binary (and CI) if any cell
     // drifted outside the tolerance.
     return report().allPass ? 0 : 1;

@@ -1,6 +1,7 @@
 #include "bench_util.h"
 
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <map>
@@ -224,9 +225,21 @@ registerSweep(std::vector<SweepCell> cells,
 }
 
 int
-runBenchmarks(int argc, char **argv, const char *bench_name)
+runBenchmarks(int argc, char **argv, const char *bench_name,
+              const char *default_out)
 {
-    benchmark::Initialize(&argc, argv);
+    std::vector<char *> args(argv, argv + argc);
+    std::string out, fmt = "--benchmark_out_format=json";
+    bool given = false;
+    for (int i = 1; i < argc; ++i)
+        given |= std::strncmp(argv[i], "--benchmark_out", 15) == 0;
+    if (default_out && !given) {
+        out = std::string("--benchmark_out=") + default_out;
+        args.push_back(out.data());
+        args.push_back(fmt.data());
+    }
+    argc = static_cast<int>(args.size());
+    benchmark::Initialize(&argc, args.data());
     runSweepCells();
     SummaryReporter reporter;
     benchmark::RunSpecifiedBenchmarks(&reporter);

@@ -141,8 +141,13 @@ int benchThreads();
  * "wall_" are host wall-clock derived and excluded from the summary
  * (archived in the --benchmark_out JSON only), so baselines stay
  * bit-stable across hosts.
+ *
+ * With @p defaultOut set, the run also writes google-benchmark's JSON
+ * report to that file (CI archives it) unless the command line gives
+ * its own --benchmark_out.
  */
-int runBenchmarks(int argc, char **argv, const char *benchName);
+int runBenchmarks(int argc, char **argv, const char *benchName,
+                  const char *defaultOut = nullptr);
 
 } // namespace ct::bench
 

@@ -42,15 +42,9 @@ runRound(sim::Machine &machine, MessageLayer &layer, CommOp &op,
         return;
     seedSources(machine, op);
     RunResult r = layer.run(machine, op);
-    CommOp check;
-    check.name = op.name;
-    for (const Flow &flow : op.flows) {
-        if (nodeLive(machine, flow.src) &&
-            nodeLive(machine, flow.dst))
-            check.flows.push_back(flow);
-        else
-            total.lostWords += flow.words;
-    }
+    CommOp check = op;
+    total.lostWords += dropDeadFlows(check, machine.topology(),
+                                     machine.events().now());
     if (verifyDelivery(machine, check) != 0)
         util::fatal("collective '", op.name, "': corrupted delivery");
     total.makespan += r.makespan;

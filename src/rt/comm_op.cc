@@ -162,4 +162,18 @@ verifyDelivery(sim::Machine &machine, const CommOp &op)
     return mismatches;
 }
 
+std::uint64_t
+dropDeadFlows(CommOp &op, const sim::Topology &topo, sim::Cycles at)
+{
+    std::uint64_t lost = 0;
+    if (topo.anyOutages())
+        std::erase_if(op.flows, [&](const Flow &flow) {
+            bool dead = !topo.nodeAlive(flow.src, at) ||
+                        !topo.nodeAlive(flow.dst, at);
+            lost += dead ? flow.words : 0;
+            return dead;
+        });
+    return lost;
+}
+
 } // namespace ct::rt

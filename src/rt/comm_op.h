@@ -132,6 +132,16 @@ void seedSources(sim::Machine &machine, const CommOp &op);
  */
 std::uint64_t verifyDelivery(sim::Machine &machine, const CommOp &op);
 
+/**
+ * The outage rule: remove the flows of @p op with an endpoint down
+ * at cycle @p at and return their words, which are lost, not
+ * corrupt. Applied at cycle 0 before seeding (plan dead flows out)
+ * and at the end of a run before verifying. Keeps the survivors'
+ * order.
+ */
+std::uint64_t dropDeadFlows(CommOp &op, const sim::Topology &topo,
+                            sim::Cycles at);
+
 } // namespace ct::rt
 
 #endif // CT_RT_COMM_OP_H

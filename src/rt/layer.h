@@ -80,8 +80,8 @@ class MessageLayer
      * event is partition-tagged, cross-partition effects go through
      * the network or are explicitly scoped, and no cancellable
      * timers are armed. Default is the safe answer; the driver
-     * (SimBackend, tools) calls machine.setParallelEnabled() with
-     * this before running.
+     * (SimBackend, the engine benches) calls
+     * machine.setParallelEnabled() with this before running.
      */
     virtual bool parallelSafe() const { return false; }
 

@@ -144,10 +144,9 @@ Redistribution2dWorkload::verify(sim::Machine &machine) const
         for (std::uint64_t j = 0; j < toDist.cols(); ++j) {
             std::uint64_t si = transposed ? j : i;
             std::uint64_t sj = transposed ? i : j;
-            int sender = fromDist.ownerOf(si, sj);
+            // Every element, the diagonal blocks included: create()
+            // moves a node's local part with a p -> p flow too.
             int receiver = toDist.ownerOf(i, j);
-            if (sender == receiver)
-                continue; // local part never crossed the network
             std::uint64_t want = si * fromDist.cols() + sj + 1;
             std::uint64_t got = machine.node(receiver).ram().readWord(
                 dstBase[static_cast<std::size_t>(receiver)] +

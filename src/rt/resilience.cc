@@ -361,6 +361,9 @@ runAdaptiveExchange(sim::Machine &machine, const CommOp &op,
     if (rounds < 1)
         util::fatal("runAdaptiveExchange: rounds must be >= 1, got ",
                     rounds);
+    // Every round runs the reliable transport, whose cancellable
+    // retransmit timers are not window-safe.
+    machine.setParallelEnabled(false);
     AdaptiveResult result;
     result.payloadBytes = op.totalBytes();
     seedSources(machine, op);

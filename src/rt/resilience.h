@@ -266,7 +266,8 @@ struct AdaptiveResult
  * controller may flip the style or retune the transport for the next
  * round. Decision points are emitted as cat "policy" tracer instants.
  * Sources are seeded once up front and the whole op is verified at
- * the end (flows with a dead endpoint excluded).
+ * the end (flows with a dead endpoint excluded). Runs serially: the
+ * machine's parallel engine is switched off.
  */
 AdaptiveResult runAdaptiveExchange(sim::Machine &machine,
                                    const CommOp &op,

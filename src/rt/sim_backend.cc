@@ -3,7 +3,6 @@
 #include "core/machine_params.h"
 #include "rt/chained_layer.h"
 #include "rt/packing_layer.h"
-#include "rt/reliable_layer.h"
 #include "rt/workload.h"
 #include "util/logging.h"
 
@@ -52,6 +51,15 @@ lowerProgram(const core::TransferProgram &program)
     return layer;
 }
 
+std::string
+exchangeFitError(const sim::MachineConfig &cfg,
+                 const core::TransferProgram &program,
+                 std::uint64_t words)
+{
+    return exchangeFitError(cfg, program.x, program.y, words,
+                            {program.stagingBuffers, program.reliable});
+}
+
 SimBackend::SimBackend(sim::MachineConfig config)
     : cfg(std::move(config))
 {}
@@ -60,17 +68,22 @@ SimRun
 SimBackend::run(const core::TransferProgram &program, CommOp op,
                 sim::Machine &machine)
 {
+    SimRun out;
+    const sim::Topology &topo = machine.topology();
+    out.lostWords = dropDeadFlows(op, topo, 0);
     seedSources(machine, op);
     if (eventBudget > 0)
         machine.events().setEventBudget(eventBudget);
     std::unique_ptr<MessageLayer> layer = lowerProgram(program);
     machine.setParallelEnabled(layer->parallelSafe());
     machine.setParallelLookahead(layer->parallelLookahead(machine, op));
-    SimRun out;
     out.layerName = layer->name();
     out.result = layer->run(machine, op);
+    if (auto *reliable = dynamic_cast<ReliableLayer *>(layer.get()))
+        out.transport = reliable->stats();
     out.truncated = machine.events().truncated();
     out.eventsExecuted = machine.events().eventsExecuted();
+    out.lostWords += dropDeadFlows(op, topo, machine.events().now());
     // A budget cut leaves flows legitimately half-delivered;
     // verifying would misreport the missing tail as corruption.
     out.corruptWords = out.truncated ? 0 : verifyDelivery(machine, op);
@@ -97,6 +110,14 @@ SimBackend::exchange(const core::TransferProgram &program,
                      std::uint64_t words, std::uint64_t seed)
 {
     sim::Machine machine(cfg);
+    return exchangeOn(machine, program, words, seed);
+}
+
+SimRun
+SimBackend::exchangeOn(sim::Machine &machine,
+                       const core::TransferProgram &program,
+                       std::uint64_t words, std::uint64_t seed)
+{
     CommOp op =
         pairExchange(machine, program.x, program.y, words, seed);
     return run(program, std::move(op), machine);

@@ -12,6 +12,10 @@
  * so the analytic latency model and the simulator charge the same
  * constants by construction. Reliable programs are wrapped in the
  * ReliableLayer transport.
+ *
+ * SimBackend is the only driver of a single-shot simulated exchange
+ * (`ctplan sim`, the service, sweep cells, crossValidate), outage
+ * rule (rt::dropDeadFlows) included.
  */
 
 #ifndef CT_RT_SIM_BACKEND_H
@@ -22,6 +26,7 @@
 #include "core/analytic_backend.h"
 #include "core/transfer_program.h"
 #include "rt/layer.h"
+#include "rt/reliable_layer.h"
 
 namespace ct::rt {
 
@@ -41,6 +46,12 @@ executionProfileFor(const sim::MachineConfig &cfg);
 std::unique_ptr<MessageLayer>
 lowerProgram(const core::TransferProgram &program);
 
+/** rt::exchangeFitError() for a pairExchange() run by @p program:
+ *  its staging rings, plus a reliable program's packing fallback. */
+std::string exchangeFitError(const sim::MachineConfig &cfg,
+                             const core::TransferProgram &program,
+                             std::uint64_t words);
+
 /** Outcome of one backend execution, with the rates resolved. */
 struct SimRun
 {
@@ -49,6 +60,11 @@ struct SimRun
     util::MBps totalMBps = 0.0;
     /** Words that arrived with the wrong value (0 = verified). */
     std::uint64_t corruptWords = 0;
+    /** Words of flows with a dead endpoint (rt::dropDeadFlows):
+     *  lost to the outage, not corrupt, and not verified. */
+    std::uint64_t lostWords = 0;
+    /** Transport counters of a reliable program (zero otherwise). */
+    ReliableStats transport;
     std::string layerName;
     /**
      * True when the run hit the cooperative event budget and was cut
@@ -82,6 +98,12 @@ class SimBackend
      */
     SimRun exchange(const core::TransferProgram &program,
                     std::uint64_t words, std::uint64_t seed = 42);
+
+    /** exchange() on a fresh machine the caller built from config()
+     *  and reads afterwards (tracer, metrics, topology, engine). */
+    SimRun exchangeOn(sim::Machine &machine,
+                      const core::TransferProgram &program,
+                      std::uint64_t words, std::uint64_t seed = 42);
 
     const sim::MachineConfig &config() const { return cfg; }
 

@@ -421,15 +421,16 @@ Topology::analyzeCongestion(const std::vector<TrafficDemand> &demands,
                             CongestionScratch &scratch) const
 {
     // Per-link loads accumulate into a hash map keyed by the links the
-    // routed demands actually touch, so the footprint is proportional
-    // to the traffic pattern, never to linkCount(). Each link's load
-    // is the sum of the same demand bytes in the same demand order as
-    // the old dense vector produced, and the peak is a max (order
-    // independent), so the factor is bit-identical to the dense
-    // analysis.
+    // routed demands actually touch, and per-sender volumes into one
+    // keyed by the sending nodes, so the footprint is proportional to
+    // the traffic pattern, never to linkCount() or nodeCount(). Each
+    // sum adds the same bytes in the same demand order as dense
+    // arrays would, and the peaks are maxima (order independent), so
+    // the factor is bit-identical to the dense analysis.
     auto &load = scratch.load;
+    auto &sent = scratch.sent;
     load.clear();
-    double total = 0.0;
+    sent.clear();
     CongestionReport report;
     for (const auto &demand : demands) {
         if (demand.bytes == 0 || demand.src == demand.dst)
@@ -447,18 +448,23 @@ Topology::analyzeCongestion(const std::vector<TrafficDemand> &demands,
             links = &scratch.route;
         }
         ++report.routed;
-        total += static_cast<double>(demand.bytes);
+        sent[demand.src] += static_cast<double>(demand.bytes);
         for (LinkId link : *links)
             load[link] += static_cast<double>(demand.bytes);
     }
     report.touchedLinks = static_cast<int>(load.size());
     if (report.routed == 0)
         return report; // factor stays at the 1.0 floor
-    double mean = total / static_cast<double>(report.routed);
+    // The unit is what one node injects, not one demand: a node that
+    // splits its data into k messages loads every link the same, so
+    // the factor must not grow k-fold.
+    double busiest_sender = 0.0;
+    for (const auto &[node, bytes] : sent)
+        busiest_sender = std::max(busiest_sender, bytes);
     double peak = 0.0;
     for (const auto &[link, bytes] : load)
         peak = std::max(peak, bytes);
-    report.factor = std::max(1.0, peak / mean);
+    report.factor = std::max(1.0, peak / busiest_sender);
     return report;
 }
 

@@ -97,7 +97,8 @@ struct RouteInfo
  */
 struct CongestionReport
 {
-    /** Max link load over mean per-demand bytes, clamped >= 1. */
+    /** Max link load over the largest per-node routed send
+     *  volume, clamped >= 1. */
     double factor = 1.0;
     /** Demands that carried load (non-zero bytes, live route). */
     int routed = 0;
@@ -112,13 +113,15 @@ struct CongestionReport
 
 /**
  * Reusable buffers for analyzeCongestion(). Footprint is
- * O(links touched by the pattern), not O(total links); reusing one
- * scratch across calls avoids re-allocating the load map and route
+ * O(links touched + nodes sending), not O(total links); reusing one
+ * scratch across calls avoids re-allocating the maps and route
  * buffers per analysis. Not thread-safe: one scratch per caller.
  */
 struct CongestionScratch
 {
     std::unordered_map<LinkId, double> load;
+    /** Routed bytes per sending node. */
+    std::unordered_map<NodeId, double> sent;
     std::vector<LinkId> route;
     RouteInfo healthy;
 };
@@ -221,10 +224,12 @@ class Topology
     /**
      * Static congestion analysis of a traffic pattern: route every
      * demand, accumulate per-link byte loads, and return the maximum
-     * link load divided by the mean per-demand bytes -- i.e. how many
-     * times the busiest link is traversed relative to a single
-     * demand. This matches the paper's notion that "a network link is
-     * traversed by twice as much data as it can support" (§4.3).
+     * link load divided by the largest volume one node sends -- i.e.
+     * how many times the busiest link is traversed relative to what
+     * a node injects. This matches the paper's notion that "a network
+     * link is traversed by twice as much data as it can support"
+     * (§4.3), and splitting a node's data into more demands leaves it
+     * unchanged.
      *
      * Routes are health-aware at time @p now (default: all
      * registered outages applied), so the congestion factor reflects

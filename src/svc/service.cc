@@ -16,7 +16,6 @@
 #include "rt/reliable_layer.h"
 #include "rt/sim_backend.h"
 #include "rt/validation.h"
-#include "rt/workload.h"
 #include "sim/machine.h"
 #include "svc/json.h"
 #include "util/logging.h"
@@ -547,9 +546,8 @@ PlanService::handleSim(const Request &request)
 
     core::TransferProgram program =
         core::withReliability(base);
-    std::string unfit = rt::exchangeFitError(
-        cfg, program.x, program.y, request.words,
-        {program.stagingBuffers, program.reliable});
+    std::string unfit =
+        rt::exchangeFitError(cfg, program, request.words);
     if (!unfit.empty()) {
         // Refused before a machine is built: the service keeps
         // answering instead of dying in the node allocator.
@@ -584,6 +582,9 @@ PlanService::handleSim(const Request &request)
                       w.fragment(), key);
     }
     w.fixed("goodput_mbps", run.perNodeMBps);
+    // A dead endpoint's words are lost to the outage, not corrupt.
+    if (run.lostWords > 0)
+        w.field("lost_words", run.lostWords);
     if (run.result.degraded)
         w.field("transport_degraded", true);
     return finish(request, Status::Ok, Fidelity::Exact, w.fragment(),

@@ -196,6 +196,18 @@ cellConfig(const CellSpec &spec)
     return cfg;
 }
 
+/** The program an exchange cell runs: behind the reliable transport
+ *  on a faulted wire, raw like the paper's measurements otherwise. */
+std::optional<core::TransferProgram>
+cellProgram(const CellSpec &spec)
+{
+    auto program =
+        core::buildProgram(spec.machine, spec.style, spec.x, spec.y);
+    if (program && spec.faults.any())
+        program = core::withReliability(std::move(*program));
+    return program;
+}
+
 /** Why a cell's simulated exchange cannot run: an outage target
  *  its machine lacks, or buffers that cannot fit a node's RAM; empty
  *  when it can or the cell runs no exchange sim. */
@@ -207,15 +219,9 @@ cellFitError(const CellSpec &spec)
     sim::MachineConfig cfg = cellConfig(spec);
     if (std::string bad = sim::machineConfigError(cfg); !bad.empty())
         return bad;
-    auto program =
-        core::buildProgram(spec.machine, spec.style, spec.x, spec.y);
-    if (!program)
-        return {};
-    // Faulted cells run the reliable transport (runCell), which
-    // degrades to buffer packing if the deposit engine dies.
-    return rt::exchangeFitError(
-        cfg, spec.x, spec.y, spec.words,
-        {program->stagingBuffers, spec.faults.any()});
+    auto program = cellProgram(spec);
+    return program ? rt::exchangeFitError(cfg, *program, spec.words)
+                   : std::string();
 }
 
 std::optional<Grid>
@@ -459,8 +465,7 @@ runCell(const CellSpec &spec)
         return result;
     }
 
-    auto program =
-        core::buildProgram(spec.machine, spec.style, spec.x, spec.y);
+    auto program = cellProgram(spec);
     if (!program)
         return result; // filtered at expansion; defensive only
 
@@ -490,17 +495,13 @@ runCell(const CellSpec &spec)
     if (spec.nodes > kScaleSimNodes)
         return result;
 
-    // Faulted wires need the reliable transport to deliver at all;
-    // clean cells run the raw program like the paper's measurements.
-    core::TransferProgram to_run =
-        spec.faults.any() ? core::withReliability(*program)
-                          : *program;
     rt::SimBackend backend(cfg);
-    rt::SimRun run = backend.exchange(to_run, spec.words);
+    rt::SimRun run = backend.exchange(*program, spec.words);
     result.simMBps = run.perNodeMBps;
     result.makespanCycles =
         static_cast<std::uint64_t>(run.result.makespan);
     result.corruptWords = run.corruptWords;
+    result.lostWords = run.lostWords;
     return result;
 }
 
@@ -542,8 +543,10 @@ resultsJson(const std::vector<CellResult> &results)
            << "\", \"sim_mbps\": " << r.simMBps
            << ", \"model_mbps\": " << r.modelMBps
            << ", \"makespan_cycles\": " << r.makespanCycles
-           << ", \"corrupt_words\": " << r.corruptWords
-           << ", \"congestion\": " << r.congestion << "}"
+           << ", \"corrupt_words\": " << r.corruptWords;
+        if (r.lostWords > 0)
+            os << ", \"lost_words\": " << r.lostWords;
+        os << ", \"congestion\": " << r.congestion << "}"
            << (i + 1 < results.size() ? "," : "") << "\n";
     }
     os << "  ]\n}\n";

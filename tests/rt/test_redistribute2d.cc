@@ -147,9 +147,9 @@ TEST(Redistribute2d, VerifyCountsEveryWrongWord)
     auto w = Redistribution2dWorkload::create(m, rowBlock(32, 4),
                                               rowBlock(32, 4), true);
     w.fillInput(m);
-    // Nothing has moved yet: every element that changes owner is
-    // still missing (the 4 diagonal 8x8 blocks keep theirs).
-    EXPECT_EQ(w.verify(m), 32u * 32u - 4u * 8u * 8u);
+    // Nothing has moved yet: every element of B is still missing,
+    // the 4 diagonal 8x8 blocks a node sends itself included.
+    EXPECT_EQ(w.verify(m), 32u * 32u);
     ChainedLayer layer;
     layer.run(m, w.op());
     ASSERT_EQ(w.verify(m), 0u);
@@ -161,6 +161,27 @@ TEST(Redistribute2d, VerifyCountsEveryWrongWord)
     const Flow &flow = *flow_it;
     auto &ram = m.node(flow.dst).ram();
     ram.writeWord(flow.dstWalk.elementAddr(ram, 0), 0);
+    EXPECT_EQ(w.verify(m), 1u);
+}
+
+TEST(Redistribute2d, VerifyChecksSelfDeliveredBlocks)
+{
+    sim::Machine m(sim::t3dConfig({2, 2, 1}));
+    auto w = Redistribution2dWorkload::create(m, rowBlock(32, 4),
+                                              rowBlock(32, 4), true);
+    w.fillInput(m);
+    ChainedLayer layer;
+    layer.run(m, w.op());
+    ASSERT_EQ(w.verify(m), 0u);
+    // Clobber one word a node delivered to itself (a diagonal block
+    // of the transpose): it is as wrong as one that crossed the
+    // network.
+    auto flow_it = std::find_if(
+        w.op().flows.begin(), w.op().flows.end(),
+        [](const Flow &f) { return f.src == f.dst; });
+    ASSERT_NE(flow_it, w.op().flows.end());
+    auto &ram = m.node(flow_it->dst).ram();
+    ram.writeWord(flow_it->dstWalk.elementAddr(ram, 0), 0);
     EXPECT_EQ(w.verify(m), 1u);
 }
 

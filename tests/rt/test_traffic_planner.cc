@@ -47,14 +47,32 @@ TEST(TrafficPlanner, BidirectionalExchangeDoublesEjectionLoad)
 {
     // The SOR overlap exchange sends both ways; interior nodes
     // receive from two neighbours through one ejection port, which
-    // the paper's "congestion of one or two" for shifts covers.
+    // carries twice one boundary row. Each of them also sends two
+    // rows, one per neighbour, so the port runs at exactly the
+    // node's own send volume: no link is traversed by more data than
+    // its sender injects, the §4.3 congestion of one for a shift on
+    // private ports.
     sim::Machine m(sim::paragonConfig({8, 1}));
     apps::SorConfig cfg;
     cfg.n = 256;
     auto w = apps::SorWorkload::create(m, cfg);
     auto plan = planForTraffic(m, w.op());
-    EXPECT_GE(plan.congestion, 1.5);
-    EXPECT_LE(plan.congestion, 2.0);
+    EXPECT_DOUBLE_EQ(plan.congestion, 1.0);
+}
+
+TEST(TrafficPlanner, TransposeCongestionIsPerNode)
+{
+    // The §3.4.1 transpose (n = 1024 on 64 nodes) moves one 16 x 16
+    // patch to every other node as 16 row flows. Per node, the
+    // shared T3D ports carry both PEs' data: congestion two, however
+    // many flows a patch is split into.
+    sim::Machine m(sim::configFor(core::MachineId::T3d, 64));
+    apps::TransposeConfig cfg;
+    cfg.n = 1024;
+    auto w = apps::TransposeWorkload::create(m, cfg);
+    ASSERT_GT(w.op().flows.size(), 64u * 63u);
+    auto plan = planForTraffic(m, w.op());
+    EXPECT_DOUBLE_EQ(plan.congestion, 2.0);
 }
 
 TEST(TrafficPlanner, FanInPatternRaisesCongestion)

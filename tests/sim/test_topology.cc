@@ -121,34 +121,39 @@ TEST(Topology, EmptyDemandsCongestionOne)
     EXPECT_DOUBLE_EQ(t.congestionOf({{2, 2, 100}}), 1.0);
 }
 
-// The dense reference: per-link load array sized linkCount, the
-// implementation analyzeCongestion() replaced with a sparse
-// accumulation. Byte-identical factors are required at every node
-// count, so the active-set rewrite is observability-invisible.
+// The dense reference: per-link load and per-node send arrays sized
+// linkCount and nodeCount, the implementation analyzeCongestion()
+// replaced with a sparse accumulation. Byte-identical factors are
+// required at every node count, so the active-set rewrite is
+// observability-invisible.
 double
 denseCongestionOf(const Topology &t,
                   const std::vector<TrafficDemand> &demands)
 {
     std::vector<double> load(static_cast<std::size_t>(t.linkCount()),
                              0.0);
-    double total = 0.0;
+    std::vector<double> sent(static_cast<std::size_t>(t.nodeCount()),
+                             0.0);
     int routed = 0;
     for (const auto &d : demands) {
         if (d.bytes == 0 || d.src == d.dst)
             continue;
         ++routed;
-        total += static_cast<double>(d.bytes);
+        sent[static_cast<std::size_t>(d.src)] +=
+            static_cast<double>(d.bytes);
         for (LinkId link : t.route(d.src, d.dst))
             load[static_cast<std::size_t>(link)] +=
                 static_cast<double>(d.bytes);
     }
     if (routed == 0)
         return 1.0;
-    double mean = total / routed;
+    double busiest_sender = 0.0;
+    for (double b : sent)
+        busiest_sender = std::max(busiest_sender, b);
     double peak = 0.0;
     for (double l : load)
         peak = std::max(peak, l);
-    return std::max(1.0, peak / mean);
+    return std::max(1.0, peak / busiest_sender);
 }
 
 TEST(Topology, SparseCongestionMatchesDenseReference)
@@ -179,6 +184,35 @@ TEST(Topology, SparseCongestionMatchesDenseReference)
             EXPECT_EQ(report.unroutable, 0);
             EXPECT_GT(report.touchedLinks, 0);
             EXPECT_LE(report.touchedLinks, t.linkCount());
+        }
+    }
+}
+
+TEST(Topology, CongestionIsInvariantUnderSplittingFlows)
+{
+    // A node that sends its data as k messages instead of one loads
+    // every link exactly as much, so the factor must not move: the
+    // unit is the node's send volume, not the mean demand.
+    for (TopologyConfig cfg :
+         {TopologyConfig{{4, 4, 4}, true, 2},
+          TopologyConfig{{8, 8}, false, 1}}) {
+        Topology t(cfg);
+        std::vector<TrafficDemand> whole;
+        for (int n = 0; n < 64; ++n) {
+            whole.push_back({n, (n + 5) % 64, 6144});
+            whole.push_back({n, (n + 17) % 64, 3072});
+        }
+        double base = t.congestionOf(whole);
+        for (int k : {2, 3, 8}) {
+            std::vector<TrafficDemand> split;
+            for (const TrafficDemand &d : whole)
+                for (int piece = 0; piece < k; ++piece)
+                    split.push_back({d.src, d.dst, d.bytes / k});
+            CongestionReport report = t.analyzeCongestion(split);
+            EXPECT_DOUBLE_EQ(report.factor, base) << k;
+            EXPECT_DOUBLE_EQ(report.factor,
+                             denseCongestionOf(t, split));
+            EXPECT_EQ(report.routed, static_cast<int>(split.size()));
         }
     }
 }

@@ -16,9 +16,9 @@
  *   ctplan <machine> sim-table        measure the tables on the
  *                                     simulator (the §4 campaign)
  *   ctplan <machine> sim <xQy> [words]
- *                                     run a pairwise exchange on the
- *                                     simulator behind the reliable
- *                                     transport
+ *                                     run a pairwise exchange of the
+ *                                     --transport program through
+ *                                     rt::SimBackend
  *   ctplan validate                   cross-validate the analytic
  *                                     and simulation backends over
  *                                     every machine x style x legal
@@ -74,11 +74,10 @@
 
 #include "core/parser.h"
 #include "core/planner.h"
+#include "core/style_registry.h"
 #include "obs/trace.h"
-#include "rt/chained_layer.h"
-#include "rt/packing_layer.h"
-#include "rt/reliable_layer.h"
 #include "rt/resilience.h"
+#include "rt/sim_backend.h"
 #include "rt/validation.h"
 #include "rt/workload.h"
 #include "sim/chaos.h"
@@ -100,16 +99,6 @@ using P = core::AccessPattern;
 constexpr int kExitOk = 0;
 constexpr int kExitUsage = 2;
 constexpr int kExitRuntime = 3;
-
-/** Wire layer of the sim subcommand. Reliable is the default and
- *  the only one that can absorb faults; raw and packing run the bare
- *  parallel-safe layers (the paths the parallel engine exercises). */
-enum class SimTransport
-{
-    Reliable,
-    Raw,
-    Packing,
-};
 
 /** Subcommand bits; a flag's scope is the union of its subcommands. */
 enum : unsigned
@@ -142,7 +131,12 @@ struct Invocation
     obs::TraceFormat traceFormat = obs::TraceFormat::Chrome;
     std::string metricsFile;
     int threads = 1;
-    SimTransport transport = SimTransport::Reliable;
+    /** sim's --transport: the registry style and whether the
+     *  reliable transport (the default, and the only one that absorbs
+     *  faults) wraps it. raw and packing run bare chained and
+     *  buffer-packing, the layers the parallel engine exercises. */
+    std::string style = "chained";
+    bool reliable = true;
     bool json = false;
     std::string outFile;
     std::string grid;
@@ -281,11 +275,11 @@ printOutages(const sim::Topology &topo, sim::Cycles end,
 }
 
 /**
- * Run a pairwise exchange of [words] elements on the simulator
- * behind the reliable transport, optionally under an injected fault
- * load and a chaos campaign. Static mode runs the chained layer in
- * one shot; --adaptive slices the exchange into rounds under the
- * closed-loop resilience controller.
+ * Run a pairwise exchange of [words] elements on the simulator,
+ * optionally under an injected fault load and a chaos campaign.
+ * Static mode runs the --transport program in one shot through
+ * rt::SimBackend; --adaptive slices the exchange into rounds under
+ * the closed-loop resilience controller.
  */
 int
 runSim(const Invocation &inv)
@@ -302,56 +296,38 @@ runSim(const Invocation &inv)
     cfg.chaos = inv.chaos;
     // 1 = serial: run the plain event loop, no engine constructed.
     cfg.threads = inv.threads == 1 ? 0 : inv.threads;
-    // The staging rings the run can allocate: buffer packing's, and
-    // the reliable transport's packing fallback if the deposit
-    // engine dies. Every adaptive round builds a fresh reliable
-    // layer of the controller's style, chained or buffer packing.
-    rt::ExchangeLayers layers;
-    if (inv.adaptive)
-        layers = {1, true, inv.rounds};
-    else if (inv.transport == SimTransport::Packing)
-        layers.stagingBuffers = 1;
-    else if (inv.transport == SimTransport::Reliable)
-        layers.degradeToPacking = true;
+    auto program = core::buildProgram(inv.machine, inv.style, x, y);
+    if (!program)
+        return usage("no " + inv.style + " program for " + xqy);
+    if (inv.reliable)
+        program = core::withReliability(std::move(*program));
     // Refuse outage targets the machine lacks and buffers that
-    // cannot fit node RAM before building anything.
+    // cannot fit node RAM before building anything. Every adaptive
+    // round builds a fresh reliable layer of the controller's style,
+    // chained or buffer packing.
     std::string unfit = sim::machineConfigError(cfg);
     if (unfit.empty())
-        unfit = rt::exchangeFitError(cfg, x, y, words, layers);
+        unfit = inv.adaptive
+                    ? rt::exchangeFitError(cfg, x, y, words,
+                                           {1, true, inv.rounds})
+                    : rt::exchangeFitError(cfg, *program, words);
     if (!unfit.empty()) {
         std::fprintf(stderr, "%s\n", unfit.c_str());
         return kExitUsage;
     }
-    sim::Machine m(cfg);
+    rt::SimBackend backend(cfg);
+    sim::Machine m(backend.config());
 
     std::unique_ptr<obs::Tracer> tracer;
     if (!inv.traceFile.empty()) {
         tracer = std::make_unique<obs::Tracer>(1 << 20);
         m.setTracer(tracer.get());
     }
-
-    auto op = rt::pairExchange(m, x, y, words);
-
-    // Flows touching nodes that are down before the run starts can
-    // never deliver; plan around them instead of timing them out.
     const sim::Topology &topo = m.topology();
-    std::uint64_t planned_out = 0;
-    if (topo.anyOutages()) {
-        std::vector<rt::Flow> live;
-        for (const rt::Flow &flow : op.flows) {
-            if (topo.nodeAlive(flow.src, 0) &&
-                topo.nodeAlive(flow.dst, 0))
-                live.push_back(flow);
-            else
-                planned_out += flow.words;
-        }
-        op.flows = std::move(live);
-    }
 
     if (inv.adaptive) {
-        // The resilience controller drives the reliable transport,
-        // whose cancellable retransmit timers are not window-safe.
-        m.setParallelEnabled(false);
+        auto op = rt::pairExchange(m, x, y, words);
+        std::uint64_t planned_out = rt::dropDeadFlows(op, topo, 0);
         rt::ResilienceOptions options;
         rt::ResilienceController controller(cfg, x, y, options);
         rt::AdaptiveResult ar =
@@ -415,37 +391,9 @@ runSim(const Invocation &inv)
         return ar.corruptWords == 0 ? kExitOk : kExitRuntime;
     }
 
-    rt::seedSources(m, op);
-    std::unique_ptr<rt::MessageLayer> layer;
-    rt::ReliableLayer *reliable = nullptr;
-    if (inv.transport == SimTransport::Raw) {
-        layer = std::make_unique<rt::ChainedLayer>();
-    } else if (inv.transport == SimTransport::Packing) {
-        layer = std::make_unique<rt::PackingLayer>();
-    } else {
-        auto rl = rt::makeReliableChained();
-        reliable = rl.get();
-        layer = std::move(rl);
-    }
-    m.setParallelEnabled(layer->parallelSafe());
-    m.setParallelLookahead(layer->parallelLookahead(m, op));
-    auto result = layer->run(m, op);
-
-    // Exclude flows whose endpoint died mid-run from verification;
-    // their loss is a reported outage, not a corruption.
-    std::uint64_t lost_words = planned_out;
-    rt::CommOp check;
-    check.name = op.name;
+    rt::SimRun run = backend.exchangeOn(m, *program, words);
+    const rt::ReliableStats &t = run.transport;
     sim::Cycles end = m.events().now();
-    for (const rt::Flow &flow : op.flows) {
-        if (!topo.anyOutages() || (topo.nodeAlive(flow.src, end) &&
-                                   topo.nodeAlive(flow.dst, end)))
-            check.flows.push_back(flow);
-        else
-            lost_words += flow.words;
-    }
-    std::uint64_t bad = rt::verifyDelivery(m, check);
-
     const auto &n = m.network().stats();
     std::printf("%s %s, %llu words/node, faults: %s",
                 cfg.name.c_str(), xqy.c_str(),
@@ -454,8 +402,8 @@ runSim(const Invocation &inv)
     if (inv.chaos.any())
         std::printf(", chaos: %s", inv.chaos.summary().c_str());
     std::printf("\n");
-    std::printf("  layer           %s%s\n", layer->name().c_str(),
-                result.degraded ? "  [DEGRADED to packing]" : "");
+    std::printf("  layer           %s%s\n", run.layerName.c_str(),
+                run.result.degraded ? "  [DEGRADED to packing]" : "");
     // Engine diagnostics go to stderr: the stdout report is part of
     // the determinism contract and must not vary with --threads.
     if (const sim::ParallelEngine *pe = m.parallelEngine())
@@ -469,38 +417,34 @@ runSim(const Invocation &inv)
                      static_cast<unsigned long long>(
                          pe->stats().windows));
     std::printf("  goodput         %.2f MB/s per node\n",
-                result.perNodeMBps(m));
+                run.perNodeMBps);
     std::printf("  makespan        %llu cycles\n",
-                static_cast<unsigned long long>(result.makespan));
+                static_cast<unsigned long long>(run.result.makespan));
     std::printf("  wire bytes      %llu\n",
                 static_cast<unsigned long long>(n.wireBytes));
-    if (reliable) {
-        const auto &t = reliable->stats();
+    if (program->reliable)
         std::printf("  data packets    %llu  (+%llu retransmits)\n",
                     static_cast<unsigned long long>(t.dataPackets),
                     static_cast<unsigned long long>(t.retransmits));
-    }
     std::printf("  dropped/corrupt %llu/%llu on the wire\n",
                 static_cast<unsigned long long>(n.droppedPackets),
                 static_cast<unsigned long long>(n.corruptedPackets));
     if (topo.anyOutages()) {
         printOutages(topo, end, n);
-        if (lost_words > 0)
+        if (run.lostWords > 0)
             std::printf("  lost to outages %llu words "
                         "(dead endpoints)\n",
-                        static_cast<unsigned long long>(lost_words));
+                        static_cast<unsigned long long>(run.lostWords));
     }
     std::printf("  delivery        %s\n",
-                bad == 0 ? "bit-exact" : "CORRUPTED");
+                run.corruptWords == 0 ? "bit-exact" : "CORRUPTED");
 
     if (int rc = writeObsOutputs(m, tracer.get(), inv, cfg.clockHz))
         return rc;
 
     // Abandoned delivery that was not absorbed by a degradation path
     // is a silent data-loss bug; fail loudly and name the channels.
-    if (reliable && reliable->stats().abandoned > 0 &&
-        !result.degraded) {
-        const auto &t = reliable->stats();
+    if (t.abandoned > 0 && !run.result.degraded) {
         std::fprintf(stderr,
                      "ERROR: reliable transport abandoned %llu "
                      "packet(s) without degradation; affected "
@@ -510,7 +454,7 @@ runSim(const Invocation &inv)
             std::fprintf(stderr, "  %d -> %d\n", src, dst);
         return kExitRuntime;
     }
-    return bad == 0 ? kExitOk : kExitRuntime;
+    return run.corruptWords == 0 ? kExitOk : kExitRuntime;
 }
 
 /** Print a validate or sweep report, as text or --json, and write
@@ -834,14 +778,10 @@ const Flag kFlags[] = {
      }},
     {"--transport", kSim, "reliable|raw|packing",
      [](const std::string &t, Invocation &inv) {
-         if (t == "reliable")
-             inv.transport = SimTransport::Reliable;
-         else if (t == "raw")
-             inv.transport = SimTransport::Raw;
-         else if (t == "packing")
-             inv.transport = SimTransport::Packing;
-         else
+         if (t != "reliable" && t != "raw" && t != "packing")
              return std::string("expected reliable, raw or packing");
+         inv.style = t == "packing" ? "buffer-packing" : "chained";
+         inv.reliable = t == "reliable";
          return std::string();
      }},
     {"--json", kPlan | kValidate | kSweep, nullptr,
@@ -1049,7 +989,7 @@ main(int argc, char **argv)
         return usage("sweep requires --grid=SPEC");
     if (inv.given.contains("--rounds") && !inv.adaptive)
         return usage("--rounds requires --adaptive");
-    if (inv.transport != SimTransport::Reliable &&
+    if (!inv.reliable &&
         (inv.given.contains("--faults") ||
          inv.given.contains("--chaos") || inv.adaptive))
         return usage("--transport=raw/packing runs without the "
