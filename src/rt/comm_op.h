@@ -133,11 +133,9 @@ void seedSources(sim::Machine &machine, const CommOp &op);
 std::uint64_t verifyDelivery(sim::Machine &machine, const CommOp &op);
 
 /**
- * The outage rule: remove the flows of @p op with an endpoint down
- * at cycle @p at and return their words, which are lost, not
- * corrupt. Applied at cycle 0 before seeding (plan dead flows out)
- * and at the end of a run before verifying. Keeps the survivors'
- * order.
+ * The outage rule: remove @p op's flows with an endpoint down at
+ * cycle @p at, keeping the rest in order, and return their words:
+ * lost, not corrupt. Applied at cycle 0 and again before verifying.
  */
 std::uint64_t dropDeadFlows(CommOp &op, const sim::Topology &topo,
                             sim::Cycles at);

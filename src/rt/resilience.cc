@@ -361,8 +361,6 @@ runAdaptiveExchange(sim::Machine &machine, const CommOp &op,
     if (rounds < 1)
         util::fatal("runAdaptiveExchange: rounds must be >= 1, got ",
                     rounds);
-    // Every round runs the reliable transport, whose cancellable
-    // retransmit timers are not window-safe.
     machine.setParallelEnabled(false);
     AdaptiveResult result;
     result.payloadBytes = op.totalBytes();

@@ -267,7 +267,7 @@ struct AdaptiveResult
  * round. Decision points are emitted as cat "policy" tracer instants.
  * Sources are seeded once up front and the whole op is verified at
  * the end (flows with a dead endpoint excluded). Runs serially: the
- * machine's parallel engine is switched off.
+ * reliable transport's retransmit timers are not window-safe.
  */
 AdaptiveResult runAdaptiveExchange(sim::Machine &machine,
                                    const CommOp &op,

@@ -13,9 +13,8 @@
  * constants by construction. Reliable programs are wrapped in the
  * ReliableLayer transport.
  *
- * SimBackend is the only driver of a single-shot simulated exchange
- * (`ctplan sim`, the service, sweep cells, crossValidate), outage
- * rule (rt::dropDeadFlows) included.
+ * The only driver of a single-shot simulated exchange (ctplan sim,
+ * the service, sweep cells, crossValidate), outage rule included.
  */
 
 #ifndef CT_RT_SIM_BACKEND_H
@@ -60,8 +59,7 @@ struct SimRun
     util::MBps totalMBps = 0.0;
     /** Words that arrived with the wrong value (0 = verified). */
     std::uint64_t corruptWords = 0;
-    /** Words of flows with a dead endpoint (rt::dropDeadFlows):
-     *  lost to the outage, not corrupt, and not verified. */
+    /** Words of flows with a dead endpoint: lost, not verified. */
     std::uint64_t lostWords = 0;
     /** Transport counters of a reliable program (zero otherwise). */
     ReliableStats transport;

@@ -421,12 +421,11 @@ Topology::analyzeCongestion(const std::vector<TrafficDemand> &demands,
                             CongestionScratch &scratch) const
 {
     // Per-link loads accumulate into a hash map keyed by the links the
-    // routed demands actually touch, and per-sender volumes into one
-    // keyed by the sending nodes, so the footprint is proportional to
-    // the traffic pattern, never to linkCount() or nodeCount(). Each
-    // sum adds the same bytes in the same demand order as dense
-    // arrays would, and the peaks are maxima (order independent), so
-    // the factor is bit-identical to the dense analysis.
+    // routed demands actually touch, and each demand's (sender, bytes)
+    // into a list, so the footprint follows the traffic pattern, never
+    // linkCount() or nodeCount(). Sums of whole byte counts are exact
+    // in any order and the peaks are maxima, so the factor is
+    // bit-identical to the dense analysis.
     auto &load = scratch.load;
     auto &sent = scratch.sent;
     load.clear();
@@ -448,19 +447,24 @@ Topology::analyzeCongestion(const std::vector<TrafficDemand> &demands,
             links = &scratch.route;
         }
         ++report.routed;
-        sent[demand.src] += static_cast<double>(demand.bytes);
+        sent.emplace_back(demand.src, static_cast<double>(demand.bytes));
         for (LinkId link : *links)
             load[link] += static_cast<double>(demand.bytes);
     }
     report.touchedLinks = static_cast<int>(load.size());
     if (report.routed == 0)
         return report; // factor stays at the 1.0 floor
-    // The unit is what one node injects, not one demand: a node that
-    // splits its data into k messages loads every link the same, so
-    // the factor must not grow k-fold.
-    double busiest_sender = 0.0;
-    for (const auto &[node, bytes] : sent)
-        busiest_sender = std::max(busiest_sender, bytes);
+    // The unit is what one node injects: splitting its data into k
+    // demands must not grow the factor k-fold. Builders emit demands
+    // grouped by sender, so the sort is rare.
+    if (!std::is_sorted(sent.begin(), sent.end()))
+        std::sort(sent.begin(), sent.end());
+    double busiest_sender = 0.0, node_bytes = 0.0;
+    for (std::size_t i = 0; i < sent.size(); ++i) {
+        bool same = i > 0 && sent[i].first == sent[i - 1].first;
+        node_bytes = (same ? node_bytes : 0.0) + sent[i].second;
+        busiest_sender = std::max(busiest_sender, node_bytes);
+    }
     double peak = 0.0;
     for (const auto &[link, bytes] : load)
         peak = std::max(peak, bytes);

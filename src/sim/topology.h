@@ -97,8 +97,7 @@ struct RouteInfo
  */
 struct CongestionReport
 {
-    /** Max link load over the largest per-node routed send
-     *  volume, clamped >= 1. */
+    /** Max link load over the busiest node's routed sends, >= 1. */
     double factor = 1.0;
     /** Demands that carried load (non-zero bytes, live route). */
     int routed = 0;
@@ -113,15 +112,15 @@ struct CongestionReport
 
 /**
  * Reusable buffers for analyzeCongestion(). Footprint is
- * O(links touched + nodes sending), not O(total links); reusing one
- * scratch across calls avoids re-allocating the maps and route
+ * O(links touched + demands routed), not O(total links); reusing one
+ * scratch avoids re-allocating the load map, send list and route
  * buffers per analysis. Not thread-safe: one scratch per caller.
  */
 struct CongestionScratch
 {
     std::unordered_map<LinkId, double> load;
-    /** Routed bytes per sending node. */
-    std::unordered_map<NodeId, double> sent;
+    /** (sender, bytes) of each routed demand, summed per node. */
+    std::vector<std::pair<NodeId, double>> sent;
     std::vector<LinkId> route;
     RouteInfo healthy;
 };
@@ -224,12 +223,11 @@ class Topology
     /**
      * Static congestion analysis of a traffic pattern: route every
      * demand, accumulate per-link byte loads, and return the maximum
-     * link load divided by the largest volume one node sends -- i.e.
-     * how many times the busiest link is traversed relative to what
-     * a node injects. This matches the paper's notion that "a network
-     * link is traversed by twice as much data as it can support"
-     * (§4.3), and splitting a node's data into more demands leaves it
-     * unchanged.
+     * link load divided by the most bytes one node sends -- how many
+     * times the busiest link carries what a node injects, unchanged
+     * by splitting a node's data into more demands. This matches the
+     * paper's notion that "a network link is traversed by twice as
+     * much data as it can support" (§4.3).
      *
      * Routes are health-aware at time @p now (default: all
      * registered outages applied), so the congestion factor reflects

@@ -544,8 +544,7 @@ PlanService::handleSim(const Request &request)
                       w.fragment(), key);
     }
 
-    core::TransferProgram program =
-        core::withReliability(base);
+    core::TransferProgram program = core::withReliability(base);
     std::string unfit =
         rt::exchangeFitError(cfg, program, request.words);
     if (!unfit.empty()) {

@@ -80,8 +80,7 @@ struct CellResult
     double modelMBps = 0.0;
     std::uint64_t makespanCycles = 0;
     std::uint64_t corruptWords = 0;
-    /** Words lost to a dead endpoint (rt::SimRun::lostWords): not
-     *  delivered, and not counted as corrupt. */
+    /** Words lost to a dead endpoint, not counted as corrupt. */
     std::uint64_t lostWords = 0;
     /** Analyzed congestion of the cell's pair-exchange pattern on
      *  the scaled topology; 0 for non-scale cells. */

@@ -131,10 +131,8 @@ struct Invocation
     obs::TraceFormat traceFormat = obs::TraceFormat::Chrome;
     std::string metricsFile;
     int threads = 1;
-    /** sim's --transport: the registry style and whether the
-     *  reliable transport (the default, and the only one that absorbs
-     *  faults) wraps it. raw and packing run bare chained and
-     *  buffer-packing, the layers the parallel engine exercises. */
+    /** sim's --transport: a registry style, by default behind the
+     *  reliable transport, the only one that absorbs faults. */
     std::string style = "chained";
     bool reliable = true;
     bool json = false;
@@ -260,20 +258,6 @@ writeObsOutputs(sim::Machine &m, obs::Tracer *tracer,
     return 0;
 }
 
-/** The outage line of a sim report. */
-void
-printOutages(const sim::Topology &topo, sim::Cycles end,
-             const sim::NetworkStats &n)
-{
-    std::printf("  outages         %d links / %d nodes down, "
-                "%llu packets rerouted (%llu links detoured), "
-                "%llu unroutable\n",
-                topo.downedLinks(end), topo.downedNodes(end),
-                static_cast<unsigned long long>(n.reroutedPackets),
-                static_cast<unsigned long long>(n.reroutedLinks),
-                static_cast<unsigned long long>(n.unroutablePackets));
-}
-
 /**
  * Run a pairwise exchange of [words] elements on the simulator,
  * optionally under an injected fault load and a chaos campaign.
@@ -301,10 +285,9 @@ runSim(const Invocation &inv)
         return usage("no " + inv.style + " program for " + xqy);
     if (inv.reliable)
         program = core::withReliability(std::move(*program));
-    // Refuse outage targets the machine lacks and buffers that
-    // cannot fit node RAM before building anything. Every adaptive
-    // round builds a fresh reliable layer of the controller's style,
-    // chained or buffer packing.
+    // Refuse outage targets the machine lacks and buffers that cannot
+    // fit node RAM before building anything. Every adaptive round
+    // builds a fresh reliable chained or buffer-packing layer.
     std::string unfit = sim::machineConfigError(cfg);
     if (unfit.empty())
         unfit = inv.adaptive
@@ -325,32 +308,59 @@ runSim(const Invocation &inv)
     }
     const sim::Topology &topo = m.topology();
 
+    // An --adaptive run fills the report's common lines the way a
+    // SimBackend run does.
+    rt::SimRun run;
+    rt::AdaptiveResult ar;
+    std::uint64_t planned_out = 0;
     if (inv.adaptive) {
         auto op = rt::pairExchange(m, x, y, words);
-        std::uint64_t planned_out = rt::dropDeadFlows(op, topo, 0);
+        planned_out = rt::dropDeadFlows(op, topo, 0);
         rt::ResilienceOptions options;
         rt::ResilienceController controller(cfg, x, y, options);
-        rt::AdaptiveResult ar =
-            rt::runAdaptiveExchange(m, op, controller, inv.rounds);
+        ar = rt::runAdaptiveExchange(m, op, controller, inv.rounds);
+        run.layerName = "adaptive (" + options.initialStyle + " -> " +
+                        ar.finalStyle + "), " +
+                        std::to_string(ar.rounds) + " rounds";
+        run.result = {.makespan = ar.makespan, .degraded = ar.degraded};
+        run.perNodeMBps = m.toMBps(op.maxBytesPerSender(), ar.makespan);
+        run.corruptWords = ar.corruptWords;
+    } else {
+        run = backend.exchangeOn(m, *program, words);
+    }
 
-        sim::Cycles end = m.events().now();
-        const auto &n = m.network().stats();
-        std::printf("%s %s, %llu words/node, faults: %s, chaos: %s\n",
-                    cfg.name.c_str(), xqy.c_str(),
-                    static_cast<unsigned long long>(words),
-                    inv.faults.summary().c_str(),
-                    inv.chaos.summary().c_str());
-        std::printf("  layer           adaptive (%s -> %s), "
-                    "%d rounds%s\n",
-                    options.initialStyle.c_str(),
-                    ar.finalStyle.c_str(), ar.rounds,
-                    ar.degraded ? "  [DEGRADED to packing]" : "");
-        std::printf("  goodput         %.2f MB/s per node\n",
-                    m.toMBps(op.maxBytesPerSender(), ar.makespan));
-        std::printf("  makespan        %llu cycles\n",
-                    static_cast<unsigned long long>(ar.makespan));
-        std::printf("  wire bytes      %llu\n",
-                    static_cast<unsigned long long>(n.wireBytes));
+    const rt::ReliableStats &t = run.transport;
+    sim::Cycles end = m.events().now();
+    const auto &n = m.network().stats();
+    std::printf("%s %s, %llu words/node, faults: %s",
+                cfg.name.c_str(), xqy.c_str(),
+                static_cast<unsigned long long>(words),
+                inv.faults.summary().c_str());
+    if (inv.adaptive || inv.chaos.any())
+        std::printf(", chaos: %s", inv.chaos.summary().c_str());
+    std::printf("\n");
+    std::printf("  layer           %s%s\n", run.layerName.c_str(),
+                run.result.degraded ? "  [DEGRADED to packing]" : "");
+    // Engine diagnostics go to stderr: the stdout report is part of
+    // the determinism contract and must not vary with --threads.
+    // Adaptive runs are serial.
+    if (const auto *pe = inv.adaptive ? nullptr : m.parallelEngine())
+        std::fprintf(stderr,
+                     "  engine          %d threads, lookahead %llu "
+                     "cycles, %llu/%llu windows parallel\n",
+                     pe->threads(),
+                     static_cast<unsigned long long>(pe->lookahead()),
+                     static_cast<unsigned long long>(
+                         pe->stats().parallelWindows),
+                     static_cast<unsigned long long>(
+                         pe->stats().windows));
+    std::printf("  goodput         %.2f MB/s per node\n",
+                run.perNodeMBps);
+    std::printf("  makespan        %llu cycles\n",
+                static_cast<unsigned long long>(run.result.makespan));
+    std::printf("  wire bytes      %llu\n",
+                static_cast<unsigned long long>(n.wireBytes));
+    if (inv.adaptive) {
         std::printf("  decisions       %d style switch(es), %d "
                     "transport retune(s), %d forced checkpoint(s)\n",
                     ar.styleSwitches, ar.transportAdaptations,
@@ -376,66 +386,31 @@ runSim(const Invocation &inv)
         }
         std::printf("  fingerprint     %016llx\n",
                     static_cast<unsigned long long>(ar.fingerprint));
-        if (topo.anyOutages())
-            printOutages(topo, end, n);
-        if (planned_out > 0 || ar.skippedFlows > 0)
-            std::printf("  lost to outages %llu words planned out, "
-                        "%d flow(s) unverifiable (dead endpoint)\n",
-                        static_cast<unsigned long long>(planned_out),
-                        ar.skippedFlows);
-        std::printf("  delivery        %s\n",
-                    ar.corruptWords == 0 ? "bit-exact" : "CORRUPTED");
-        if (int rc =
-                writeObsOutputs(m, tracer.get(), inv, cfg.clockHz))
-            return rc;
-        return ar.corruptWords == 0 ? kExitOk : kExitRuntime;
+    } else {
+        if (program->reliable)
+            std::printf("  data packets    %llu  (+%llu retransmits)\n",
+                        static_cast<unsigned long long>(t.dataPackets),
+                        static_cast<unsigned long long>(t.retransmits));
+        std::printf("  dropped/corrupt %llu/%llu on the wire\n",
+                    static_cast<unsigned long long>(n.droppedPackets),
+                    static_cast<unsigned long long>(n.corruptedPackets));
     }
-
-    rt::SimRun run = backend.exchangeOn(m, *program, words);
-    const rt::ReliableStats &t = run.transport;
-    sim::Cycles end = m.events().now();
-    const auto &n = m.network().stats();
-    std::printf("%s %s, %llu words/node, faults: %s",
-                cfg.name.c_str(), xqy.c_str(),
-                static_cast<unsigned long long>(words),
-                inv.faults.summary().c_str());
-    if (inv.chaos.any())
-        std::printf(", chaos: %s", inv.chaos.summary().c_str());
-    std::printf("\n");
-    std::printf("  layer           %s%s\n", run.layerName.c_str(),
-                run.result.degraded ? "  [DEGRADED to packing]" : "");
-    // Engine diagnostics go to stderr: the stdout report is part of
-    // the determinism contract and must not vary with --threads.
-    if (const sim::ParallelEngine *pe = m.parallelEngine())
-        std::fprintf(stderr,
-                     "  engine          %d threads, lookahead %llu "
-                     "cycles, %llu/%llu windows parallel\n",
-                     pe->threads(),
-                     static_cast<unsigned long long>(pe->lookahead()),
-                     static_cast<unsigned long long>(
-                         pe->stats().parallelWindows),
-                     static_cast<unsigned long long>(
-                         pe->stats().windows));
-    std::printf("  goodput         %.2f MB/s per node\n",
-                run.perNodeMBps);
-    std::printf("  makespan        %llu cycles\n",
-                static_cast<unsigned long long>(run.result.makespan));
-    std::printf("  wire bytes      %llu\n",
-                static_cast<unsigned long long>(n.wireBytes));
-    if (program->reliable)
-        std::printf("  data packets    %llu  (+%llu retransmits)\n",
-                    static_cast<unsigned long long>(t.dataPackets),
-                    static_cast<unsigned long long>(t.retransmits));
-    std::printf("  dropped/corrupt %llu/%llu on the wire\n",
-                static_cast<unsigned long long>(n.droppedPackets),
-                static_cast<unsigned long long>(n.corruptedPackets));
-    if (topo.anyOutages()) {
-        printOutages(topo, end, n);
-        if (run.lostWords > 0)
-            std::printf("  lost to outages %llu words "
-                        "(dead endpoints)\n",
-                        static_cast<unsigned long long>(run.lostWords));
-    }
+    if (topo.anyOutages())
+        std::printf("  outages         %d links / %d nodes down, "
+                    "%llu packets rerouted (%llu links detoured), "
+                    "%llu unroutable\n",
+                    topo.downedLinks(end), topo.downedNodes(end),
+                    static_cast<unsigned long long>(n.reroutedPackets),
+                    static_cast<unsigned long long>(n.reroutedLinks),
+                    static_cast<unsigned long long>(n.unroutablePackets));
+    if (run.lostWords > 0)
+        std::printf("  lost to outages %llu words (dead endpoints)\n",
+                    static_cast<unsigned long long>(run.lostWords));
+    if (planned_out > 0 || ar.skippedFlows > 0)
+        std::printf("  lost to outages %llu words planned out, "
+                    "%d flow(s) unverifiable (dead endpoint)\n",
+                    static_cast<unsigned long long>(planned_out),
+                    ar.skippedFlows);
     std::printf("  delivery        %s\n",
                 run.corruptWords == 0 ? "bit-exact" : "CORRUPTED");
 
