@@ -322,7 +322,8 @@ runSim(const Invocation &inv)
         run.layerName = "adaptive (" + options.initialStyle + " -> " +
                         ar.finalStyle + "), " +
                         std::to_string(ar.rounds) + " rounds";
-        run.result = {.makespan = ar.makespan, .degraded = ar.degraded};
+        run.result.makespan = ar.makespan;
+        run.result.degraded = ar.degraded;
         run.perNodeMBps = m.toMBps(op.maxBytesPerSender(), ar.makespan);
         run.corruptWords = ar.corruptWords;
     } else {
