@@ -52,6 +52,9 @@ EXAMPLES = ("quickstart", "fft2d", "earthquake_solver",
             "redistribution_planner")
 PLAN_PATTERNS = ("1Q1", "1Q64", "16Q1", "wQw")
 PLAN_BYTES = (None, "1500", "1550", "65536")
+# Interpolated, clamped, block-strided and indexed leaves on both
+# sides, each planned at one message size.
+PATTERN_PLAN_LABELS = ("1", "3", "16", "64", "256", "1024", "w", "16.2")
 TRANSPORTS = ("reliable", "raw", "packing")
 # The CI fault-matrix rows and the chaos ramp of its adaptive leg.
 FAULT_ROWS = (
@@ -83,6 +86,9 @@ def manifest():
                       ["ctplan", m, "1Q1", "65536", f"--nodes={nodes}",
                        "--json"]]
         yield f"{m}_plans.txt", cmds(*plans)
+        yield f"{m}_pattern_plans.txt", cmds(
+            *[["ctplan", m, f"{x}Q{y}", "8192", "--json"]
+              for x in PATTERN_PLAN_LABELS for y in PATTERN_PLAN_LABELS])
         sim = ["ctplan", m, "sim", "1Q4", "4096"]
         yield f"{m}_sim.txt", cmds(
             *[sim + [f"--transport={t}"] for t in TRANSPORTS],
