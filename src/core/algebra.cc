@@ -8,6 +8,50 @@
 
 namespace ct::core {
 
+void
+SequentialRule::add(util::MBps part)
+{
+    secondsPerMB += 1.0 / part;
+    only = part;
+    ++parts;
+}
+
+util::MBps
+SequentialRule::rate() const
+{
+    if (parts == 0)
+        util::panic("SequentialRule: no parts");
+    return parts == 1 ? only : 1.0 / secondsPerMB;
+}
+
+void
+ParallelRule::add(util::MBps part)
+{
+    slowest = parts == 0 ? part : std::min(slowest, part);
+    ++parts;
+}
+
+util::MBps
+ParallelRule::rate() const
+{
+    if (parts == 0)
+        util::panic("ParallelRule: no parts");
+    return slowest;
+}
+
+util::MBps
+applyConstraints(util::MBps value,
+                 std::span<const ResourceConstraint> constraints)
+{
+    for (const auto &c : constraints) {
+        if (c.demandFactor <= 0.0 || c.limit <= 0.0)
+            util::fatal("applyConstraints: bad constraint '", c.name,
+                        "'");
+        value = std::min(value, c.limit / c.demandFactor);
+    }
+    return value;
+}
+
 namespace {
 
 std::optional<util::MBps>
@@ -24,40 +68,27 @@ evalNode(const TransferExpr &node, const EvalContext &ctx)
         return ctx.table->lookup(t);
       }
       case ExprKind::Seq: {
-        double inv = 0.0;
+        SequentialRule seq;
         for (const auto &child : node.children()) {
             auto v = evalNode(*child, ctx);
             if (!v)
                 return std::nullopt;
-            inv += 1.0 / *v;
+            seq.add(*v);
         }
-        return 1.0 / inv;
+        return seq.rate();
       }
       case ExprKind::Par: {
-        std::optional<util::MBps> best;
+        ParallelRule par;
         for (const auto &child : node.children()) {
             auto v = evalNode(*child, ctx);
             if (!v)
                 return std::nullopt;
-            best = best ? std::min(*best, *v) : *v;
+            par.add(*v);
         }
-        return best;
+        return par.rate();
       }
     }
     util::panic("evalNode: bad kind");
-}
-
-util::MBps
-applyConstraints(util::MBps value,
-                 std::span<const ResourceConstraint> constraints)
-{
-    for (const auto &c : constraints) {
-        if (c.demandFactor <= 0.0 || c.limit <= 0.0)
-            util::fatal("applyConstraints: bad constraint '", c.name,
-                        "'");
-        value = std::min(value, c.limit / c.demandFactor);
-    }
-    return value;
 }
 
 } // namespace

@@ -41,6 +41,50 @@ struct EvalContext
 };
 
 /**
+ * The two composition rules of §3.3, fed one part at a time in
+ * data-flow order. evaluate() applies them to a formula's nodes and
+ * AnalyticBackend::rate() to a program's stages, so each rule exists
+ * once.
+ *
+ * Sequential parts share a resource and pipeline, so their seconds
+ * per MB add: the rate is 1 / sum(1/part). A lone part keeps its own
+ * rate.
+ */
+class SequentialRule
+{
+  public:
+    void add(util::MBps part);
+    /** The composite rate; needs at least one part. */
+    util::MBps rate() const;
+
+  private:
+    double secondsPerMB = 0.0;
+    util::MBps only = 0.0;
+    int parts = 0;
+};
+
+/** Parallel parts run on disjoint resources: the slowest sets the
+ *  rate. */
+class ParallelRule
+{
+  public:
+    void add(util::MBps part);
+    /** The composite rate; needs at least one part. */
+    util::MBps rate() const;
+
+  private:
+    util::MBps slowest = 0.0;
+    int parts = 0;
+};
+
+/**
+ * Cap @p value by each resource bound; fatal on a bound with a
+ * non-positive demand or limit.
+ */
+util::MBps applyConstraints(util::MBps value,
+                            std::span<const ResourceConstraint> constraints);
+
+/**
  * Estimate the throughput of a communication operation.
  *
  * Returns nullopt when some basic transfer in the expression is not

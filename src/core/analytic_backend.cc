@@ -83,13 +83,39 @@ std::optional<util::MBps>
 AnalyticBackend::rate(const TransferProgram &program,
                       double congestion) const
 {
-    if (!program.expr)
+    std::optional<StageFormula> formula = stageFormula(program.stages);
+    if (!formula || program.stages.empty())
         return std::nullopt;
-    EvalContext ctx;
-    ctx.table = &table_;
-    ctx.congestion = congestion;
-    ctx.constraints = program.constraints;
-    return evaluate(program.expr, ctx);
+    auto stageRate = [&](const ProgramStage &s) {
+        if (isNetworkOp(s.transfer.op))
+            return table_.lookupNetwork(s.transfer.op, congestion);
+        return table_.lookup(s.transfer);
+    };
+    SequentialRule sequence;
+    auto addCopies = [&](std::span<const ProgramStage> copies) {
+        for (const ProgramStage &s : copies) {
+            std::optional<util::MBps> r = stageRate(s);
+            if (!r)
+                return false;
+            sequence.add(*r);
+        }
+        return true;
+    };
+    if (!addCopies(formula->before))
+        return std::nullopt;
+    if (formula->legSize > 0) {
+        ParallelRule leg;
+        for (const ProgramStage &s : formula->legStages()) {
+            std::optional<util::MBps> r = stageRate(s);
+            if (!r)
+                return std::nullopt;
+            leg.add(*r);
+        }
+        sequence.add(leg.rate());
+    }
+    if (!addCopies(formula->after))
+        return std::nullopt;
+    return applyConstraints(sequence.rate(), program.constraints);
 }
 
 std::optional<MessageCostModel>

@@ -1,7 +1,6 @@
 #include "basic_transfer.h"
 
 #include <algorithm>
-#include <climits>
 #include <cmath>
 
 #include "util/logging.h"
@@ -100,44 +99,37 @@ netAddrData()
 
 namespace {
 
-/** First sample of sorted @p samples whose key is not below @p key. */
-template <typename Samples, typename K>
-auto
-firstNotBelow(Samples &samples, const K &key)
+std::size_t
+opIndex(TransferOp op)
 {
-    return std::lower_bound(
-        samples.begin(), samples.end(), key,
-        [](const auto &sample, const K &k) { return sample.first < k; });
+    return static_cast<std::size_t>(op);
 }
 
-/** Record @p value under @p key in sorted @p samples, replacing an
- *  earlier sample of the same key. */
-template <typename Samples, typename K>
-void
-insertSorted(Samples &samples, const K &key, util::MBps value)
+/** log2 of a pattern's stride: 0 for contiguous, -inf for the fixed
+ *  and indexed patterns, which have none. */
+double
+log2Stride(const AccessPattern &p)
 {
-    auto it = firstNotBelow(samples, key);
-    if (it != samples.end() && it->first == key)
-        it->second = value;
-    else
-        samples.insert(it, {key, value});
+    return std::log2(static_cast<double>(p.stride()));
+}
+
+/** First sample of one op's sorted @p samples not ordered below the
+ *  pattern pair (@p read, @p write). */
+template <typename Samples>
+auto
+firstNotBelow(Samples &samples, const AccessPattern &read,
+              const AccessPattern &write)
+{
+    PatternLess less;
+    return std::partition_point(
+        samples.begin(), samples.end(), [&](const auto &s) {
+            if (s.read != read)
+                return less(s.read, read);
+            return less(s.write, write);
+        });
 }
 
 } // namespace
-
-bool
-ThroughputTable::Key::operator<(const Key &other) const
-{
-    PatternLess less;
-    auto rank = [](const Key &k) {
-        return static_cast<int>(k.op);
-    };
-    if (rank(*this) != rank(other))
-        return rank(*this) < rank(other);
-    if (read != other.read)
-        return less(read, other.read);
-    return less(write, other.write);
-}
 
 void
 ThroughputTable::set(const BasicTransfer &t, util::MBps mbps)
@@ -147,7 +139,14 @@ ThroughputTable::set(const BasicTransfer &t, util::MBps mbps)
     if (mbps <= 0.0)
         util::fatal("ThroughputTable::set: non-positive throughput for ",
                     t.name());
-    insertSorted(entries, Key{t.op, t.read, t.write}, mbps);
+    std::vector<Sample> &op = samples[opIndex(t.op)];
+    Sample sample{t.read, t.write, mbps, log2Stride(t.read),
+                  log2Stride(t.write)};
+    auto it = firstNotBelow(op, t.read, t.write);
+    if (it != op.end() && it->read == t.read && it->write == t.write)
+        *it = sample;
+    else
+        op.insert(it, sample);
 }
 
 void
@@ -160,18 +159,27 @@ ThroughputTable::setNetwork(TransferOp op, int congestion,
         util::fatal("ThroughputTable::setNetwork: congestion < 1");
     if (mbps <= 0.0)
         util::fatal("ThroughputTable::setNetwork: non-positive rate");
-    insertSorted(network, std::pair{static_cast<int>(op), congestion},
-                 mbps);
+    std::vector<NetworkSample> &curve = network[opIndex(op)];
+    NetworkSample sample{congestion,
+                         std::log2(static_cast<double>(congestion)),
+                         mbps};
+    auto it = std::partition_point(
+        curve.begin(), curve.end(),
+        [&](const NetworkSample &s) { return s.congestion < congestion; });
+    if (it != curve.end() && it->congestion == congestion)
+        *it = sample;
+    else
+        curve.insert(it, sample);
 }
 
 std::optional<util::MBps>
 ThroughputTable::exact(const BasicTransfer &t) const
 {
-    Key key{t.op, t.read, t.write};
-    auto it = firstNotBelow(entries, key);
-    if (it == entries.end() || !(it->first == key))
+    const std::vector<Sample> &op = samples[opIndex(t.op)];
+    auto it = firstNotBelow(op, t.read, t.write);
+    if (it == op.end() || !(it->read == t.read && it->write == t.write))
         return std::nullopt;
-    return it->second;
+    return it->mbps;
 }
 
 std::optional<util::MBps>
@@ -181,54 +189,53 @@ ThroughputTable::lookupStrided(TransferOp op, std::uint32_t stride,
     // Walk the sampled (stride, throughput) curve for this op with the
     // non-varying side contiguous (or fixed for S/F/R/D ops), keeping
     // its first and last samples and the two that bracket @p stride.
-    // The sorted samples keep one op's keys together (the fixed
-    // pattern sorts first), ordered by the varying pattern, so the
-    // curve arrives sorted by stride -- re-checked cheaply.
-    using Sample = std::pair<std::uint32_t, util::MBps>;
-    std::optional<Sample> first, last, below, above;
-    const AccessPattern lowest = AccessPattern::fixed();
-    for (auto it = firstNotBelow(entries, Key{op, lowest, lowest});
-         it != entries.end() && it->first.op == op; ++it) {
-        const Key &key = it->first;
-        const AccessPattern &varying = vary_read ? key.read : key.write;
-        const AccessPattern &fixed_side =
-            vary_read ? key.write : key.read;
+    // An op's samples are ordered by read pattern, then write pattern
+    // (the fixed pattern sorts first), so the curve arrives sorted by
+    // stride -- re-checked cheaply.
+    auto strideOf = [&](const Sample &s) {
+        return (vary_read ? s.read : s.write).stride();
+    };
+    auto log2Of = [&](const Sample &s) {
+        return vary_read ? s.log2ReadStride : s.log2WriteStride;
+    };
+    const Sample *first = nullptr, *last = nullptr, *below = nullptr,
+                 *above = nullptr;
+    for (const Sample &s : samples[opIndex(op)]) {
+        const AccessPattern &varying = vary_read ? s.read : s.write;
+        const AccessPattern &fixed_side = vary_read ? s.write : s.read;
         if (varying.isIndexed() || varying.isFixed())
             continue;
         if (!(fixed_side.isContiguous() || fixed_side.isFixed()))
             continue;
-        Sample s{varying.stride(), it->second};
-        if (last && last->first >= s.first)
+        if (last && strideOf(*last) >= strideOf(s))
             util::panic("lookupStrided: samples not sorted");
         if (!first)
-            first = s;
-        if (s.first < stride)
-            below = s;
+            first = &s;
+        if (strideOf(s) < stride)
+            below = &s;
         else if (!above)
-            above = s;
-        last = s;
+            above = &s;
+        last = &s;
     }
     if (!first)
         return std::nullopt;
 
-    if (stride <= first->first)
-        return first->second;
-    if (stride >= last->first) {
+    if (stride <= strideOf(*first))
+        return first->mbps;
+    if (stride >= strideOf(*last)) {
         // Clamp beyond the largest sampled stride ("stride 64 applies
         // to any larger stride") -- but only when a strided sample
         // exists at all. A table with only a contiguous entry means
         // the hardware cannot do strided transfers (e.g. the Paragon
         // DMA deposit engine).
-        if (last->first < 2)
+        if (strideOf(*last) < 2)
             return std::nullopt;
-        return last->second;
+        return last->mbps;
     }
     // first < stride < last: below and above bracket it.
-    auto [s0, v0] = *below;
-    auto [s1, v1] = *above;
-    double t = (std::log2(double(stride)) - std::log2(double(s0))) /
-               (std::log2(double(s1)) - std::log2(double(s0)));
-    return v0 + t * (v1 - v0);
+    double t = (std::log2(double(stride)) - log2Of(*below)) /
+               (log2Of(*above) - log2Of(*below));
+    return below->mbps + t * (above->mbps - below->mbps);
 }
 
 std::optional<util::MBps>
@@ -337,42 +344,38 @@ ThroughputTable::lookupNetwork(TransferOp op, double congestion) const
     if (congestion < 1.0)
         util::fatal("lookupNetwork: congestion < 1");
 
-    // One op's samples are one run of the vector, sorted by
-    // congestion; keep its ends and the two that bracket @p congestion.
-    using Sample = std::pair<int, util::MBps>;
-    std::optional<Sample> first, last, below, above;
-    int key = static_cast<int>(op);
-    for (auto it = firstNotBelow(network, std::pair{key, INT_MIN});
-         it != network.end() && it->first.first == key; ++it) {
-        Sample s{it->first.second, it->second};
+    // The op's samples are sorted by congestion; keep its ends and
+    // the two that bracket @p congestion.
+    const NetworkSample *first = nullptr, *last = nullptr,
+                        *below = nullptr, *above = nullptr;
+    for (const NetworkSample &s : network[opIndex(op)]) {
         if (!first)
-            first = s;
-        if (s.first < congestion)
-            below = s;
+            first = &s;
+        if (s.congestion < congestion)
+            below = &s;
         else if (!above)
-            above = s;
-        last = s;
+            above = &s;
+        last = &s;
     }
     if (!first)
         return std::nullopt;
 
-    if (congestion <= first->first)
-        return first->second;
-    if (congestion >= last->first) {
+    if (congestion <= first->congestion)
+        return first->mbps;
+    if (congestion >= last->congestion) {
         // Extrapolate: bandwidth scales inversely with congestion.
-        auto [c, v] = *last;
-        return v * static_cast<double>(c) / congestion;
+        return last->mbps * static_cast<double>(last->congestion) /
+               congestion;
     }
     // Geometric interpolation matches the ~1/c falloff.
-    auto [c0, v0] = *below;
-    auto [c1, v1] = *above;
+    double v0 = below->mbps, v1 = above->mbps;
     // At a sampled congestion (the machines' default is one) t below
     // is exactly 1 and pow(q, 1) is q: the same bits without the
     // logarithms.
-    if (congestion == c1)
+    if (congestion == above->congestion)
         return v0 * (v1 / v0);
-    double t = (std::log2(congestion) - std::log2(double(c0))) /
-               (std::log2(double(c1)) - std::log2(double(c0)));
+    double t = (std::log2(congestion) - below->log2Congestion) /
+               (above->log2Congestion - below->log2Congestion);
     return v0 * std::pow(v1 / v0, t);
 }
 

@@ -7,6 +7,7 @@
 #ifndef CT_CORE_BASIC_TRANSFER_H
 #define CT_CORE_BASIC_TRANSFER_H
 
+#include <array>
 #include <optional>
 #include <string>
 #include <utility>
@@ -81,8 +82,10 @@ BasicTransfer netAddrData();
  * Network transfers are keyed by congestion factor instead of access
  * pattern; unsampled congestions interpolate geometrically.
  *
- * Samples are kept in sorted vectors: a lookup binary-searches one
- * contiguous array, and an op's strided curve is one contiguous run.
+ * Samples are kept per op in sorted vectors: a lookup binary-searches
+ * only its own op's samples, an op's strided curve is one contiguous
+ * run, and each sample carries the log2 of its strides (or of its
+ * congestion), taken once when it is recorded.
  */
 class ThroughputTable
 {
@@ -116,15 +119,30 @@ class ThroughputTable
     bool operator==(const ThroughputTable &other) const = default;
 
   private:
-    struct Key
+    /** One intra-node sample, with log2 of each side's stride for
+     *  the strided curves (-inf for the fixed and indexed sides). */
+    struct Sample
     {
-        TransferOp op;
         AccessPattern read;
         AccessPattern write;
+        util::MBps mbps = 0.0;
+        double log2ReadStride = 0.0;
+        double log2WriteStride = 0.0;
 
-        bool operator<(const Key &other) const;
-        bool operator==(const Key &other) const = default;
+        bool operator==(const Sample &other) const = default;
     };
+
+    /** One network sample at a congestion factor. */
+    struct NetworkSample
+    {
+        int congestion = 1;
+        double log2Congestion = 0.0;
+        util::MBps mbps = 0.0;
+
+        bool operator==(const NetworkSample &other) const = default;
+    };
+
+    static constexpr std::size_t kOps = 7;
 
     /**
      * Interpolate a strided lookup for a fixed op where only one side
@@ -137,10 +155,10 @@ class ThroughputTable
     std::optional<util::MBps> exact(const BasicTransfer &t) const;
 
     std::string name = "unnamed";
-    /** Sorted by Key, one sample per key. */
-    std::vector<std::pair<Key, util::MBps>> entries;
-    /** Sorted by (op, congestion), one sample per pair. */
-    std::vector<std::pair<std::pair<int, int>, util::MBps>> network;
+    /** Per op, sorted by (read, write), one sample per pair. */
+    std::array<std::vector<Sample>, kOps> samples;
+    /** Per network op, sorted by congestion, one sample each. */
+    std::array<std::vector<NetworkSample>, kOps> network;
 };
 
 } // namespace ct::core

@@ -7,11 +7,6 @@
 
 namespace ct::core {
 
-struct TransferExpr::LeafSlot
-{
-    TransferExpr node{Private{}};
-};
-
 std::shared_ptr<TransferExpr>
 TransferExpr::node(ExprKind kind)
 {
@@ -42,115 +37,30 @@ TransferExpr::leaf(BasicTransfer t, double congestion)
     return n;
 }
 
-std::shared_ptr<TransferExpr>
-TransferExpr::composite(ExprKind kind, std::size_t count)
-{
-    if (count < 2)
-        util::fatal("TransferExpr::",
-                    kind == ExprKind::Seq ? "seq" : "par",
-                    ": needs >= 2 parts");
-    auto n = node(kind);
-    n->partCount = count;
-    if (count > kInlineParts)
-        n->moreParts.resize(count);
-    return n;
-}
-
 ExprPtr
-TransferExpr::compose(ExprKind kind, std::span<const ExprPtr> parts)
+TransferExpr::compose(ExprKind kind, std::vector<ExprPtr> parts)
 {
-    auto n = composite(kind, parts.size());
-    ExprPtr *out = n->partCount > kInlineParts ? n->moreParts.data()
-                                                : n->inlineParts.data();
-    for (const ExprPtr &p : parts) {
+    const char *op = kind == ExprKind::Seq ? "seq" : "par";
+    if (parts.size() < 2)
+        util::fatal("TransferExpr::", op, ": needs >= 2 parts");
+    for (const ExprPtr &p : parts)
         if (!p)
-            util::fatal("TransferExpr::",
-                        kind == ExprKind::Seq ? "seq" : "par",
-                        ": null child");
-        *out++ = p;
-    }
+            util::fatal("TransferExpr::", op, ": null child");
+    auto n = node(kind);
+    n->parts = std::move(parts);
     return n;
 }
 
 ExprPtr
-TransferExpr::compose(ExprKind kind, std::initializer_list<Part> parts)
+TransferExpr::seq(std::vector<ExprPtr> parts)
 {
-    auto n = composite(kind, parts.size());
-    std::size_t leaves = 0;
-    for (const Part &p : parts)
-        leaves += p.isLeaf;
-    std::shared_ptr<LeafSlot[]> block;
-    if (leaves > 0)
-        block = std::make_shared<LeafSlot[]>(leaves);
-    ExprPtr *out = n->partCount > kInlineParts ? n->moreParts.data()
-                                                : n->inlineParts.data();
-    std::size_t next = 0;
-    for (const Part &p : parts) {
-        if (p.isLeaf) {
-            TransferExpr &leaf = block[next++].node;
-            leaf.leafTransfer = p.transfer;
-            *out++ = ExprPtr(block, &leaf);
-            continue;
-        }
-        if (!p.expr)
-            util::fatal("TransferExpr::",
-                        kind == ExprKind::Seq ? "seq" : "par",
-                        ": null child");
-        *out++ = p.expr;
-    }
-    return n;
+    return compose(ExprKind::Seq, std::move(parts));
 }
 
 ExprPtr
-TransferExpr::seq(std::span<const ExprPtr> parts)
+TransferExpr::par(std::vector<ExprPtr> parts)
 {
-    return compose(ExprKind::Seq, parts);
-}
-
-ExprPtr
-TransferExpr::seq(std::initializer_list<Part> parts)
-{
-    return compose(ExprKind::Seq, parts);
-}
-
-ExprPtr
-TransferExpr::seq(ExprPtr a, ExprPtr b)
-{
-    const ExprPtr parts[] = {std::move(a), std::move(b)};
-    return compose(ExprKind::Seq, parts);
-}
-
-ExprPtr
-TransferExpr::seq(ExprPtr a, ExprPtr b, ExprPtr c)
-{
-    const ExprPtr parts[] = {std::move(a), std::move(b), std::move(c)};
-    return compose(ExprKind::Seq, parts);
-}
-
-ExprPtr
-TransferExpr::par(std::span<const ExprPtr> parts)
-{
-    return compose(ExprKind::Par, parts);
-}
-
-ExprPtr
-TransferExpr::par(std::initializer_list<Part> parts)
-{
-    return compose(ExprKind::Par, parts);
-}
-
-ExprPtr
-TransferExpr::par(ExprPtr a, ExprPtr b)
-{
-    const ExprPtr parts[] = {std::move(a), std::move(b)};
-    return compose(ExprKind::Par, parts);
-}
-
-ExprPtr
-TransferExpr::par(ExprPtr a, ExprPtr b, ExprPtr c)
-{
-    const ExprPtr parts[] = {std::move(a), std::move(b), std::move(c)};
-    return compose(ExprKind::Par, parts);
+    return compose(ExprKind::Par, std::move(parts));
 }
 
 const BasicTransfer &
@@ -183,7 +93,6 @@ TransferExpr::writePattern() const
             return leafTransfer.write;
         return std::nullopt;
     }
-    std::span<const ExprPtr> parts = children();
     for (auto it = parts.rbegin(); it != parts.rend(); ++it)
         if (auto p = (*it)->writePattern())
             return p;
@@ -196,7 +105,6 @@ TransferExpr::validate() const
     if (kindValue == ExprKind::Leaf)
         return std::nullopt;
 
-    std::span<const ExprPtr> parts = children();
     for (const auto &child : parts)
         if (auto err = child->validate())
             return err;
@@ -232,7 +140,6 @@ TransferExpr::formatInner(bool parenthesize) const
         return s;
     }
     const char *sep = kindValue == ExprKind::Seq ? " o " : " || ";
-    std::span<const ExprPtr> parts = children();
     std::string body;
     for (std::size_t i = 0; i < parts.size(); ++i) {
         if (i > 0)

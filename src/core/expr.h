@@ -1,6 +1,7 @@
 /**
  * @file
- * Composition AST for communication operations (paper §3.3).
+ * Composition AST for user-written formulas (paper §3.3), the tree
+ * the parser builds for `ctplan eval` and `explain`.
  *
  * A communication operation is written as a tree of basic transfers
  * combined with the two concatenation operators:
@@ -12,13 +13,15 @@
  * Example (buffer packing on the T3D):
  *
  *     xQy = xC1 o (1S0 || Nd || 0D1) o 1Cy
+ *
+ * The planner's own programs carry no tree: a TransferProgram's stage
+ * list is its only view, and its formula is derived from the stages
+ * (transfer_program.h).
  */
 
 #ifndef CT_CORE_EXPR_H
 #define CT_CORE_EXPR_H
 
-#include <array>
-#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <span>
@@ -60,37 +63,11 @@ class TransferExpr
     /** Build a leaf network node with an explicit congestion factor. */
     static ExprPtr leaf(BasicTransfer t, double congestion);
 
-    /**
-     * One part of a composition written as a list: a subtree, or a
-     * basic transfer that becomes a leaf. The leaves a list names as
-     * transfers share one allocation, so a style's program allocates
-     * per composite node, not per leaf.
-     */
-    class Part
-    {
-      public:
-        Part(ExprPtr subtree) : expr(std::move(subtree)) {}
-        Part(const BasicTransfer &leaf) : transfer(leaf), isLeaf(true)
-        {}
-
-      private:
-        friend class TransferExpr;
-        ExprPtr expr;
-        BasicTransfer transfer;
-        bool isLeaf = false;
-    };
-
     /** Sequential composition of two or more parts. */
-    static ExprPtr seq(std::span<const ExprPtr> parts);
-    static ExprPtr seq(std::initializer_list<Part> parts);
-    static ExprPtr seq(ExprPtr a, ExprPtr b);
-    static ExprPtr seq(ExprPtr a, ExprPtr b, ExprPtr c);
+    static ExprPtr seq(std::vector<ExprPtr> parts);
 
     /** Parallel composition of two or more parts. */
-    static ExprPtr par(std::span<const ExprPtr> parts);
-    static ExprPtr par(std::initializer_list<Part> parts);
-    static ExprPtr par(ExprPtr a, ExprPtr b);
-    static ExprPtr par(ExprPtr a, ExprPtr b, ExprPtr c);
+    static ExprPtr par(std::vector<ExprPtr> parts);
 
     ExprKind kind() const { return kindValue; }
 
@@ -104,12 +81,7 @@ class TransferExpr
     }
 
     /** Children of a Seq/Par node; empty for leaves. */
-    std::span<const ExprPtr> children() const
-    {
-        if (partCount > kInlineParts)
-            return moreParts;
-        return std::span<const ExprPtr>(inlineParts).first(partCount);
-    }
+    std::span<const ExprPtr> children() const { return parts; }
 
     /**
      * End-to-end read pattern: how the composite reads the source
@@ -142,30 +114,15 @@ class TransferExpr
     explicit TransferExpr(Private) {}
 
   private:
-    /** A leaf of a shared leaf block (see Part). */
-    struct LeafSlot;
-
     static std::shared_ptr<TransferExpr> node(ExprKind kind);
-    static ExprPtr compose(ExprKind kind, std::span<const ExprPtr> parts);
-    static ExprPtr compose(ExprKind kind,
-                           std::initializer_list<Part> parts);
-    /** A composite node over @p count children, checked. */
-    static std::shared_ptr<TransferExpr>
-    composite(ExprKind kind, std::size_t count);
+    static ExprPtr compose(ExprKind kind, std::vector<ExprPtr> parts);
 
     std::string formatInner(bool parenthesize) const;
-
-    /** Children kept in the node itself: every style's nodes fit, so
-     *  building a node is one allocation. */
-    static constexpr std::size_t kInlineParts = 5;
 
     ExprKind kindValue = ExprKind::Leaf;
     BasicTransfer leafTransfer;
     std::optional<double> congestion;
-    std::array<ExprPtr, kInlineParts> inlineParts;
-    /** All children, when there are more than kInlineParts. */
-    std::vector<ExprPtr> moreParts;
-    std::size_t partCount = 0;
+    std::vector<ExprPtr> parts;
 };
 
 } // namespace ct::core

@@ -181,6 +181,41 @@ paragonTable()
     return t;
 }
 
+MachineCaps
+capsOf(MachineId id)
+{
+    MachineCaps caps;
+    caps.name = machineName(id);
+    switch (id) {
+      case MachineId::T3d:
+        caps.hasFetchSend = false;
+        caps.depositAnyPattern = true;
+        caps.depositContiguous = true;
+        caps.coProcReceive = false;
+        caps.defaultCongestion = 2.0;
+        // The DRAM write path sustains well above twice the fastest
+        // end-to-end operation, so the constraint never binds (§3.4).
+        caps.storeOnlyBandwidth = 120.0;
+        caps.loadOnlyBandwidth = 320.0;
+        caps.clockHz = 150e6;
+        return caps;
+      case MachineId::Paragon:
+        caps.hasFetchSend = true;
+        caps.depositAnyPattern = false;
+        caps.depositContiguous = true;
+        caps.coProcReceive = true;
+        caps.defaultCongestion = 2.0;
+        // Write-through caches: the store path saturates at 41.4
+        // MB/s, which caps buffer packing at 20.7 MB/s per direction
+        // when every node sends and receives at once (§5.1.3).
+        caps.storeOnlyBandwidth = 41.4;
+        caps.loadOnlyBandwidth = 83.0;
+        caps.clockHz = 50e6;
+        return caps;
+    }
+    util::panic("paperCaps: bad id");
+}
+
 } // namespace
 
 std::string
@@ -211,37 +246,18 @@ paperTable(MachineId id)
     util::panic("paperTable: bad id");
 }
 
-MachineCaps
+const MachineCaps &
 paperCaps(MachineId id)
 {
-    MachineCaps caps;
-    caps.name = machineName(id);
     switch (id) {
-      case MachineId::T3d:
-        caps.hasFetchSend = false;
-        caps.depositAnyPattern = true;
-        caps.depositContiguous = true;
-        caps.coProcReceive = false;
-        caps.defaultCongestion = 2.0;
-        // The DRAM write path sustains well above twice the fastest
-        // end-to-end operation, so the constraint never binds (§3.4).
-        caps.storeOnlyBandwidth = 120.0;
-        caps.loadOnlyBandwidth = 320.0;
-        caps.clockHz = 150e6;
+      case MachineId::T3d: {
+        static const MachineCaps caps = capsOf(id);
         return caps;
-      case MachineId::Paragon:
-        caps.hasFetchSend = true;
-        caps.depositAnyPattern = false;
-        caps.depositContiguous = true;
-        caps.coProcReceive = true;
-        caps.defaultCongestion = 2.0;
-        // Write-through caches: the store path saturates at 41.4
-        // MB/s, which caps buffer packing at 20.7 MB/s per direction
-        // when every node sends and receives at once (§5.1.3).
-        caps.storeOnlyBandwidth = 41.4;
-        caps.loadOnlyBandwidth = 83.0;
-        caps.clockHz = 50e6;
+      }
+      case MachineId::Paragon: {
+        static const MachineCaps caps = capsOf(id);
         return caps;
+      }
     }
     util::panic("paperCaps: bad id");
 }

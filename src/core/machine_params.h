@@ -77,8 +77,9 @@ struct MachineCaps
  */
 const ThroughputTable &paperTable(MachineId id);
 
-/** The paper's description of a machine's hardware capabilities. */
-MachineCaps paperCaps(MachineId id);
+/** The paper's description of a machine's hardware capabilities: a
+ *  process-wide immutable record per machine, like paperTable(). */
+const MachineCaps &paperCaps(MachineId id);
 
 } // namespace ct::core
 

@@ -34,7 +34,7 @@ std::vector<PlannedStrategy>
 plan(const PlanQuery &query)
 {
     const AnalyticBackend &backend = paperBackend(query.machine);
-    MachineCaps caps = paperCaps(query.machine);
+    const MachineCaps &caps = paperCaps(query.machine);
     double congestion = query.congestion > 0.0 ? query.congestion
                                                : caps.defaultCongestion;
 
@@ -124,7 +124,7 @@ std::string
 formatPlan(const PlanQuery &query,
            const std::vector<PlannedStrategy> &plans)
 {
-    MachineCaps caps = paperCaps(query.machine);
+    const MachineCaps &caps = paperCaps(query.machine);
     std::ostringstream os;
     os << query.read.label() << "Q" << query.write.label() << " on "
        << caps.name << ":\n";

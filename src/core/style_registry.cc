@@ -12,20 +12,11 @@ namespace ct::core {
 namespace {
 
 using P = AccessPattern;
-using E = TransferExpr;
 using R = StageResource;
 using B = BufferBinding;
 
-/** The contiguous middle leg: sender feed || network || deposit. */
-ExprPtr
-contiguousLeg(const MachineCaps &caps)
-{
-    return E::par({caps.hasFetchSend ? fetchSend(P::contiguous())
-                                     : loadSend(P::contiguous()),
-                   netData(), receiveDeposit(P::contiguous())});
-}
-
-/** Stage form of the contiguous leg, feeding from @p feedBuffer. */
+/** The contiguous network leg, sender feed || network || deposit,
+ *  feeding from @p feedBuffer and landing in @p landBuffer. */
 std::array<ProgramStage, 3>
 contiguousLegStages(const MachineCaps &caps, B feedBuffer, B landBuffer)
 {
@@ -75,7 +66,7 @@ std::optional<TransferProgram>
 buildBufferPacking(MachineId id, AccessPattern x, AccessPattern y,
                    const SoftwareCosts &costs)
 {
-    MachineCaps caps = paperCaps(id);
+    const MachineCaps &caps = paperCaps(id);
     TransferProgram p =
         baseProgram(Style::BufferPacking, "buffer-packing", id, x, y,
                     costs);
@@ -83,8 +74,6 @@ buildBufferPacking(MachineId id, AccessPattern x, AccessPattern y,
     // contiguous block transfer, scatter copy"). The copies are kept
     // even for contiguous x and y: the library interface forces them
     // (§3.4).
-    p.expr = E::seq({localCopy(x, P::contiguous()), contiguousLeg(caps),
-                     localCopy(P::contiguous(), y)});
     auto leg = contiguousLegStages(caps, B::PackBuffer, B::ReceiveBuffer);
     p.stages = {{localCopy(x, P::contiguous()), R::SenderCpu,
                  B::SourceArray, B::PackBuffer},
@@ -102,17 +91,12 @@ std::optional<TransferProgram>
 buildPvm(MachineId id, AccessPattern x, AccessPattern y,
          const SoftwareCosts &costs)
 {
-    MachineCaps caps = paperCaps(id);
+    const MachineCaps &caps = paperCaps(id);
     TransferProgram p =
         baseProgram(Style::Pvm, "pvm", id, x, y, costs);
     // Buffer packing plus one extra copy into a system buffer on
     // each side (§5.1.1); the per-message constant overhead is a
     // latency effect outside the throughput model.
-    p.expr = E::seq({localCopy(x, P::contiguous()),
-                     localCopy(P::contiguous(), P::contiguous()),
-                     contiguousLeg(caps),
-                     localCopy(P::contiguous(), P::contiguous()),
-                     localCopy(P::contiguous(), y)});
     auto leg = contiguousLegStages(caps, B::SenderSystemBuffer,
                                    B::ReceiverSystemBuffer);
     p.stages = {{localCopy(x, P::contiguous()), R::SenderCpu,
@@ -136,7 +120,7 @@ std::optional<TransferProgram>
 buildChained(MachineId id, AccessPattern x, AccessPattern y,
              const SoftwareCosts &costs)
 {
-    MachineCaps caps = paperCaps(id);
+    const MachineCaps &caps = paperCaps(id);
     TransferProgram p =
         baseProgram(Style::Chained, "chained", id, x, y, costs);
     bool contiguous = x.isContiguous() && y.isContiguous();
@@ -144,8 +128,6 @@ buildChained(MachineId id, AccessPattern x, AccessPattern y,
         // Direct contiguous chained transfer:
         // 1Q'1 = 1S0 || Nd || (0D1 or 0R1).
         if (caps.depositContiguous) {
-            p.expr = E::par({loadSend(P::contiguous()), netData(),
-                             receiveDeposit(P::contiguous())});
             p.stages = {{loadSend(P::contiguous()), R::SenderCpu,
                          B::SourceArray, B::NetworkPort},
                         {netData(), R::Wire, B::NetworkPort,
@@ -154,8 +136,6 @@ buildChained(MachineId id, AccessPattern x, AccessPattern y,
                          R::ReceiverEngine, B::NetworkPort,
                          B::DestArray}};
         } else if (caps.coProcReceive) {
-            p.expr = E::par({loadSend(P::contiguous()), netData(),
-                             receiveStore(P::contiguous())});
             p.stages = {{loadSend(P::contiguous()), R::SenderCpu,
                          B::SourceArray, B::NetworkPort},
                         {netData(), R::Wire, B::NetworkPort,
@@ -179,8 +159,6 @@ buildChained(MachineId id, AccessPattern x, AccessPattern y,
         engineRecv = true;
     else
         return std::nullopt;
-    p.expr = E::par({loadSend(x), netAddrData(),
-                     engineRecv ? receiveDeposit(y) : receiveStore(y)});
     p.stages.reserve(4);
     p.stages.push_back({loadSend(x), R::SenderCpu, B::SourceArray,
                         B::NetworkPort});
@@ -207,7 +185,7 @@ std::optional<TransferProgram>
 buildDmaDirect(MachineId id, AccessPattern x, AccessPattern y,
                const SoftwareCosts &costs)
 {
-    MachineCaps caps = paperCaps(id);
+    const MachineCaps &caps = paperCaps(id);
     if (!(x.isContiguous() && y.isContiguous()))
         return std::nullopt;
     if (!(caps.hasFetchSend && caps.depositContiguous))
@@ -215,8 +193,6 @@ buildDmaDirect(MachineId id, AccessPattern x, AccessPattern y,
     TransferProgram p =
         baseProgram(Style::DmaDirect, "dma-direct", id, x, y, costs);
     // A DMA-fed contiguous block transfer.
-    p.expr = E::par({fetchSend(P::contiguous()), netData(),
-                     receiveDeposit(P::contiguous())});
     p.stages = {{fetchSend(P::contiguous()), R::SenderEngine,
                  B::SourceArray, B::NetworkPort},
                 {netData(), R::Wire, B::NetworkPort, B::NetworkPort},
@@ -356,7 +332,13 @@ buildProgram(const StyleInfo &info, MachineId id, AccessPattern x,
 {
     if (x.isFixed() || y.isFixed())
         util::fatal("buildProgram: xQy patterns must touch memory");
-    return info.build(id, x, y);
+    std::optional<TransferProgram> program = info.build(id, x, y);
+    if (program)
+        if (std::optional<std::string> err = program->validate())
+            util::fatal("buildProgram: style '", info.key, "' built ",
+                        x.label(), "Q", y.label(), " ill-formed: ",
+                        *err);
+    return program;
 }
 
 std::optional<TransferProgram>

@@ -46,12 +46,127 @@ bufferName(BufferBinding buffer)
     util::panic("bufferName: bad buffer");
 }
 
+namespace {
+
+bool
+onNetworkPort(const ProgramStage &s)
+{
+    return !s.addressCompute && (s.from == BufferBinding::NetworkPort ||
+                                 s.to == BufferBinding::NetworkPort);
+}
+
+/** The leg's stages joined by `||`, e.g. "1S0 || Nd || 0D1". */
+void
+appendLeg(std::string &out, const StageFormula &f)
+{
+    const char *sep = "";
+    for (const ProgramStage &s : f.legStages()) {
+        out.append(sep).append(s.transfer.name());
+        sep = " || ";
+    }
+}
+
+/** A part of a program's sequence: one copy, or the whole leg
+ *  (copy == nullptr), with the patterns it reads and writes memory
+ *  with, if any. */
+struct SequencePart
+{
+    const ProgramStage *copy = nullptr;
+    std::optional<AccessPattern> read, write;
+};
+
+std::optional<AccessPattern>
+ifTouchesMemory(const AccessPattern &p)
+{
+    if (p.touchesMemory())
+        return p;
+    return std::nullopt;
+}
+
+SequencePart
+copyPart(const ProgramStage &s)
+{
+    return {&s, ifTouchesMemory(s.transfer.read),
+            ifTouchesMemory(s.transfer.write)};
+}
+
+/** The leg reads memory with its first stage that does and writes it
+ *  with its last. */
+SequencePart
+legPart(const StageFormula &f)
+{
+    SequencePart part;
+    for (const ProgramStage &s : f.legStages()) {
+        if (!part.read)
+            part.read = ifTouchesMemory(s.transfer.read);
+        if (auto w = ifTouchesMemory(s.transfer.write))
+            part.write = w;
+    }
+    return part;
+}
+
+std::string
+partName(const SequencePart &part, const StageFormula &f)
+{
+    if (part.copy)
+        return part.copy->transfer.name();
+    std::string leg;
+    appendLeg(leg, f);
+    return leg;
+}
+
+} // namespace
+
+std::optional<StageFormula>
+stageFormula(std::span<const ProgramStage> stages)
+{
+    std::size_t first = 0, last = 0, legSize = 0;
+    for (std::size_t i = 0; i < stages.size(); ++i) {
+        if (!onNetworkPort(stages[i]))
+            continue;
+        if (legSize++ == 0)
+            first = i;
+        last = i;
+    }
+    for (std::size_t i = 0; i < stages.size(); ++i) {
+        bool inLeg = legSize > 0 && i >= first && i <= last;
+        if (stages[i].addressCompute ? !inLeg
+                                     : inLeg && !onNetworkPort(stages[i]))
+            return std::nullopt;
+    }
+    if (legSize == 0)
+        return StageFormula{stages, {}, {}, 0};
+    return StageFormula{stages.first(first),
+                        stages.subspan(first, last + 1 - first),
+                        stages.subspan(last + 1), legSize};
+}
+
 std::string
 TransferProgram::format() const
 {
-    if (!expr)
-        util::panic("TransferProgram::format: program has no expr");
-    return expr->format();
+    std::optional<StageFormula> f = stageFormula(stages);
+    if (!f)
+        util::panic("TransferProgram::format: stages are not copies "
+                    "around one network leg");
+    std::string out;
+    const char *sep = "";
+    for (const ProgramStage &s : f->before) {
+        out.append(sep).append(s.transfer.name());
+        sep = " o ";
+    }
+    if (f->legSize > 0) {
+        bool parens = f->legSize > 1 &&
+                      !(f->before.empty() && f->after.empty());
+        out.append(sep).append(parens ? "(" : "");
+        appendLeg(out, *f);
+        out.append(parens ? ")" : "");
+        sep = " o ";
+    }
+    for (const ProgramStage &s : f->after) {
+        out.append(sep).append(s.transfer.name());
+        sep = " o ";
+    }
+    return out;
 }
 
 std::string
@@ -77,9 +192,36 @@ TransferProgram::describe() const
 std::optional<std::string>
 TransferProgram::validate() const
 {
-    if (!expr)
-        return "program has no algebra view";
-    return expr->validate();
+    if (stages.empty())
+        return "program has no stages";
+    std::optional<StageFormula> f = stageFormula(stages);
+    if (!f)
+        return "stages are not copies around one network leg";
+    // Each part's write pattern must equal the next part's read
+    // pattern wherever both touch memory: buffer handoffs through
+    // pattern `1` are the canonical legal case.
+    std::optional<SequencePart> prev;
+    auto handoff = [&](const SequencePart &next)
+        -> std::optional<std::string> {
+        if (prev && prev->write && next.read &&
+            !(*prev->write == *next.read))
+            return "pattern mismatch between '" + partName(*prev, *f) +
+                   "' (writes " + prev->write->label() + ") and '" +
+                   partName(next, *f) + "' (reads " +
+                   next.read->label() + ")";
+        prev = next;
+        return std::nullopt;
+    };
+    for (const ProgramStage &s : f->before)
+        if (auto err = handoff(copyPart(s)))
+            return err;
+    if (f->legSize > 0)
+        if (auto err = handoff(legPart(*f)))
+            return err;
+    for (const ProgramStage &s : f->after)
+        if (auto err = handoff(copyPart(s)))
+            return err;
+    return std::nullopt;
 }
 
 const ProgramStage *

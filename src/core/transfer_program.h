@@ -7,9 +7,10 @@
  * a data-flow-ordered list of basic-transfer *stages*, each bound to
  * the hardware resource that executes it (sender processor, sender
  * DMA engine, wire, receiver deposit engine, receiver processor /
- * co-processor) and to the buffers it reads and writes. The same
- * algebra view (`expr`, a seq/par tree of the stages) is kept for
- * rating and formula rendering.
+ * co-processor) and to the buffers it reads and writes. The stage
+ * list is the program's only view: its formula, its pattern check and
+ * its steady-state rating all read the stages as copies in sequence
+ * around one parallel network leg (StageFormula).
  *
  * Two backends consume a program:
  *  - core::AnalyticBackend rates it with the copy-transfer model
@@ -27,11 +28,12 @@
 #define CT_CORE_TRANSFER_PROGRAM_H
 
 #include <optional>
+#include <ranges>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/algebra.h"
-#include "core/expr.h"
 #include "core/machine_params.h"
 #include "core/style.h"
 
@@ -75,11 +77,50 @@ struct ProgramStage
      * transfers with an indexed destination (the sender loads the
      * index vector to generate address-data pairs). Not a throughput-
      * table row; the execution predictor rates it at the machine's
-     * load-only bandwidth. The algebra view ignores it (the paper
+     * load-only bandwidth. The formula leaves it out (the paper
      * folds address generation into xS0).
      */
     bool addressCompute = false;
 };
+
+/**
+ * A stage list read as the paper's formula (§3.3): copies in sequence
+ * around one parallel network leg, as in xC1 o (1S0 || Nd || 0D1) o
+ * 1Cy. The leg is the stages that read or write the network port.
+ * addressCompute stages are not basic transfers of the formula: they
+ * split nothing, and legStages() skips them. A program that is all
+ * leg (chained, dma-direct) has no copies; one without a port stage
+ * is all copies, kept in `before`.
+ */
+struct StageFormula
+{
+    /** Copies ahead of the leg, in data-flow order. */
+    std::span<const ProgramStage> before;
+    /** From the first to the last leg stage; read it through
+     *  legStages(). */
+    std::span<const ProgramStage> leg;
+    /** Copies behind the leg. */
+    std::span<const ProgramStage> after;
+    /** Formula stages in the leg. */
+    std::size_t legSize = 0;
+
+    /** The leg's formula stages, addressCompute stages skipped. */
+    auto legStages() const
+    {
+        return leg | std::views::filter([](const ProgramStage &s) {
+                   return !s.addressCompute;
+               });
+    }
+};
+
+/**
+ * Split @p stages into a StageFormula in one pass, without
+ * allocating. nullopt when they do not have that shape: a copy
+ * between two leg stages, or an addressCompute stage among the
+ * copies.
+ */
+std::optional<StageFormula>
+stageFormula(std::span<const ProgramStage> stages);
 
 /** Fixed per-message/per-step software costs of a style. */
 struct SoftwareCosts
@@ -101,10 +142,10 @@ struct SoftwareCosts
 /**
  * A complete implementation program for xQy on one machine.
  *
- * `stages` is the execution view (resource/buffer bindings, in
- * data-flow order from source array to destination array); `expr` is
- * the algebra view used for rating and formula output. The two are
- * built together by the style builder and describe the same plan.
+ * `stages` binds each basic transfer to a resource and two buffers,
+ * in data-flow order from source array to destination array. It is
+ * the only view of the plan: the formula, the pattern check and the
+ * analytic rating are derived from it (StageFormula).
  */
 struct TransferProgram
 {
@@ -115,7 +156,6 @@ struct TransferProgram
     AccessPattern x, y;
 
     std::vector<ProgramStage> stages;
-    ExprPtr expr;
     std::vector<ResourceConstraint> constraints;
     SoftwareCosts costs;
 
@@ -129,16 +169,26 @@ struct TransferProgram
     /** Wrapped by the reliable transport (see withReliability()). */
     bool reliable = false;
 
-    /** Formula rendering of the algebra view, e.g.
-     *  "1C1 o (1F0 || Nd || 0D1) o 1C64". */
+    /** The stages' formula, e.g. "1C1 o (1F0 || Nd || 0D1) o 1C64":
+     *  copies joined by `o`, leg stages by `||`, and the leg in
+     *  parentheses when it has more than one stage and copies
+     *  surround it. */
     std::string format() const;
 
     /** Multi-line pretty-print: formula plus the stage table with
      *  resource and buffer bindings and the software costs. */
     std::string describe() const;
 
-    /** Pattern-matching check of the algebra view (see
-     *  TransferExpr::validate). */
+    /**
+     * Check the stages against the formula's shape and its
+     * pattern-handoff rule, in one pass: each part of the sequence
+     * (a copy, or the leg as a whole) must write memory with the
+     * pattern the next part reads it with, wherever both touch
+     * memory. The leg reads with its first stage that does and
+     * writes with its last. Returns an error message, or nullopt
+     * when the program is well formed. buildProgram() runs it on
+     * every build.
+     */
     std::optional<std::string> validate() const;
 
     /** First stage bound to @p resource, or nullptr. */

@@ -16,6 +16,9 @@ using core::AccessPattern;
 
 constexpr std::uint64_t chunkWords = 64;
 
+/** Seed of the permutation an indexed walk visits its elements in. */
+constexpr std::uint64_t walkSeed = 12345;
+
 /** Address-space bytes a walk of @p words elements spans. */
 Bytes
 walkSpanBytes(const AccessPattern &p, std::uint64_t words)
@@ -60,11 +63,13 @@ arenaConfig(const NodeConfig &cfg, std::initializer_list<Bytes> spans)
  * Allocate a walk of @p words elements with pattern @p p. Its payload
  * stays zero: timing depends on the addresses a walk touches, never
  * on the values it moves, so only an indexed walk's index array
- * materializes node-RAM pages.
+ * materializes node-RAM pages. An indexed walk visits its elements in
+ * @p order when one is given (@p words entries), else in a
+ * permutation drawn from @p rng.
  */
 PatternWalk
 makeWalk(Node &node, AccessPattern p, std::uint64_t words,
-         util::Rng &rng)
+         util::Rng &rng, std::span<const std::uint64_t> order)
 {
     NodeRam &ram = node.ram();
     switch (p.kind()) {
@@ -80,9 +85,16 @@ makeWalk(Node &node, AccessPattern p, std::uint64_t words,
       case core::PatternKind::Indexed: {
         Addr base = ram.alloc(words * 8);
         Addr idx = ram.alloc(words * 8);
-        auto perm = rng.permutation(words);
+        std::vector<std::uint64_t> drawn;
+        if (order.empty()) {
+            drawn = rng.permutation(words);
+            order = drawn;
+        }
+        if (order.size() != words)
+            util::fatal("makeWalk: an index order of ", order.size(),
+                        " entries for ", words, " words");
         for (std::uint64_t i = 0; i < words; ++i)
-            ram.writeWord(idx + i * 8, perm[i]);
+            ram.writeWord(idx + i * 8, order[i]);
         return indexedWalk(base, idx);
     }
       case core::PatternKind::Fixed:
@@ -96,13 +108,14 @@ makeWalk(Node &node, AccessPattern p, std::uint64_t words,
 util::MBps
 measureLocalCopy(const MachineConfig &cfg, core::AccessPattern x,
                  core::AccessPattern y, std::uint64_t words,
-                 MeasureStats *stats)
+                 MeasureStats *stats,
+                 std::span<const std::uint64_t> index_order)
 {
     Node node(arenaConfig(cfg.node, {walkSpanBytes(x, words),
                                      walkSpanBytes(y, words)}));
-    util::Rng rng(12345);
-    PatternWalk src = makeWalk(node, x, words, rng);
-    PatternWalk dst = makeWalk(node, y, words, rng);
+    util::Rng rng(walkSeed);
+    PatternWalk src = makeWalk(node, x, words, rng, index_order);
+    PatternWalk dst = makeWalk(node, y, words, rng, index_order);
     Cycles elapsed = 0;
     for (std::uint64_t first = 0; first < words; first += chunkWords) {
         std::uint64_t count = std::min(chunkWords, words - first);
@@ -117,11 +130,12 @@ measureLocalCopy(const MachineConfig &cfg, core::AccessPattern x,
 
 util::MBps
 measureLoadSend(const MachineConfig &cfg, core::AccessPattern x,
-                std::uint64_t words)
+                std::uint64_t words,
+                std::span<const std::uint64_t> index_order)
 {
     Node node(arenaConfig(cfg.node, {walkSpanBytes(x, words)}));
-    util::Rng rng(12345);
-    PatternWalk src = makeWalk(node, x, words, rng);
+    util::Rng rng(walkSeed);
+    PatternWalk src = makeWalk(node, x, words, rng, index_order);
     std::vector<std::uint64_t> sink;
     sink.reserve(chunkWords);
     Cycles elapsed = 0;
@@ -147,13 +161,14 @@ measureFetchSend(const MachineConfig &cfg, std::uint64_t words)
 
 std::optional<util::MBps>
 measureReceiveStore(const MachineConfig &cfg, core::AccessPattern y,
-                    std::uint64_t words)
+                    std::uint64_t words,
+                    std::span<const std::uint64_t> index_order)
 {
     Node node(arenaConfig(cfg.node, {walkSpanBytes(y, words)}));
     if (!node.hasCoProcessor())
         return std::nullopt;
-    util::Rng rng(12345);
-    PatternWalk dst = makeWalk(node, y, words, rng);
+    util::Rng rng(walkSeed);
+    PatternWalk dst = makeWalk(node, y, words, rng, index_order);
     const std::array<std::uint64_t, chunkWords> payload{};
     Cycles elapsed = 0;
     for (std::uint64_t first = 0; first < words; first += chunkWords) {
@@ -167,14 +182,15 @@ measureReceiveStore(const MachineConfig &cfg, core::AccessPattern y,
 
 std::optional<util::MBps>
 measureReceiveDeposit(const MachineConfig &cfg, core::AccessPattern y,
-                      std::uint64_t words)
+                      std::uint64_t words,
+                      std::span<const std::uint64_t> index_order)
 {
     Node node(arenaConfig(cfg.node, {walkSpanBytes(y, words)}));
     DepositEngine &engine = node.depositEngine();
     if (!engine.enabled())
         return std::nullopt;
-    util::Rng rng(12345);
-    PatternWalk dst = makeWalk(node, y, words, rng);
+    util::Rng rng(walkSeed);
+    PatternWalk dst = makeWalk(node, y, words, rng, index_order);
 
     bool contiguous = y.isContiguous();
     Cycles done = 0;
@@ -303,24 +319,28 @@ measurementCampaign()
     return campaign;
 }
 
-/** Time one measurement; nullopt when the machine lacks the
- *  transfer (no DMA, no co-processor, a pattern the deposit engine
- *  refuses). */
+/** Time one measurement, its indexed walk in @p index_order;
+ *  nullopt when the machine lacks the transfer (no DMA, no
+ *  co-processor, a pattern the deposit engine refuses). */
 std::optional<util::MBps>
-runMeasurement(const MachineConfig &cfg, const Measurement &m)
+runMeasurement(const MachineConfig &cfg, const Measurement &m,
+               std::span<const std::uint64_t> index_order)
 {
     const core::BasicTransfer &t = m.transfer;
     switch (t.op) {
       case core::TransferOp::LocalCopy:
-        return measureLocalCopy(cfg, t.read, t.write);
+        return measureLocalCopy(cfg, t.read, t.write, measureWords,
+                                nullptr, index_order);
       case core::TransferOp::LoadSend:
-        return measureLoadSend(cfg, t.read);
+        return measureLoadSend(cfg, t.read, measureWords, index_order);
       case core::TransferOp::FetchSend:
         return measureFetchSend(cfg);
       case core::TransferOp::ReceiveStore:
-        return measureReceiveStore(cfg, t.write);
+        return measureReceiveStore(cfg, t.write, measureWords,
+                                   index_order);
       case core::TransferOp::ReceiveDeposit:
-        return measureReceiveDeposit(cfg, t.write);
+        return measureReceiveDeposit(cfg, t.write, measureWords,
+                                     index_order);
       case core::TransferOp::NetData:
         return measureNetwork(cfg, Framing::DataOnly, m.congestion);
       case core::TransferOp::NetAddrData:
@@ -359,9 +379,14 @@ measuredTables(std::span<const MachineConfig> configs,
 {
     const std::vector<Measurement> campaign = measurementCampaign();
     const std::size_t n = campaign.size();
+    // Every indexed walk of the campaign visits the same permutation,
+    // the one each walk would draw on its own: draw it once.
+    const std::vector<std::uint64_t> index_order =
+        util::Rng(walkSeed).permutation(measureWords);
     auto rates = farm.map<std::optional<util::MBps>>(
         configs.size() * n, [&](std::size_t i, int) {
-            return runMeasurement(configs[i / n], campaign[i % n]);
+            return runMeasurement(configs[i / n], campaign[i % n],
+                                  index_order);
         });
     // Record in campaign order, whichever worker measured what.
     std::vector<core::ThroughputTable> tables(configs.size());

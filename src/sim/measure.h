@@ -33,16 +33,25 @@ struct MeasureStats
     std::size_t residentPages = 0;
 };
 
+/*
+ * The measurements below that take an index_order walk an indexed
+ * pattern in a permutation of `words` elements drawn from a fixed
+ * seed, the same one every time. measuredTables() draws it once per
+ * campaign and passes it in; left empty, a measurement draws its own.
+ */
+
 /** Throughput of a local memory-to-memory copy xCy. */
 util::MBps measureLocalCopy(const MachineConfig &cfg,
                             core::AccessPattern x, core::AccessPattern y,
                             std::uint64_t words = measureWords,
-                            MeasureStats *stats = nullptr);
+                            MeasureStats *stats = nullptr,
+                            std::span<const std::uint64_t> index_order = {});
 
 /** Throughput of the load-send transfer xS0. */
 util::MBps measureLoadSend(const MachineConfig &cfg,
                            core::AccessPattern x,
-                           std::uint64_t words = measureWords);
+                           std::uint64_t words = measureWords,
+                           std::span<const std::uint64_t> index_order = {});
 
 /** Throughput of the DMA fetch-send 1F0; nullopt without a DMA. */
 std::optional<util::MBps>
@@ -55,7 +64,8 @@ measureFetchSend(const MachineConfig &cfg,
  */
 std::optional<util::MBps>
 measureReceiveStore(const MachineConfig &cfg, core::AccessPattern y,
-                    std::uint64_t words = measureWords);
+                    std::uint64_t words = measureWords,
+                    std::span<const std::uint64_t> index_order = {});
 
 /**
  * Throughput of the background deposit 0Dy; nullopt when the deposit
@@ -63,7 +73,8 @@ measureReceiveStore(const MachineConfig &cfg, core::AccessPattern y,
  */
 std::optional<util::MBps>
 measureReceiveDeposit(const MachineConfig &cfg, core::AccessPattern y,
-                      std::uint64_t words = measureWords);
+                      std::uint64_t words = measureWords,
+                      std::span<const std::uint64_t> index_order = {});
 
 /**
  * Per-flow network bandwidth at a fixed congestion factor (1, 2 or

@@ -44,17 +44,17 @@ TEST(Algebra, LeafEvaluatesToTableEntry)
 TEST(Algebra, ParallelIsMinimum)
 {
     auto t = table();
-    auto e = E::par(E::leaf(loadSend(P::contiguous())),
-                    E::leaf(netData()),
-                    E::leaf(receiveDeposit(P::contiguous())));
+    auto e = E::par({E::leaf(loadSend(P::contiguous())),
+                     E::leaf(netData()),
+                     E::leaf(receiveDeposit(P::contiguous()))});
     EXPECT_DOUBLE_EQ(*evaluate(e, ctx(t)), 80.0);
 }
 
 TEST(Algebra, SequentialIsReciprocalSum)
 {
     auto t = table();
-    auto e = E::seq(E::leaf(localCopy(P::contiguous(), P::contiguous())),
-                    E::leaf(localCopy(P::contiguous(), P::strided(64))));
+    auto e = E::seq({E::leaf(localCopy(P::contiguous(), P::contiguous())),
+                     E::leaf(localCopy(P::contiguous(), P::strided(64)))});
     // 1/(1/100 + 1/50) = 33.33...
     EXPECT_NEAR(*evaluate(e, ctx(t)), 100.0 / 3.0, 1e-9);
 }
@@ -62,8 +62,8 @@ TEST(Algebra, SequentialIsReciprocalSum)
 TEST(Algebra, SequentialBoundedByMinimum)
 {
     auto t = table();
-    auto e = E::seq(E::leaf(localCopy(P::contiguous(), P::contiguous())),
-                    E::leaf(localCopy(P::contiguous(), P::strided(64))));
+    auto e = E::seq({E::leaf(localCopy(P::contiguous(), P::contiguous())),
+                     E::leaf(localCopy(P::contiguous(), P::strided(64)))});
     EXPECT_LT(*evaluate(e, ctx(t)), 50.0);
 }
 
@@ -78,8 +78,8 @@ TEST(Algebra, CongestionOverrideUsesNetworkCurve)
 TEST(Algebra, UnsupportedTransferIsNullopt)
 {
     auto t = table();
-    auto e = E::par(E::leaf(fetchSend(P::contiguous())),
-                    E::leaf(netData()));
+    auto e = E::par({E::leaf(fetchSend(P::contiguous())),
+                     E::leaf(netData())});
     EXPECT_FALSE(evaluate(e, ctx(t)).has_value());
 }
 
@@ -123,8 +123,8 @@ TEST(AlgebraDeath, IllFormedExpressionRejected)
 {
     auto t = table();
     auto bad =
-        E::seq(E::leaf(localCopy(P::contiguous(), P::strided(64))),
-               E::leaf(localCopy(P::contiguous(), P::contiguous())));
+        E::seq({E::leaf(localCopy(P::contiguous(), P::strided(64))),
+                E::leaf(localCopy(P::contiguous(), P::contiguous()))});
     auto c = ctx(t);
     EXPECT_EXIT((void)evaluate(bad, c), testing::ExitedWithCode(1),
                 "pattern mismatch");
@@ -152,8 +152,8 @@ TEST_P(AlgebraProperty, ParallelCommutes)
     t.set(loadSend(P::strided(2)), GetParam());
     auto a = E::leaf(loadSend(P::strided(2)));
     auto b = E::leaf(netData());
-    EXPECT_DOUBLE_EQ(*evaluate(E::par(a, b), ctx(t)),
-                     *evaluate(E::par(b, a), ctx(t)));
+    EXPECT_DOUBLE_EQ(*evaluate(E::par({a, b}), ctx(t)),
+                     *evaluate(E::par({b, a}), ctx(t)));
 }
 
 TEST_P(AlgebraProperty, SequentialCommutes)
@@ -167,7 +167,7 @@ TEST_P(AlgebraProperty, SequentialCommutes)
     // combined with its mirror, so compare against the closed form.
     double expect =
         1.0 / (1.0 / GetParam() + 2.0 / GetParam());
-    EXPECT_NEAR(*evaluate(E::seq(a, b), ctx(t)), expect, 1e-9);
+    EXPECT_NEAR(*evaluate(E::seq({a, b}), ctx(t)), expect, 1e-9);
 }
 
 TEST_P(AlgebraProperty, SequentialNeverExceedsEitherStage)
@@ -176,8 +176,8 @@ TEST_P(AlgebraProperty, SequentialNeverExceedsEitherStage)
     t.set(localCopy(P::contiguous(), P::indexed()), GetParam());
     t.set(localCopy(P::indexed(), P::contiguous()), 37.0);
     auto e =
-        E::seq(E::leaf(localCopy(P::contiguous(), P::indexed())),
-               E::leaf(localCopy(P::indexed(), P::contiguous())));
+        E::seq({E::leaf(localCopy(P::contiguous(), P::indexed())),
+                E::leaf(localCopy(P::indexed(), P::contiguous()))});
     double v = *evaluate(e, ctx(t));
     EXPECT_LT(v, GetParam());
     EXPECT_LT(v, 37.0);
@@ -192,9 +192,9 @@ TEST_P(AlgebraProperty, AssociativityOfSeq)
     auto a = E::leaf(localCopy(P::contiguous(), P::indexed()));
     auto b = E::leaf(localCopy(P::indexed(), P::indexed()));
     auto c = E::leaf(localCopy(P::indexed(), P::contiguous()));
-    auto left = E::seq(E::seq(a, b), c);
-    auto right = E::seq(a, E::seq(b, c));
-    auto flat = E::seq(a, b, c);
+    auto left = E::seq({E::seq({a, b}), c});
+    auto right = E::seq({a, E::seq({b, c})});
+    auto flat = E::seq({a, b, c});
     EXPECT_NEAR(*evaluate(left, ctx(t)), *evaluate(flat, ctx(t)), 1e-9);
     EXPECT_NEAR(*evaluate(right, ctx(t)), *evaluate(flat, ctx(t)),
                 1e-9);

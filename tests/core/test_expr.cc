@@ -43,11 +43,11 @@ TEST(ExprDeath, CongestionOverrideOnLocalCopy)
 TEST(Expr, EndToEndPatternsBufferPacking)
 {
     // 64C1 o (1S0 || Nd || 0D1) o 1C16
-    auto e = E::seq(
+    auto e = E::seq({
         E::leaf(localCopy(P::strided(64), P::contiguous())),
-        E::par(E::leaf(loadSend(P::contiguous())), E::leaf(netData()),
-               E::leaf(receiveDeposit(P::contiguous()))),
-        E::leaf(localCopy(P::contiguous(), P::strided(16))));
+        E::par({E::leaf(loadSend(P::contiguous())), E::leaf(netData()),
+                E::leaf(receiveDeposit(P::contiguous()))}),
+        E::leaf(localCopy(P::contiguous(), P::strided(16)))});
     ASSERT_TRUE(e->readPattern().has_value());
     ASSERT_TRUE(e->writePattern().has_value());
     EXPECT_EQ(e->readPattern()->label(), "64");
@@ -58,9 +58,9 @@ TEST(Expr, EndToEndPatternsBufferPacking)
 TEST(Expr, EndToEndPatternsChained)
 {
     // wS0 || Nadp || 0Dw
-    auto e = E::par(E::leaf(loadSend(P::indexed())),
-                    E::leaf(netAddrData()),
-                    E::leaf(receiveDeposit(P::indexed())));
+    auto e = E::par({E::leaf(loadSend(P::indexed())),
+                     E::leaf(netAddrData()),
+                     E::leaf(receiveDeposit(P::indexed()))});
     EXPECT_EQ(e->readPattern()->label(), "w");
     EXPECT_EQ(e->writePattern()->label(), "w");
     EXPECT_EQ(e->validate(), std::nullopt);
@@ -70,9 +70,9 @@ TEST(Expr, ValidateCatchesPatternMismatch)
 {
     // 1C64 o 1C1 is illegal: stage 1 writes stride 64, stage 2 reads
     // contiguously.
-    auto e = E::seq(
+    auto e = E::seq({
         E::leaf(localCopy(P::contiguous(), P::strided(64))),
-        E::leaf(localCopy(P::contiguous(), P::contiguous())));
+        E::leaf(localCopy(P::contiguous(), P::contiguous()))});
     auto err = e->validate();
     ASSERT_TRUE(err.has_value());
     EXPECT_NE(err->find("pattern mismatch"), std::string::npos);
@@ -80,10 +80,10 @@ TEST(Expr, ValidateCatchesPatternMismatch)
 
 TEST(Expr, ValidateRecursesIntoChildren)
 {
-    auto bad = E::seq(
+    auto bad = E::seq({
         E::leaf(localCopy(P::contiguous(), P::strided(64))),
-        E::leaf(localCopy(P::contiguous(), P::contiguous())));
-    auto wrapped = E::par(bad, E::leaf(netData()));
+        E::leaf(localCopy(P::contiguous(), P::contiguous()))});
+    auto wrapped = E::par({bad, E::leaf(netData())});
     EXPECT_TRUE(wrapped->validate().has_value());
 }
 
@@ -96,18 +96,18 @@ TEST(Expr, NetworkLegHasNoMemoryPatterns)
 
 TEST(Expr, FormatMatchesPaperNotation)
 {
-    auto e = E::seq(
+    auto e = E::seq({
         E::leaf(localCopy(P::contiguous(), P::contiguous())),
-        E::par(E::leaf(loadSend(P::contiguous())), E::leaf(netData()),
-               E::leaf(receiveDeposit(P::contiguous()))),
-        E::leaf(localCopy(P::contiguous(), P::strided(64))));
+        E::par({E::leaf(loadSend(P::contiguous())), E::leaf(netData()),
+                E::leaf(receiveDeposit(P::contiguous()))}),
+        E::leaf(localCopy(P::contiguous(), P::strided(64)))});
     EXPECT_EQ(e->format(), "1C1 o (1S0 || Nd || 0D1) o 1C64");
 }
 
 TEST(Expr, FormatCongestionAnnotation)
 {
-    auto e = E::par(E::leaf(loadSend(P::contiguous())),
-                    E::leaf(netData(), 4.0));
+    auto e = E::par({E::leaf(loadSend(P::contiguous())),
+                     E::leaf(netData(), 4.0)});
     EXPECT_EQ(e->format(), "1S0 || Nd@4");
 }
 

@@ -192,10 +192,10 @@ TEST(Parser, RoundTripsEveryPatternKind)
     }
     // Composed both ways around every leaf.
     for (const ExprPtr &leaf : leaves) {
-        auto composed = TransferExpr::seq(
+        auto composed = TransferExpr::seq({
             TransferExpr::leaf(localCopy(AccessPattern::contiguous(),
                                          AccessPattern::contiguous())),
-            TransferExpr::par(leaf, TransferExpr::leaf(netData())));
+            TransferExpr::par({leaf, TransferExpr::leaf(netData())})});
         auto round = ok(composed->format());
         ASSERT_TRUE(round) << composed->format();
         EXPECT_EQ(round->format(), composed->format());

@@ -128,12 +128,12 @@ TEST_P(ParserFuzz, SequentialChainsRoundTrip)
     for (int i = 0; i < 50; ++i) {
         auto x = randomMemoryPattern(rng);
         auto y = randomMemoryPattern(rng);
-        auto tree = E::seq(
+        auto tree = E::seq({
             E::leaf(localCopy(x, P::contiguous())),
-            E::par(E::leaf(loadSend(P::contiguous())),
-                   E::leaf(netData()),
-                   E::leaf(receiveDeposit(P::contiguous()))),
-            E::leaf(localCopy(P::contiguous(), y)));
+            E::par({E::leaf(loadSend(P::contiguous())),
+                    E::leaf(netData()),
+                    E::leaf(receiveDeposit(P::contiguous()))}),
+            E::leaf(localCopy(P::contiguous(), y))});
         EXPECT_EQ(tree->validate(), std::nullopt);
         auto text = tree->format();
         EXPECT_EQ(parseOrDie(text)->format(), text);

@@ -62,7 +62,7 @@ TEST(StrategiesT3d, ChainedUsesDepositEngine)
     auto s = buildProgram(MachineId::T3d, Style::Chained, P::indexed(),
                           P::indexed());
     ASSERT_TRUE(s);
-    EXPECT_EQ(s->expr->format(), "wS0 || Nadp || 0Dw");
+    EXPECT_EQ(s->format(), "wS0 || Nadp || 0Dw");
 }
 
 // ---------------------------------------------------------------------
@@ -120,7 +120,7 @@ TEST(StrategiesParagon, ChainedUsesCoProcessorReceive)
     auto s = buildProgram(MachineId::Paragon, Style::Chained,
                           P::strided(16), P::contiguous());
     ASSERT_TRUE(s);
-    EXPECT_EQ(s->expr->format(), "16S0 || Nadp || 0R1");
+    EXPECT_EQ(s->format(), "16S0 || Nadp || 0R1");
 }
 
 // ---------------------------------------------------------------------
@@ -227,7 +227,7 @@ TEST(Strategies, DmaDirectOnlyOnParagonContiguous)
     auto s = buildProgram(MachineId::Paragon, Style::DmaDirect,
                           P::contiguous(), P::contiguous());
     ASSERT_TRUE(s);
-    EXPECT_EQ(s->expr->format(), "1F0 || Nd || 0D1");
+    EXPECT_EQ(s->format(), "1F0 || Nd || 0D1");
 }
 
 TEST(Strategies, StyleNames)

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/analytic_backend.h"
 #include "core/parser.h"
 #include "core/style_registry.h"
 #include "core/transfer_program.h"
@@ -97,6 +98,102 @@ TEST(TransferProgram, FormatParsesBack)
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The stage rater and the formula evaluator agree bit for bit: every
+// style, both machines, the storm workload's twelve patterns on each
+// side, at several congestions.
+// ---------------------------------------------------------------------
+
+TEST(TransferProgram, StageRateEqualsFormulaRate)
+{
+    std::vector<P> patterns;
+    for (const char *label : {"1", "2", "3", "4", "8", "16", "32", "64",
+                              "256", "1024", "w", "16.2"})
+        patterns.push_back(*P::parse(label));
+    int rated = 0;
+    for (MachineId id : {MachineId::T3d, MachineId::Paragon}) {
+        const AnalyticBackend &backend = paperBackend(id);
+        for (const StyleInfo &info : styleRegistry()) {
+            for (const P &x : patterns) {
+                for (const P &y : patterns) {
+                    auto p = buildProgram(info, id, x, y);
+                    if (!p)
+                        continue;
+                    EXPECT_FALSE(p->validate().has_value())
+                        << info.key << " " << p->format();
+                    ExprPtr formula = parseOrDie(p->format());
+                    for (double c : {1.0, 2.0, 3.0, 5.0}) {
+                        EXPECT_EQ(backend.rate(*p, c),
+                                  evaluate(formula, {&backend.table(), c,
+                                                     p->constraints}))
+                            << info.key << " " << p->format() << " @"
+                            << c;
+                        ++rated;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(rated, 0);
+}
+
+// ---------------------------------------------------------------------
+// Every build checks the pattern handoffs, so a style whose stages do
+// not fit together is refused where it is built.
+// ---------------------------------------------------------------------
+
+/** A packing-like program whose copy writes contiguously into a leg
+ *  that reads stride 16. */
+std::optional<TransferProgram>
+buildMismatched(MachineId id, P x, P y)
+{
+    TransferProgram p;
+    p.style = Style::Custom;
+    p.styleKey = "copy-into-strided-leg";
+    p.machine = id;
+    p.x = x;
+    p.y = y;
+    p.stages = {{localCopy(x, P::contiguous()), StageResource::SenderCpu,
+                 BufferBinding::SourceArray, BufferBinding::PackBuffer},
+                {loadSend(P::strided(16)), StageResource::SenderCpu,
+                 BufferBinding::PackBuffer, BufferBinding::NetworkPort},
+                {netData(), StageResource::Wire,
+                 BufferBinding::NetworkPort, BufferBinding::NetworkPort},
+                {receiveDeposit(y), StageResource::ReceiverEngine,
+                 BufferBinding::NetworkPort, BufferBinding::DestArray}};
+    return p;
+}
+
+TEST(StyleRegistryDeath, BuildRefusesPatternMismatch)
+{
+    // Registered inside the death statement, so only the child
+    // process's registry holds the broken style.
+    EXPECT_EXIT(
+        {
+            registerStyle({Style::Custom, "copy-into-strided-leg", {},
+                           buildMismatched});
+            (void)buildProgram(MachineId::T3d, "copy-into-strided-leg",
+                               P::contiguous(), P::contiguous());
+        },
+        testing::ExitedWithCode(1),
+        "'1C1' \\(writes 1\\) and '16S0 \\|\\| Nd \\|\\| 0D1' "
+        "\\(reads 16\\)");
+}
+
+TEST(TransferProgram, CopyInsideTheLegIsNoFormula)
+{
+    TransferProgram p = program(MachineId::T3d, Style::Chained,
+                                P::contiguous(), P::contiguous());
+    p.stages.insert(p.stages.begin() + 1,
+                    {localCopy(P::contiguous(), P::contiguous()),
+                     StageResource::SenderCpu, BufferBinding::PackBuffer,
+                     BufferBinding::PackBuffer});
+    EXPECT_FALSE(stageFormula(p.stages).has_value());
+    EXPECT_EQ(p.validate(),
+              "stages are not copies around one network leg");
+    EXPECT_FALSE(paperBackend(MachineId::T3d).rate(p, 2.0).has_value());
 }
 
 TEST(TransferProgram, DescribeListsStagesAndCosts)

@@ -512,8 +512,9 @@ TEST(RequestAllocations, WarmRequestsAllocateAlmostNothing)
     // warm plan hit may allocate its key, the copy of the cached
     // answer it takes out of the cache and its response line; a
     // health check less. A plan miss builds and rates every style's
-    // program, renders the answer and stores it: at most 40 calls.
-    const std::uint64_t kHitBudget = 3, kMissBudget = 40;
+    // program (a stage list each, a constraint list per packing
+    // program), renders the answer and stores it: at most 14 calls.
+    const std::uint64_t kHitBudget = 3, kMissBudget = 14;
     svc::ServiceOptions opts;
     opts.workers = 0;
     svc::PlanService service(opts, [](const svc::ServiceResponse &) {});

@@ -37,11 +37,6 @@ buildToy(core::MachineId id, P x, P y)
          core::BufferBinding::NetworkPort,
          core::BufferBinding::DestArray},
     };
-    p.expr = core::TransferExpr::par(
-        core::TransferExpr::leaf(core::loadSend(P::contiguous())),
-        core::TransferExpr::leaf(core::netData()),
-        core::TransferExpr::leaf(
-            core::receiveDeposit(P::contiguous())));
     p.costs = {9000, 0, 8000};
     p.stagingBuffers = 0;
     return p;
@@ -93,7 +88,7 @@ TEST_F(ToyStyle, RatesThroughAnalyticBackend)
     ASSERT_TRUE(rate.has_value());
     EXPECT_GT(*rate, 0.0);
 
-    // Same expr as built-in chained 1Q1 => same steady-state rate.
+    // Same stages as built-in chained 1Q1 => same steady-state rate.
     auto chained = core::buildProgram(
         core::MachineId::T3d, core::Style::Chained, P::contiguous(),
         P::contiguous());

@@ -574,7 +574,7 @@ printPlanJson(const core::PlanQuery &query,
               const std::vector<core::SizedPlan> &sized,
               const ScaleInfo *scale)
 {
-    core::MachineCaps caps = core::paperCaps(query.machine);
+    const core::MachineCaps &caps = core::paperCaps(query.machine);
     std::printf("{\n");
     std::printf("  \"machine\": \"%s\",\n", caps.name.c_str());
     std::printf("  \"x\": \"%s\",\n", query.read.label().c_str());

@@ -16,7 +16,8 @@ Options:
     --seeds A-B       inclusive seed range, one pair per seed
                       (default: 1-10)
     --seconds S       seconds per run (default: 30)
-    --trace 0|1       pass --trace to hostbench/run.py (default: 0)
+    --trace 0|1       pass --trace to hostbench/run.py (default: 0);
+                      with 1, compare the per-layer metrics instead
     --parent-build D  CARGO_TARGET_DIR of the parent's runs
                       (default: DIR/.bench_build of --parent)
     --change-build D  likewise for the change
@@ -35,9 +36,14 @@ count and a verdict:
               than the metric's bound in BENCHMARK.json
     -         neither
 
+A traced run reports the per-layer metrics of BENCHMARK.json, not the
+end-to-end ones. With --trace 1 the script prints each per-layer
+metric the same way but gives no verdict, since those metrics have no
+bound, and leaves out the ones that read 0 on every run.
+
 It exits 1 when any pair's digest lines differ (the change simulated
 something else), when a run failed or reported failed operations, or
-when a metric is worse beyond its bound; otherwise 0.
+when an end-to-end metric is worse beyond its bound; otherwise 0.
 """
 
 import argparse
@@ -157,26 +163,33 @@ def main():
             continue
         print("%s: %d pairs, seeds %s, %d s" % (workload, pairs,
                                                 args.seeds, args.seconds))
-        print("  %-15s %-28s %-28s %7s %6s  %s" % (
-            "metric", "parent median (q1-q3)", "change median (q1-q3)",
-            "ratio", "wins", "verdict"))
-        for metric in bench["end_to_end"]:
+        width = 31 if args.trace else 15
+        print(("  %-*s %-28s %-28s %7s %6s  %s" % (
+            width, "metric", "parent median (q1-q3)",
+            "change median (q1-q3)", "ratio", "wins",
+            "" if args.trace else "verdict")).rstrip())
+        for metric in bench["per_layer" if args.trace else "end_to_end"]:
             name = metric["name"]
-            parent = [r[name] for r in runs["parent"]]
-            change = [r[name] for r in runs["change"]]
+            parent = [r.get(name, 0) for r in runs["parent"]]
+            change = [r.get(name, 0) for r in runs["change"]]
+            if args.trace and not any(parent + change):
+                continue
             higher = metric["better"] == "higher"
             wins = sum((c > p) if higher else (c < p)
                        for p, c in zip(parent, change))
-            verdict = judge(metric, parent, change, wins, pairs)
+            verdict = ""
+            if not args.trace:
+                verdict = judge(metric, parent, change, wins, pairs)
             if verdict == "worse":
                 problems.append("%s %s: worse beyond its bound"
                                 % (workload, name))
             p1, pm, p3 = quartiles(parent)
             c1, cm, c3 = quartiles(change)
-            print("  %-15s %-28s %-28s %7.3f %3d/%-2d  %s" % (
-                name, "%.4g (%.4g-%.4g)" % (pm, p1, p3),
+            print(("  %-*s %-28s %-28s %7.3f %3d/%-2d  %s" % (
+                width, name, "%.4g (%.4g-%.4g)" % (pm, p1, p3),
                 "%.4g (%.4g-%.4g)" % (cm, c1, c3),
-                cm / pm if pm else float("nan"), wins, pairs, verdict))
+                cm / pm if pm else float("nan"), wins, pairs,
+                verdict)).rstrip())
     for problem in problems:
         print("PROBLEM: " + problem)
     return 1 if problems else 0
