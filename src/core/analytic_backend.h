@@ -5,7 +5,9 @@
  *
  *  - rate(): the steady-state algebra of §3.3 (sequential stages
  *    share resources -> reciprocal sum; parallel stages -> min),
- *    evaluated on the program's expr with its resource constraints.
+ *    applied to the program's stages read as a formula (copies
+ *    around the network leg, StageFormula), with its resource
+ *    constraints.
  *  - costModel(): the latency extension — rate() plus the program's
  *    own per-message/per-step software costs, giving throughput as a
  *    function of message size and the half-power point.

@@ -56,7 +56,7 @@ TEST(StyleRegistry, BuildByKeyMatchesBuildByEnum)
 }
 
 // ---------------------------------------------------------------------
-// The algebra view renders the paper's formulas, and the rendering
+// The stage list renders the paper's formulas, and the rendering
 // round-trips through the parser.
 // ---------------------------------------------------------------------
 

@@ -13,8 +13,8 @@
  * path: a warm layer run allocates per packet, flow group, RAM page
  * and endpoint, never per word or per hop. And the planning
  * service's request path: a warm request allocates a handful of
- * times, a plan miss a few dozen, never per field or per node of a
- * program's expression.
+ * times, a plan miss about one per built program, never per field or
+ * per stage.
  */
 
 #include <gtest/gtest.h>

@@ -198,6 +198,27 @@ TEST(MeasuredTable, HasPaperStructure)
             .has_value());
 }
 
+TEST(MeasuredTable, IndexedEntriesEqualStandaloneMeasurements)
+{
+    // The campaign draws its indexed walks' permutation once; each
+    // indexed entry must equal the measurement run on its own, which
+    // draws its own.
+    using namespace ct::core;
+    for (const MachineConfig &cfg : {t3dConfig(), paragonConfig()}) {
+        ThroughputTable table = measuredTable(cfg);
+        EXPECT_EQ(table.lookup(localCopy(P::indexed(), P::contiguous())),
+                  measureLocalCopy(cfg, P::indexed(), P::contiguous()));
+        EXPECT_EQ(table.lookup(localCopy(P::contiguous(), P::indexed())),
+                  measureLocalCopy(cfg, P::contiguous(), P::indexed()));
+        EXPECT_EQ(table.lookup(loadSend(P::indexed())),
+                  measureLoadSend(cfg, P::indexed()));
+        EXPECT_EQ(table.lookup(receiveStore(P::indexed())),
+                  measureReceiveStore(cfg, P::indexed()));
+        EXPECT_EQ(table.lookup(receiveDeposit(P::indexed())),
+                  measureReceiveDeposit(cfg, P::indexed()));
+    }
+}
+
 TEST(MeasureFootprint, LargeStrideWalkRunsAndStaysBounded)
 {
     // The fig4 regression: stride 256 at 2^15 elements spans 64 MiB
