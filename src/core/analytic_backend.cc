@@ -103,7 +103,7 @@ AnalyticBackend::rate(const TransferProgram &program,
     };
     if (!addCopies(formula->before))
         return std::nullopt;
-    if (formula->legSize > 0) {
+    if (!formula->leg.empty()) {
         ParallelRule leg;
         for (const ProgramStage &s : formula->legStages()) {
             std::optional<util::MBps> r = stageRate(s);

@@ -55,64 +55,38 @@ onNetworkPort(const ProgramStage &s)
                                  s.to == BufferBinding::NetworkPort);
 }
 
-/** The leg's stages joined by `||`, e.g. "1S0 || Nd || 0D1". */
-void
-appendLeg(std::string &out, const StageFormula &f)
+/** The formula of one part of a program's sequence, a copy or the
+ *  leg: its stages joined by `||`, e.g. "1S0 || Nd || 0D1". */
+std::string
+partFormula(std::span<const ProgramStage> part)
 {
-    const char *sep = "";
-    for (const ProgramStage &s : f.legStages()) {
-        out.append(sep).append(s.transfer.name());
-        sep = " || ";
-    }
+    std::string out;
+    for (const ProgramStage &s : part)
+        if (!s.addressCompute)
+            out.append(out.empty() ? "" : " || ").append(s.transfer.name());
+    return out;
 }
 
-/** A part of a program's sequence: one copy, or the whole leg
- *  (copy == nullptr), with the patterns it reads and writes memory
- *  with, if any. */
-struct SequencePart
-{
-    const ProgramStage *copy = nullptr;
-    std::optional<AccessPattern> read, write;
-};
-
+/** The pattern a part reads memory with: its first stage's that
+ *  does. */
 std::optional<AccessPattern>
-ifTouchesMemory(const AccessPattern &p)
+readsWith(std::span<const ProgramStage> part)
 {
-    if (p.touchesMemory())
-        return p;
+    for (const ProgramStage &s : part)
+        if (!s.addressCompute && s.transfer.read.touchesMemory())
+            return s.transfer.read;
     return std::nullopt;
 }
 
-SequencePart
-copyPart(const ProgramStage &s)
+/** The pattern a part writes memory with: its last stage's that
+ *  does. */
+std::optional<AccessPattern>
+writesWith(std::span<const ProgramStage> part)
 {
-    return {&s, ifTouchesMemory(s.transfer.read),
-            ifTouchesMemory(s.transfer.write)};
-}
-
-/** The leg reads memory with its first stage that does and writes it
- *  with its last. */
-SequencePart
-legPart(const StageFormula &f)
-{
-    SequencePart part;
-    for (const ProgramStage &s : f.legStages()) {
-        if (!part.read)
-            part.read = ifTouchesMemory(s.transfer.read);
-        if (auto w = ifTouchesMemory(s.transfer.write))
-            part.write = w;
-    }
-    return part;
-}
-
-std::string
-partName(const SequencePart &part, const StageFormula &f)
-{
-    if (part.copy)
-        return part.copy->transfer.name();
-    std::string leg;
-    appendLeg(leg, f);
-    return leg;
+    for (auto s = part.rbegin(); s != part.rend(); ++s)
+        if (!s->addressCompute && s->transfer.write.touchesMemory())
+            return s->transfer.write;
+    return std::nullopt;
 }
 
 } // namespace
@@ -120,25 +94,25 @@ partName(const SequencePart &part, const StageFormula &f)
 std::optional<StageFormula>
 stageFormula(std::span<const ProgramStage> stages)
 {
-    std::size_t first = 0, last = 0, legSize = 0;
+    // The leg is [first, end); without a port stage it is empty and
+    // every stage is a copy ahead of it.
+    std::size_t first = stages.size(), end = stages.size();
     for (std::size_t i = 0; i < stages.size(); ++i) {
         if (!onNetworkPort(stages[i]))
             continue;
-        if (legSize++ == 0)
+        if (first == stages.size())
             first = i;
-        last = i;
+        end = i + 1;
     }
     for (std::size_t i = 0; i < stages.size(); ++i) {
-        bool inLeg = legSize > 0 && i >= first && i <= last;
+        bool inLeg = first <= i && i < end;
         if (stages[i].addressCompute ? !inLeg
                                      : inLeg && !onNetworkPort(stages[i]))
             return std::nullopt;
     }
-    if (legSize == 0)
-        return StageFormula{stages, {}, {}, 0};
     return StageFormula{stages.first(first),
-                        stages.subspan(first, last + 1 - first),
-                        stages.subspan(last + 1), legSize};
+                        stages.subspan(first, end - first),
+                        stages.subspan(end)};
 }
 
 std::string
@@ -149,23 +123,19 @@ TransferProgram::format() const
         util::panic("TransferProgram::format: stages are not copies "
                     "around one network leg");
     std::string out;
-    const char *sep = "";
-    for (const ProgramStage &s : f->before) {
-        out.append(sep).append(s.transfer.name());
-        sep = " o ";
+    auto append = [&](const std::string &part) {
+        out.append(out.empty() ? "" : " o ").append(part);
+    };
+    for (const ProgramStage &s : f->before)
+        append(s.transfer.name());
+    if (!f->leg.empty()) {
+        std::string leg = partFormula(f->leg);
+        bool parens = !(f->before.empty() && f->after.empty()) &&
+                      std::ranges::distance(f->legStages()) > 1;
+        append(parens ? "(" + leg + ")" : leg);
     }
-    if (f->legSize > 0) {
-        bool parens = f->legSize > 1 &&
-                      !(f->before.empty() && f->after.empty());
-        out.append(sep).append(parens ? "(" : "");
-        appendLeg(out, *f);
-        out.append(parens ? ")" : "");
-        sep = " o ";
-    }
-    for (const ProgramStage &s : f->after) {
-        out.append(sep).append(s.transfer.name());
-        sep = " o ";
-    }
+    for (const ProgramStage &s : f->after)
+        append(s.transfer.name());
     return out;
 }
 
@@ -197,31 +167,28 @@ TransferProgram::validate() const
     std::optional<StageFormula> f = stageFormula(stages);
     if (!f)
         return "stages are not copies around one network leg";
-    // Each part's write pattern must equal the next part's read
-    // pattern wherever both touch memory: buffer handoffs through
-    // pattern `1` are the canonical legal case.
-    std::optional<SequencePart> prev;
-    auto handoff = [&](const SequencePart &next)
-        -> std::optional<std::string> {
-        if (prev && prev->write && next.read &&
-            !(*prev->write == *next.read))
-            return "pattern mismatch between '" + partName(*prev, *f) +
-                   "' (writes " + prev->write->label() + ") and '" +
-                   partName(next, *f) + "' (reads " +
-                   next.read->label() + ")";
+    // Each part of the sequence, a copy or the leg as a whole, must
+    // write memory with the pattern the next part reads it with,
+    // wherever both touch memory: buffer handoffs through pattern `1`
+    // are the canonical legal case.
+    std::optional<std::string> err;
+    std::span<const ProgramStage> prev;
+    auto handoff = [&](std::span<const ProgramStage> next) {
+        std::optional<AccessPattern> w = writesWith(prev);
+        std::optional<AccessPattern> r = readsWith(next);
+        if (!err && w && r && !(*w == *r))
+            err = "pattern mismatch between '" + partFormula(prev) +
+                  "' (writes " + w->label() + ") and '" +
+                  partFormula(next) + "' (reads " + r->label() + ")";
         prev = next;
-        return std::nullopt;
     };
-    for (const ProgramStage &s : f->before)
-        if (auto err = handoff(copyPart(s)))
-            return err;
-    if (f->legSize > 0)
-        if (auto err = handoff(legPart(*f)))
-            return err;
-    for (const ProgramStage &s : f->after)
-        if (auto err = handoff(copyPart(s)))
-            return err;
-    return std::nullopt;
+    for (std::size_t i = 0; i < f->before.size(); ++i)
+        handoff(f->before.subspan(i, 1));
+    if (!f->leg.empty())
+        handoff(f->leg);
+    for (std::size_t i = 0; i < f->after.size(); ++i)
+        handoff(f->after.subspan(i, 1));
+    return err;
 }
 
 const ProgramStage *

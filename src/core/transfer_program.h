@@ -101,8 +101,6 @@ struct StageFormula
     std::span<const ProgramStage> leg;
     /** Copies behind the leg. */
     std::span<const ProgramStage> after;
-    /** Formula stages in the leg. */
-    std::size_t legSize = 0;
 
     /** The leg's formula stages, addressCompute stages skipped. */
     auto legStages() const

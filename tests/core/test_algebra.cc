@@ -67,6 +67,22 @@ TEST(Algebra, SequentialBoundedByMinimum)
     EXPECT_LT(*evaluate(e, ctx(t)), 50.0);
 }
 
+TEST(Algebra, LonePartKeepsItsOwnRate)
+{
+    // 1/(1/49) is not 49 in binary floating point: a program that is
+    // all leg rates at the leg's minimum itself.
+    SequentialRule seq;
+    seq.add(49.0);
+    EXPECT_EQ(seq.rate(), 49.0);
+    seq.add(49.0);
+    EXPECT_EQ(seq.rate(), 1.0 / (1.0 / 49.0 + 1.0 / 49.0));
+    ParallelRule par;
+    par.add(49.0);
+    EXPECT_EQ(par.rate(), 49.0);
+    par.add(48.0);
+    EXPECT_EQ(par.rate(), 48.0);
+}
+
 TEST(Algebra, CongestionOverrideUsesNetworkCurve)
 {
     auto t = table();
