@@ -68,25 +68,25 @@ partFormula(std::span<const ProgramStage> part)
 }
 
 /** The pattern a part reads memory with: its first stage's that
- *  does. */
-std::optional<AccessPattern>
+ *  does, or nullptr. */
+const AccessPattern *
 readsWith(std::span<const ProgramStage> part)
 {
     for (const ProgramStage &s : part)
         if (!s.addressCompute && s.transfer.read.touchesMemory())
-            return s.transfer.read;
-    return std::nullopt;
+            return &s.transfer.read;
+    return nullptr;
 }
 
 /** The pattern a part writes memory with: its last stage's that
- *  does. */
-std::optional<AccessPattern>
+ *  does, or nullptr. */
+const AccessPattern *
 writesWith(std::span<const ProgramStage> part)
 {
     for (auto s = part.rbegin(); s != part.rend(); ++s)
         if (!s->addressCompute && s->transfer.write.touchesMemory())
-            return s->transfer.write;
-    return std::nullopt;
+            return &s->transfer.write;
+    return nullptr;
 }
 
 } // namespace
@@ -174,8 +174,8 @@ TransferProgram::validate() const
     std::optional<std::string> err;
     std::span<const ProgramStage> prev;
     auto handoff = [&](std::span<const ProgramStage> next) {
-        std::optional<AccessPattern> w = writesWith(prev);
-        std::optional<AccessPattern> r = readsWith(next);
+        const AccessPattern *w = writesWith(prev);
+        const AccessPattern *r = readsWith(next);
         if (!err && w && r && !(*w == *r))
             err = "pattern mismatch between '" + partFormula(prev) +
                   "' (writes " + w->label() + ") and '" +
