@@ -113,22 +113,6 @@ log2Stride(const AccessPattern &p)
     return std::log2(static_cast<double>(p.stride()));
 }
 
-/** First sample of one op's sorted @p samples not ordered below the
- *  pattern pair (@p read, @p write). */
-template <typename Samples>
-auto
-firstNotBelow(Samples &samples, const AccessPattern &read,
-              const AccessPattern &write)
-{
-    PatternLess less;
-    return std::partition_point(
-        samples.begin(), samples.end(), [&](const auto &s) {
-            if (s.read != read)
-                return less(s.read, read);
-            return less(s.write, write);
-        });
-}
-
 } // namespace
 
 void
@@ -142,7 +126,13 @@ ThroughputTable::set(const BasicTransfer &t, util::MBps mbps)
     std::vector<Sample> &op = samples[opIndex(t.op)];
     Sample sample{t.read, t.write, mbps, log2Stride(t.read),
                   log2Stride(t.write)};
-    auto it = firstNotBelow(op, t.read, t.write);
+    PatternLess less;
+    auto it = std::partition_point(op.begin(), op.end(),
+                                   [&](const Sample &s) {
+                                       if (s.read != t.read)
+                                           return less(s.read, t.read);
+                                       return less(s.write, t.write);
+                                   });
     if (it != op.end() && it->read == t.read && it->write == t.write)
         *it = sample;
     else
@@ -175,11 +165,10 @@ ThroughputTable::setNetwork(TransferOp op, int congestion,
 std::optional<util::MBps>
 ThroughputTable::exact(const BasicTransfer &t) const
 {
-    const std::vector<Sample> &op = samples[opIndex(t.op)];
-    auto it = firstNotBelow(op, t.read, t.write);
-    if (it == op.end() || !(it->read == t.read && it->write == t.write))
-        return std::nullopt;
-    return it->mbps;
+    for (const Sample &s : samples[opIndex(t.op)])
+        if (s.read == t.read && s.write == t.write)
+            return s.mbps;
+    return std::nullopt;
 }
 
 std::optional<util::MBps>

@@ -82,10 +82,11 @@ BasicTransfer netAddrData();
  * Network transfers are keyed by congestion factor instead of access
  * pattern; unsampled congestions interpolate geometrically.
  *
- * Samples are kept per op in sorted vectors: a lookup binary-searches
- * only its own op's samples, an op's strided curve is one contiguous
- * run, and each sample carries the log2 of its strides (or of its
- * congestion), taken once when it is recorded.
+ * Samples are kept per op in sorted vectors: a lookup scans only its
+ * own op's samples (a machine has at most a few dozen per op, few
+ * enough that a scan beats a binary search), an op's strided curve
+ * arrives in stride order, and each sample carries the log2 of its
+ * strides (or of its congestion), taken once when it is recorded.
  */
 class ThroughputTable
 {
